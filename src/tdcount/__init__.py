@@ -47,7 +47,6 @@ from .decomposition import (
     parse_td,
     path_decomposition_from_order,
     validate,
-    width,
 )
 from .errors import ParseError, SizeLimitError
 from .graph import (
@@ -57,7 +56,6 @@ from .graph import (
     disjoint_union,
     emit_gr,
     ladder_graph,
-    parse_edge_list,
     parse_gr,
     path_graph,
 )

@@ -65,18 +65,18 @@ def _lowest_edge(adj):
     return None
 
 
-def baseline_pm(g, budget=None):
-    """Perfect matchings by branching on the lowest edge.
+def _edge_branching(g, budget, perfect):
+    """Matchings by branching on the lowest edge.
 
-    pm(G) = pm(G minus both endpoints) + pm(G minus the edge); an edgeless
-    remainder counts 1 if no vertices are left and 0 otherwise.
+    M(G) = M(G minus both endpoints) + M(G minus the edge). An edgeless
+    remainder counts 1, or with ``perfect`` only if no vertices are left.
     """
 
     def rec(adj, guard):
         guard.tick()
         pivot = _lowest_edge(adj)
         if pivot is None:
-            return 1 if not adj else 0
+            return 0 if perfect and adj else 1
         u, v = pivot
         # take the edge: both endpoints leave the graph
         removed = []
@@ -102,35 +102,14 @@ def baseline_pm(g, budget=None):
     return _run(g, rec, budget)
 
 
+def baseline_pm(g, budget=None):
+    """Perfect matchings by branching on the lowest edge."""
+    return _edge_branching(g, budget, perfect=True)
+
+
 def baseline_matchings(g, budget=None):
-    """All matchings by the same branching; edgeless remainder counts 1."""
-
-    def rec(adj, guard):
-        guard.tick()
-        pivot = _lowest_edge(adj)
-        if pivot is None:
-            return 1
-        u, v = pivot
-        removed = []
-        for x in (u, v):
-            for y in adj[x]:
-                adj[y].discard(x)
-                removed.append((x, y))
-            del adj[x]
-        with_edge = rec(adj, guard)
-        for x in (u, v):
-            adj[x] = set()
-        for x, y in removed:
-            adj[x].add(y)
-            adj[y].add(x)
-        adj[u].discard(v)
-        adj[v].discard(u)
-        without_edge = rec(adj, guard)
-        adj[u].add(v)
-        adj[v].add(u)
-        return with_edge + without_edge
-
-    return _run(g, rec, budget)
+    """All matchings by the same branching."""
+    return _edge_branching(g, budget, perfect=False)
 
 
 def baseline_independent_sets(g, budget=None):

@@ -13,16 +13,20 @@ State semantics per counter, for node b with bag X and subset M:
 * independent sets -- independent sets I of the graph below b with
   ``I ∩ X = M``.
 
-The size-resolved variants track how much of the structure is already
-committed below the bag: matchings count their edges, independent sets count
-their forgotten members (bag members in M are added to the size when they are
-forgotten, which keeps join nodes a plain convolution). At the empty root bag
-both conventions equal the natural size of the structure.
-
 Joins for (perfect) matchings split the covered bag vertices between the two
 subtrees; submask enumeration makes the per-bag work 3^|bag|. Joins for
-independent sets multiply tables pointwise. Size-resolved joins convolve with
-the child of the smaller subtree supplying the short polynomial.
+independent sets multiply tables pointwise.
+
+The size polynomials run the same traversal (Kronecker substitution). With a
+variable x for structure size, every table entry is a polynomial in x, and
+size is committed only at forget nodes: a forgotten chosen vertex for
+independent sets, a pair edge formed at the forget for matchings. Joins then
+multiply polynomials and introduce nodes copy them. Substituting x = 2^B
+turns each polynomial into one integer and each factor x into a left shift
+by B bits, so the pass is the integer DP with a shift at forget nodes. The
+root holds P(2^B) exactly. Its coefficients are non-negative and sum to the
+total count, so taking B = bit length of the total makes every coefficient
+less than 2^B, and the B-bit slices of the root read them back uniquely.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -98,8 +102,8 @@ def _prepare(g, nd):
     """Compile nd into per-node instructions and check it matches g."""
     nodes = nd.nodes
     plan = [None] * len(nodes)
-    n_below = [0] * len(nodes)
     introduced = set()
+    forgets = [0] * g.n
     covered = set()
 
     for i, node in enumerate(nodes):
@@ -112,7 +116,6 @@ def _prepare(g, nd):
             )
         if kind == LEAF:
             plan[i] = (_LEAF,)
-            n_below[i] = 0
         elif kind == INTRODUCE:
             v = node.v
             c = node.children[0]
@@ -125,12 +128,12 @@ def _prepare(g, nd):
                     nbr_mask |= 1 << q
                     covered.add((u, v) if u < v else (v, u))
             plan[i] = (_INTRO, c, p, nbr_mask, w)
-            n_below[i] = n_below[c] + 1
         elif kind == FORGET:
             v = node.v
             c = node.children[0]
             child_bag = nodes[c].bag
             p = child_bag.index(v)
+            forgets[v] += 1
             nbrs = g.neighbors(v)
             pairs = tuple(
                 (1 << q, 1 << (q if q < p else q + 1))
@@ -138,13 +141,9 @@ def _prepare(g, nd):
                 if u in nbrs
             )
             plan[i] = (_FORGET, c, p, pairs, w)
-            n_below[i] = n_below[c]
         elif kind == JOIN:
             c1, c2 = node.children
-            if n_below[c1] > n_below[c2]:
-                c1, c2 = c2, c1
-            plan[i] = (_JOIN, c1, c2, w, (1 << w) - 1, n_below[c1])
-            n_below[i] = n_below[c1] + n_below[c2] - w
+            plan[i] = (_JOIN, c1, c2, w, (1 << w) - 1)
         else:
             raise DecompositionMismatch(f"unknown node kind {kind!r}")
 
@@ -156,6 +155,13 @@ def _prepare(g, nd):
     stray = sorted(tuple(sorted(e)) for e in g.edges - covered)
     if stray:
         raise DecompositionMismatch(f"edges {stray} not covered by any bag")
+    # With an empty root bag, a vertex is forgotten once per connected piece
+    # of its node set; any other count would make the tables count wrongly.
+    if nodes[nd.root].bag:
+        raise DecompositionMismatch(f"root bag {nodes[nd.root].bag} not empty")
+    bad = [v for v in range(g.n) if forgets[v] != 1]
+    if bad:
+        raise DecompositionMismatch(f"vertices {bad} not forgotten exactly once")
     return plan
 
 
@@ -164,11 +170,12 @@ def _release(tables, children):
         tables[c] = None
 
 
-def _run_total(nd, plan, mode, stats):
-    """Shared traversal for the three total counters.
+def _run(nd, plan, mode, stats, shift=0):
+    """The one DP traversal behind all five counters.
 
     mode: 'pm' (perfect matchings), 'match' (all matchings), 'ind'
-    (independent sets).
+    (independent sets). With ``shift`` = B > 0 every table entry is its size
+    polynomial evaluated at x = 2^B: forget nodes commit size by shifting.
     """
     nodes = nd.nodes
     tables = [None] * len(nodes)
@@ -204,23 +211,26 @@ def _run_total(nd, plan, mode, stats):
             low = (1 << p) - 1
             bit = 1 << p
             if is_ind:
+                # forgetting a chosen vertex commits it: one factor of x
                 for m in range(1 << w):
                     base = (m & low) | ((m >> p) << (p + 1))
-                    out[m] = child[base] + child[base | bit]
+                    out[m] = child[base] + (child[base | bit] << shift)
             else:
                 for m in range(1 << w):
                     base = (m & low) | ((m >> p) << (p + 1))
                     val = child[base]
                     if is_match:
                         val += child[base | bit]
+                    # each pair edge v-u joins the matching here: one factor of x
+                    paired = 0
                     for pbit, cbit in pairs:
                         if not m & pbit:
-                            val += child[base | bit | cbit]
-                    out[m] = val
+                            paired += child[base | bit | cbit]
+                    out[m] = val + (paired << shift)
             tables[i] = out
             _release(tables, (c,))
         else:  # _JOIN
-            _, c1, c2, w, full, _n1 = op
+            _, c1, c2, w, full = op
             t1 = tables[c1]
             t2 = tables[c2]
             out = [0] * (1 << w)
@@ -249,134 +259,44 @@ def _run_total(nd, plan, mode, stats):
     return tables[nd.root][0]
 
 
-def _poly_acc(acc, poly, shift):
-    need = len(poly) + shift
-    if len(acc) < need:
-        acc.extend([0] * (need - len(acc)))
-    for k, v in enumerate(poly):
-        if v:
-            acc[k + shift] += v
-    return acc
-
-
-def _run_poly(nd, plan, mode, stats):
-    """Size-resolved traversal; mode 'match' or 'ind'. Tables hold coeff lists."""
-    nodes = nd.nodes
-    tables = [None] * len(nodes)
-    is_ind = mode == "ind"
-    empty = []
-    for i, op in enumerate(plan):
-        code = op[0]
-        if code == _LEAF:
-            tables[i] = [[1]]
-        elif code == _INTRO:
-            _, c, p, nbr_mask, w = op
-            child = tables[c]
-            out = [empty] * (1 << w)
-            low = (1 << p) - 1
-            bit = 1 << p
-            if is_ind:
-                for cm, val in enumerate(child):
-                    if val:
-                        base = (cm & low) | ((cm >> p) << (p + 1))
-                        out[base] = val
-                        if not base & nbr_mask:
-                            out[base | bit] = val
-            else:
-                for cm, val in enumerate(child):
-                    if val:
-                        out[((cm & low) | ((cm >> p) << (p + 1))) | bit] = val
-            tables[i] = out
-            _release(tables, (c,))
-        elif code == _FORGET:
-            _, c, p, pairs, w = op
-            child = tables[c]
-            out = [empty] * (1 << w)
-            low = (1 << p) - 1
-            bit = 1 << p
-            for m in range(1 << w):
-                base = (m & low) | ((m >> p) << (p + 1))
-                acc = list(child[base])
-                if is_ind:
-                    # forgetting a chosen vertex commits it: size grows by one
-                    acc = _poly_acc(acc, child[base | bit], 1)
-                else:
-                    acc = _poly_acc(acc, child[base | bit], 0)
-                    for pbit, cbit in pairs:
-                        if not m & pbit:
-                            # the pair edge v-u joins the matching here
-                            acc = _poly_acc(acc, child[base | bit | cbit], 1)
-                out[m] = acc
-            tables[i] = out
-            _release(tables, (c,))
-        else:  # _JOIN
-            _, c1, c2, w, full, n1 = op
-            t1 = tables[c1]  # smaller subtree: short polynomials drive the loop
-            t2 = tables[c2]
-            # the inner convolution index is bounded by the smaller subtree
-            assert max(len(p) for p in t1) <= n1 + 1
-            out = [empty] * (1 << w)
-            products = 0
-            for m in range(1 << w):
-                acc = []
-                if is_ind:
-                    splits = ((m, m),)
-                else:
-                    free = full ^ m
-                    splits = []
-                    h = free
-                    while True:
-                        splits.append((m | h, m | (free ^ h)))
-                        if h == 0:
-                            break
-                        h = (h - 1) & free
-                for i1, i2 in splits:
-                    p1 = t1[i1]
-                    p2 = t2[i2]
-                    if not p1 or not p2:
-                        continue
-                    need = len(p1) + len(p2) - 1
-                    if len(acc) < need:
-                        acc.extend([0] * (need - len(acc)))
-                    for k1, a in enumerate(p1):
-                        if a:
-                            for k2, b in enumerate(p2):
-                                if b:
-                                    acc[k1 + k2] += a * b
-                                    products += 1
-                out[m] = acc
-            tables[i] = out
-            if stats is not None:
-                stats.join_nodes += 1
-                stats.join_bags.append((w, products))
-            _release(tables, (c1, c2))
-    return SizePolynomial(tables[nd.root][0])
+def _size_poly(nd, plan, mode, total, stats):
+    """Size polynomial from one shifted pass; total is its exact value at x = 1."""
+    bits = total.bit_length()
+    value = _run(nd, plan, mode, stats, bits)
+    mask = (1 << bits) - 1
+    coeffs = []
+    while value:
+        coeffs.append(value & mask)
+        value >>= bits
+    return SizePolynomial(coeffs)
 
 
 def count_perfect_matchings(g, nd, stats=None):
     """Number of perfect matchings (Kekulé structures) of g."""
-    return _run_total(nd, _prepare(g, nd), "pm", stats)
+    return _run(nd, _prepare(g, nd), "pm", stats)
 
 
 def count_matchings(g, nd, stats=None):
     """Hosoya index: number of matchings of g, the empty one included."""
-    return _run_total(nd, _prepare(g, nd), "match", stats)
+    return _run(nd, _prepare(g, nd), "match", stats)
 
 
 def count_independent_sets(g, nd, stats=None):
     """Merrifield-Simmons index: number of independent sets, counting the
     empty set."""
-    return _run_total(nd, _prepare(g, nd), "ind", stats)
+    return _run(nd, _prepare(g, nd), "ind", stats)
 
 
 def matching_polynomial(g, nd, stats=None):
     """Matchings of g by size: coeffs[k] = matchings with k edges."""
-    return _run_poly(nd, _prepare(g, nd), "match", stats)
+    plan = _prepare(g, nd)
+    return _size_poly(nd, plan, "match", _run(nd, plan, "match", stats), stats)
 
 
 def independence_polynomial(g, nd, stats=None):
     """Independent sets of g by size: coeffs[k] = sets of k vertices."""
-    return _run_poly(nd, _prepare(g, nd), "ind", stats)
+    plan = _prepare(g, nd)
+    return _size_poly(nd, plan, "ind", _run(nd, plan, "ind", stats), stats)
 
 
 def entropy(poly):
@@ -439,11 +359,13 @@ def run_all(g, nd, stats=None):
         millis[name] = (time.perf_counter() - t0) * 1000.0
         return value
 
-    pm = timed("perfect_matchings", lambda: _run_total(nd, plan, "pm", stats))
-    ma = timed("matchings", lambda: _run_total(nd, plan, "match", stats))
-    ind = timed("independent_sets", lambda: _run_total(nd, plan, "ind", stats))
-    mp = timed("matching_polynomial", lambda: _run_poly(nd, plan, "match", stats))
-    ip = timed("independence_polynomial", lambda: _run_poly(nd, plan, "ind", stats))
+    pm = timed("perfect_matchings", lambda: _run(nd, plan, "pm", stats))
+    ma = timed("matchings", lambda: _run(nd, plan, "match", stats))
+    ind = timed("independent_sets", lambda: _run(nd, plan, "ind", stats))
+    mp = timed("matching_polynomial",
+               lambda: _size_poly(nd, plan, "match", ma, stats))
+    ip = timed("independence_polynomial",
+               lambda: _size_poly(nd, plan, "ind", ind, stats))
     return RunReport(
         width=nd.width(),
         node_count=len(nd),

@@ -73,11 +73,6 @@ class TreeDecomposition:
         return f"TreeDecomposition(bags={len(self.bags)}, width={self.width()})"
 
 
-def width(td):
-    """Max bag size minus one (-1 for a single empty bag)."""
-    return td.width()
-
-
 class ValidationReport:
     """Outcome of checking the two decomposition conditions against a graph."""
 

@@ -144,10 +144,6 @@ def parse_gr(text):
     return Graph(n, edges)
 
 
-# alias: the format-agnostic name some callers prefer
-parse_edge_list = parse_gr
-
-
 def emit_gr(g):
     """Serialize a graph in PACE-2017 ``.gr`` format (1-based)."""
     lines = [f"p tw {g.n} {g.m}"]

@@ -8,6 +8,7 @@ from tdcount import (
     DecompositionMismatch,
     DpStats,
     Graph,
+    NiceDecomposition,
     SizePolynomial,
     complete_graph,
     count_independent_sets,
@@ -26,6 +27,7 @@ from tdcount import (
     path_graph,
     run_all,
 )
+from tdcount.decomposition import FORGET, INTRODUCE, LEAF, NiceNode
 from conftest import minfill_nice, path_nice, random_graph
 from test_decomposition import graphs
 
@@ -75,6 +77,9 @@ def test_matching_polynomial_examples():
     poly = matching_polynomial(c6, minfill_nice(c6))
     assert poly == (1, 6, 9, 2)
     assert poly[c6.n // 2] == count_perfect_matchings(c6, minfill_nice(c6))
+    for n in (0, 1, 40):
+        edgeless = Graph(n)
+        assert matching_polynomial(edgeless, minfill_nice(edgeless)) == (1,)
 
 
 def test_independence_polynomial_examples():
@@ -84,6 +89,11 @@ def test_independence_polynomial_examples():
     edgeless = Graph(4)
     assert independence_polynomial(edgeless, minfill_nice(edgeless)) == \
         (1, 4, 6, 4, 1)
+    # n = 40 decodes 41-bit slices; C(40, 20) is the largest coefficient
+    for n in (0, 1, 40):
+        edgeless = Graph(n)
+        assert independence_polynomial(edgeless, minfill_nice(edgeless)) == \
+            tuple(math.comb(n, k) for k in range(n + 1))
 
 
 def test_empty_graph_base_cases():
@@ -198,13 +208,24 @@ def test_dense_and_structured_graphs_match_oracle():
         assert independence_polynomial(g, nd) == ip
 
 
+def grid_graph(rows, cols):
+    return Graph(rows * cols,
+                 [(r * cols + c, r * cols + c + 1)
+                  for r in range(rows) for c in range(cols - 1)]
+                 + [(r * cols + c, (r + 1) * cols + c)
+                    for r in range(rows - 1) for c in range(cols)])
+
+
 def test_moderate_ladder_polynomial_identities():
-    g = ladder_graph(100)
-    nd = path_nice(g)
-    mp = matching_polynomial(g, nd)
-    assert mp.total() == count_matchings(g, nd)
-    assert mp[g.n // 2] == count_perfect_matchings(g, nd)
-    assert entropy(mp) > 0.0
+    for g, nice in ((ladder_graph(100), path_nice),
+                    (grid_graph(5, 30), minfill_nice)):
+        nd = nice(g)
+        mp = matching_polynomial(g, nd)
+        assert mp.total() == count_matchings(g, nd)
+        assert mp[g.n // 2] == count_perfect_matchings(g, nd)
+        assert entropy(mp) > 0.0
+        ip = independence_polynomial(g, nd)
+        assert ip.total() == count_independent_sets(g, nd)
 
 
 # ----------------------------------------------------------- instrumentation
@@ -318,6 +339,27 @@ def test_mismatched_decomposition_rejected():
     h = Graph(6, [(0, 1), (2, 3), (4, 5)])
     with pytest.raises(DecompositionMismatch, match="not covered"):
         count_matchings(g, minfill_nice(h))
+    # a vertex forgotten twice (this one passes structure_violations()) and
+    # a non-empty root bag both make the tables count wrongly
+    leaf = NiceNode((), LEAF, None, ())
+    refound = NiceDecomposition([
+        leaf,
+        NiceNode((0,), INTRODUCE, 0, (0,)),
+        NiceNode((), FORGET, 0, (1,)),
+        NiceNode((0,), INTRODUCE, 0, (2,)),
+        NiceNode((0, 1), INTRODUCE, 1, (3,)),
+        NiceNode((1,), FORGET, 0, (4,)),
+        NiceNode((), FORGET, 1, (5,)),
+    ])
+    open_root = NiceDecomposition([leaf, NiceNode((0,), INTRODUCE, 0, (0,))])
+    cases = ((path_graph(2), refound, "forgotten exactly once"),
+             (Graph(1), open_root, "root bag"))
+    for graph, nd, message in cases:
+        for counter in (count_perfect_matchings, count_matchings,
+                        count_independent_sets, matching_polynomial,
+                        independence_polynomial, run_all):
+            with pytest.raises(DecompositionMismatch, match=message):
+                counter(graph, nd)
 
 
 # ------------------------------------------------------------ SizePolynomial

@@ -20,7 +20,6 @@ from tdcount import (
     path_decomposition_from_order,
     path_graph,
     validate,
-    width,
 )
 from tdcount.decomposition import FORGET, INTRODUCE, JOIN, LEAF
 from conftest import CAFFEINE_SMILES, random_graph
@@ -201,7 +200,7 @@ def test_make_nice_two_bag_chain():
 
 def test_make_nice_empty_graph():
     td = TreeDecomposition([frozenset()], [-1], 0)
-    assert width(td) == -1
+    assert td.width() == -1
     nd = make_nice(td)
     assert len(nd) == 1
     assert nd.nodes[0].kind == LEAF
@@ -301,7 +300,7 @@ def test_parse_td_errors():
 
 
 def test_width_conventions():
-    assert width(TreeDecomposition([set()], [-1], 0)) == -1
-    assert width(TreeDecomposition([{0, 1, 2, 3}], [-1], 0)) == 3
+    assert TreeDecomposition([set()], [-1], 0).width() == -1
+    assert TreeDecomposition([{0, 1, 2, 3}], [-1], 0).width() == 3
     bags = [{0, 1, 2}, {0, 1}]
-    assert width(TreeDecomposition(bags, [-1, 0], 0)) == 2
+    assert TreeDecomposition(bags, [-1, 0], 0).width() == 2

@@ -8,7 +8,6 @@ from tdcount import (
     disjoint_union,
     emit_gr,
     ladder_graph,
-    parse_edge_list,
     parse_gr,
     path_graph,
 )
@@ -48,10 +47,6 @@ def test_header_required_and_wellformed():
         parse_gr("p tw 2\n")
     with pytest.raises(ParseError):
         parse_gr("p tw 2 2\n1 2")  # declared two edges, found one
-
-
-def test_parse_edge_list_alias():
-    assert parse_edge_list is parse_gr
 
 
 def test_gr_round_trip():
