@@ -12,6 +12,7 @@ import csv
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 from random import Random
@@ -63,14 +64,33 @@ def bundled_path(name):
     return resources.files("tdcount").joinpath("data").joinpath(name)
 
 
+@contextmanager
+def _any_int_digits():
+    """Lift CPython's int/str digit limit (4300 by default) inside the block.
+
+    Counts are exact and can run to any number of digits.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _format_value(value):
     if value is None:
         return ""
-    if isinstance(value, counting.SizePolynomial):
-        return ";".join(str(c) for c in value)
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    with _any_int_digits():
+        if isinstance(value, counting.SizePolynomial):
+            return ";".join(str(c) for c in value)
+        return str(value)
 
 
 def _format_millis(ms, clock):
@@ -133,41 +153,45 @@ def _selected_quantities(args):
     return picked
 
 
+_SINGLE_COUNTERS = {
+    "perfect_matchings": counting.count_perfect_matchings,
+    "matchings": counting.count_matchings,
+    "independent_sets": counting.count_independent_sets,
+    "matching_polynomial": counting.matching_polynomial,
+    "independence_polynomial": counting.independence_polynomial,
+}
+_ENTROPY_OF = {
+    "entropy_matchings": "matching_polynomial",
+    "entropy_independent_sets": "independence_polynomial",
+}
+
+
 def _compute(graph, nd, names):
-    """Compute the requested quantities; returns {name: (value, millis)}."""
+    """Compute the requested quantities; returns {name: (value, millis)}.
+
+    Both polynomials or an entropy take one ``run_all`` (one ``_prepare``,
+    totals reused for the polynomials); other selections call the single
+    counters.
+    """
     wanted = set(names)
-    out = {}
 
     def timed(fn, *fn_args):
         t0 = time.perf_counter()
         value = fn(*fn_args)
         return value, (time.perf_counter() - t0) * 1000.0
 
-    # entropies ride on their polynomials, so compute those first when needed
-    polys = {}
-    poly_deps = {
-        "matching_polynomial": ("entropy_matchings", counting.matching_polynomial),
-        "independence_polynomial": (
-            "entropy_independent_sets", counting.independence_polynomial),
-    }
-    for key, (entropy_key, fn) in poly_deps.items():
-        if key in wanted or entropy_key in wanted:
-            value, ms = timed(fn, graph, nd)
-            polys[key] = value
-            if key in wanted:
-                out[key] = (value, ms)
-        if entropy_key in wanted:
-            value, ms = timed(counting.entropy, polys[key])
-            out[entropy_key] = (value, ms)
-    totals = {
-        "perfect_matchings": counting.count_perfect_matchings,
-        "matchings": counting.count_matchings,
-        "independent_sets": counting.count_independent_sets,
-    }
-    for name, fn in totals.items():
-        if name in wanted:
-            out[name] = timed(fn, graph, nd)
-    return out
+    if set(_ENTROPY_OF.values()) <= wanted or wanted & set(_ENTROPY_OF):
+        report = counting.run_all(graph, nd)
+        values = report.as_dict()
+        out = {name: (values[name], ms)
+               for name, ms in report.millis.items() if name in wanted}
+        # run_all does not time its entropies: time them here
+        for name, poly in _ENTROPY_OF.items():
+            if name in wanted:
+                out[name] = timed(counting.entropy, values[poly])
+        return out
+    return {name: timed(fn, graph, nd)
+            for name, fn in _SINGLE_COUNTERS.items() if name in wanted}
 
 
 def cmd_count(args):
@@ -310,8 +334,7 @@ def _write_summary(path, rows):
 
 def cmd_chain(args):
     element = parse_chain_file(Path(args.element).read_text(encoding="utf-8"))
-    value = chain_pm_count(element, args.n)
-    print(value)
+    print(_format_value(chain_pm_count(element, args.n)))
     return EXIT_OK
 
 

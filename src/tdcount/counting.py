@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .decomposition import FORGET, INTRODUCE, JOIN, LEAF
@@ -98,70 +99,118 @@ class DecompositionMismatch(ValueError):
     """The nice decomposition does not describe the given graph."""
 
 
+def _arity_error(i, node):
+    return DecompositionMismatch(
+        f"{node.kind} node {i} has {len(node.children)} children"
+    )
+
+
 def _prepare(g, nd):
-    """Compile nd into per-node instructions and check it matches g."""
+    """Compile nd into per-node instructions and check it matches g.
+
+    Every node must be the child of exactly one later node (the root of
+    none), and its bag must satisfy its bag equation as a tuple: empty at a
+    leaf, the child's bag with v inserted in order at an introduce node (v in
+    0..n-1 and not in the child's bag), with v removed at a forget node, and
+    both children's bags at a join. From the empty leaves up, every bag is
+    then sorted and within 0..n-1. With an empty root bag and every vertex
+    forgotten exactly once, an edge can only be seen as a pair at the forget
+    of its earlier endpoint, at most once, so counting pairs checks coverage.
+    """
+    n = g.n
+    neighbors = g.neighbors
     nodes = nd.nodes
     plan = [None] * len(nodes)
-    introduced = set()
-    forgets = [0] * g.n
-    covered = set()
+    has_parent = [False] * len(nodes)
+    forgets = [0] * n
+    pair_count = 0
 
     for i, node in enumerate(nodes):
         bag = node.bag
-        w = len(bag)
         kind = node.kind
-        if any(not 0 <= v < g.n for v in bag):
-            raise DecompositionMismatch(
-                f"bag {bag} mentions vertices outside 0..{g.n - 1}"
-            )
-        if kind == LEAF:
-            plan[i] = (_LEAF,)
-        elif kind == INTRODUCE:
+        children = node.children
+        for c in children:
+            if not 0 <= c < i or has_parent[c]:
+                raise DecompositionMismatch(
+                    f"node {i} has child {c} that is not an earlier,"
+                    " unshared node"
+                )
+            has_parent[c] = True
+        if kind == INTRODUCE:
+            if len(children) != 1:
+                raise _arity_error(i, node)
             v = node.v
-            c = node.children[0]
-            introduced.add(v)
-            p = bag.index(v)
-            nbrs = g.neighbors(v)
+            c = children[0]
+            child_bag = nodes[c].bag
+            if not (isinstance(v, int) and 0 <= v < n):
+                raise DecompositionMismatch(
+                    f"introduced vertex {v!r} outside 0..{n - 1}"
+                )
+            p = bisect_left(child_bag, v)
+            if child_bag[p:p + 1] == (v,) or \
+                    bag != child_bag[:p] + (v,) + child_bag[p:]:
+                raise DecompositionMismatch(
+                    f"introduce {i} bag equation violated"
+                )
+            nbrs = neighbors(v)
             nbr_mask = 0
             for q, u in enumerate(bag):
                 if u in nbrs:
                     nbr_mask |= 1 << q
-                    covered.add((u, v) if u < v else (v, u))
-            plan[i] = (_INTRO, c, p, nbr_mask, w)
+            plan[i] = (_INTRO, c, p, nbr_mask, len(bag))
         elif kind == FORGET:
+            if len(children) != 1:
+                raise _arity_error(i, node)
             v = node.v
-            c = node.children[0]
+            c = children[0]
             child_bag = nodes[c].bag
+            if v not in child_bag:
+                raise DecompositionMismatch(f"forget {i} bag equation violated")
             p = child_bag.index(v)
+            if bag != child_bag[:p] + child_bag[p + 1:]:
+                raise DecompositionMismatch(f"forget {i} bag equation violated")
             forgets[v] += 1
-            nbrs = g.neighbors(v)
-            pairs = tuple(
+            nbrs = neighbors(v)
+            pairs = tuple([
                 (1 << q, 1 << (q if q < p else q + 1))
                 for q, u in enumerate(bag)
                 if u in nbrs
-            )
-            plan[i] = (_FORGET, c, p, pairs, w)
+            ])
+            pair_count += len(pairs)
+            plan[i] = (_FORGET, c, p, pairs, len(bag))
         elif kind == JOIN:
-            c1, c2 = node.children
+            if len(children) != 2:
+                raise _arity_error(i, node)
+            c1, c2 = children
+            if not bag == nodes[c1].bag == nodes[c2].bag:
+                raise DecompositionMismatch(f"join {i} bags differ")
+            w = len(bag)
             plan[i] = (_JOIN, c1, c2, w, (1 << w) - 1)
+        elif kind == LEAF:
+            if children:
+                raise _arity_error(i, node)
+            if bag:
+                raise DecompositionMismatch(f"leaf {i} has bag {bag}")
+            plan[i] = (_LEAF,)
         else:
             raise DecompositionMismatch(f"unknown node kind {kind!r}")
 
-    if introduced != set(range(g.n)):
-        missing = sorted(set(range(g.n)) - introduced)
-        raise DecompositionMismatch(
-            f"vertices {missing} never introduced by the decomposition"
-        )
-    stray = sorted(tuple(sorted(e)) for e in g.edges - covered)
-    if stray:
-        raise DecompositionMismatch(f"edges {stray} not covered by any bag")
-    # With an empty root bag, a vertex is forgotten once per connected piece
-    # of its node set; any other count would make the tables count wrongly.
     if nodes[nd.root].bag:
         raise DecompositionMismatch(f"root bag {nodes[nd.root].bag} not empty")
-    bad = [v for v in range(g.n) if forgets[v] != 1]
+    orphans = [i for i in range(nd.root) if not has_parent[i]]
+    if orphans:
+        raise DecompositionMismatch(f"nodes {orphans} not below the root")
+    bad = [v for v in range(n) if forgets[v] != 1]
     if bad:
         raise DecompositionMismatch(f"vertices {bad} not forgotten exactly once")
+    if pair_count != g.m:
+        seen = {
+            (min(node.v, u), max(node.v, u))
+            for node in nodes if node.kind == FORGET
+            for u in node.bag if u in g.neighbors(node.v)
+        }
+        stray = sorted(g.edges - seen)
+        raise DecompositionMismatch(f"edges {stray} not covered by any bag")
     return plan
 
 

@@ -3,7 +3,8 @@
 These counters walk every matching / independent set explicitly and are the
 ground truth each dynamic program is verified against. They share no code
 with the decomposition-based counters. Exponential by design, hence the hard
-instance cap.
+caps: m <= ORACLE_MAX_EDGES for matchings, n <= ORACLE_MAX_VERTICES for
+independent sets, checked before any enumeration.
 """
 
 from __future__ import annotations
@@ -14,11 +15,20 @@ ORACLE_MAX_EDGES = 24
 ORACLE_MAX_VERTICES = 20
 
 
-def _check_cap(g):
-    if g.m > ORACLE_MAX_EDGES and g.n > ORACLE_MAX_VERTICES:
+def _check_matching_cap(g):
+    # at most 2^m matchings to visit
+    if g.m > ORACLE_MAX_EDGES:
         raise SizeLimitError(
-            f"oracle refuses n={g.n}, m={g.m} "
-            f"(needs m <= {ORACLE_MAX_EDGES} or n <= {ORACLE_MAX_VERTICES})"
+            f"matching oracle refuses m={g.m} (needs m <= {ORACLE_MAX_EDGES})"
+        )
+
+
+def _check_independent_set_cap(g):
+    # at most 2^n independent sets to visit
+    if g.n > ORACLE_MAX_VERTICES:
+        raise SizeLimitError(
+            f"independent-set oracle refuses n={g.n} "
+            f"(needs n <= {ORACLE_MAX_VERTICES})"
         )
 
 
@@ -29,7 +39,7 @@ def matching_counts(g):
     backtracking over the sorted edge list; covered vertices are tracked in a
     bitmask.
     """
-    _check_cap(g)
+    _check_matching_cap(g)
     edges = g.sorted_edges()
     edge_masks = [(1 << u) | (1 << v) for u, v in edges]
     full = (1 << g.n) - 1
@@ -55,7 +65,7 @@ def matching_counts(g):
 
 def independent_set_counts(g):
     """Independent sets by size, counting the empty set, via enumeration."""
-    _check_cap(g)
+    _check_independent_set_cap(g)
     nbr_masks = [0] * g.n
     for u, v in g.edges:
         nbr_masks[u] |= 1 << v
@@ -78,8 +88,10 @@ def independent_set_counts(g):
 def oracle_counts(g):
     """(perfect matchings, matching sizes, independent set sizes) for g.
 
-    Refuses instances beyond the cap; see module docstring.
+    Refuses instances beyond either oracle's cap before enumerating.
     """
+    _check_matching_cap(g)
+    _check_independent_set_cap(g)
     pm, match_poly = matching_counts(g)
     ind_poly = independent_set_counts(g)
     return pm, match_poly, ind_poly

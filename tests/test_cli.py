@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from tdcount import emit_gr, emit_td, ladder_graph, parse_smiles
+from tdcount import counting, emit_gr, emit_td, ladder_graph, parse_smiles
 from tdcount.cli import bundled_path, main
 
 TINY_CORPUS = """\
@@ -32,6 +32,21 @@ def test_count_all(capsys):
     assert "matching_polynomial = 1;6;9;2" in out
     assert "independence_polynomial = 1;6;9;2" in out
     assert "entropy_matchings" in out
+
+
+def test_count_all_prepares_once(capsys, monkeypatch):
+    calls = []
+    prepare = counting._prepare
+
+    def counted(g, nd):
+        calls.append(1)
+        return prepare(g, nd)
+
+    monkeypatch.setattr(counting, "_prepare", counted)
+    code, out, _ = run(["count", "--smiles", "C1CCCCC1", "--all"], capsys)
+    assert code == 0
+    assert "independence_polynomial = 1;6;9;2" in out
+    assert len(calls) == 1
 
 
 def test_count_single_quantity(capsys):
@@ -133,6 +148,30 @@ def test_chain_command(capsys):
     )
     assert code == 0
     assert out.strip() == "3"
+
+
+def test_chain_command_prints_huge_counts(capsys):
+    # the hexagon chain has F(n+2) perfect matchings: about 5,200 digits
+    # here, beyond the interpreter's default int/str digit limit
+    n = 25000
+    code, out, _ = run(
+        ["chain", "--element", str(bundled_path("hexagon.chain")),
+         "--n", str(n)],
+        capsys,
+    )
+    assert code == 0
+    a, b = 0, 1
+    for _ in range(n + 2):
+        a, b = b, a + b
+    digits = out.strip()
+    assert len(digits) > 5000 and digits.isdigit()
+    # read the digits back in chunks below the limit: exact, and no global
+    # interpreter setting is touched
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == a
 
 
 def _bench(tmp_path, capsys, name, extra):

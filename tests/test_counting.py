@@ -27,7 +27,7 @@ from tdcount import (
     path_graph,
     run_all,
 )
-from tdcount.decomposition import FORGET, INTRODUCE, LEAF, NiceNode
+from tdcount.decomposition import FORGET, INTRODUCE, JOIN, LEAF, NiceNode
 from conftest import minfill_nice, path_nice, random_graph
 from test_decomposition import graphs
 
@@ -352,8 +352,81 @@ def test_mismatched_decomposition_rejected():
         NiceNode((), FORGET, 1, (5,)),
     ])
     open_root = NiceDecomposition([leaf, NiceNode((0,), INTRODUCE, 0, (0,))])
+    # the min-fill decomposition of C4, then with one introduce bag out of
+    # order: (1, 3, 2) gave Hosoya 6 instead of 7 before bag equations were
+    # checked as tuples; (1, 0, 3) is caught only at its own node, because
+    # the forget above it drops the misplaced vertex
+    c4 = [
+        leaf,
+        NiceNode((0,), INTRODUCE, 0, (0,)),
+        NiceNode((0, 1), INTRODUCE, 1, (1,)),
+        NiceNode((0, 1, 3), INTRODUCE, 3, (2,)),
+        NiceNode((1, 3), FORGET, 0, (3,)),
+        NiceNode((1, 2, 3), INTRODUCE, 2, (4,)),
+        NiceNode((2, 3), FORGET, 1, (5,)),
+        NiceNode((3,), FORGET, 2, (6,)),
+        NiceNode((), FORGET, 3, (7,)),
+    ]
+    assert count_matchings(cycle_graph(4), NiceDecomposition(c4)) == 7
+    shuffled = NiceDecomposition(
+        c4[:5] + [NiceNode((1, 3, 2), INTRODUCE, 2, (4,))] + c4[6:])
+    early = NiceDecomposition(
+        c4[:3] + [NiceNode((1, 0, 3), INTRODUCE, 3, (2,))] + c4[4:])
+    # a subtree that hangs below no node: its vertex was dropped (MS 1)
+    orphan = NiceDecomposition([
+        leaf,
+        NiceNode((0,), INTRODUCE, 0, (0,)),
+        NiceNode((), FORGET, 0, (1,)),
+        leaf,
+    ])
+    # vertex 2 slipped in by a forget node instead of being introduced
+    smuggled = NiceDecomposition([
+        leaf,
+        NiceNode((0,), INTRODUCE, 0, (0,)),
+        NiceNode((0, 1), INTRODUCE, 1, (1,)),
+        NiceNode((1, 2), FORGET, 0, (2,)),
+        NiceNode((2,), FORGET, 1, (3,)),
+        NiceNode((), FORGET, 2, (4,)),
+    ])
+    # a join whose children hold different bags
+    uneven = NiceDecomposition([
+        leaf,
+        NiceNode((0,), INTRODUCE, 0, (0,)),
+        NiceNode((0, 1), INTRODUCE, 1, (1,)),
+        leaf,
+        NiceNode((0,), INTRODUCE, 0, (3,)),
+        NiceNode((0, 1), JOIN, None, (2, 4)),
+        NiceNode((1,), FORGET, 0, (5,)),
+        NiceNode((), FORGET, 1, (6,)),
+    ])
+    # one subtree used as both children of a join
+    shared = NiceDecomposition([
+        leaf,
+        NiceNode((0,), INTRODUCE, 0, (0,)),
+        NiceNode((0, 1), INTRODUCE, 1, (1,)),
+        NiceNode((0, 1), JOIN, None, (2, 2)),
+        NiceNode((1,), FORGET, 0, (3,)),
+        NiceNode((), FORGET, 1, (4,)),
+    ])
+    full_leaf = NiceDecomposition([
+        NiceNode((0,), LEAF, None, ()),
+        NiceNode((), FORGET, 0, (0,)),
+    ])
+    foreign = NiceDecomposition([
+        leaf,
+        NiceNode((1,), INTRODUCE, 1, (0,)),
+        NiceNode((), FORGET, 1, (1,)),
+    ])
     cases = ((path_graph(2), refound, "forgotten exactly once"),
-             (Graph(1), open_root, "root bag"))
+             (Graph(1), open_root, "root bag"),
+             (cycle_graph(4), shuffled, "bag equation"),
+             (cycle_graph(4), early, "introduce 3 bag equation"),
+             (Graph(1), orphan, "not below the root"),
+             (path_graph(3), smuggled, "forget 3 bag equation"),
+             (path_graph(2), uneven, "join 5 bags differ"),
+             (path_graph(2), shared, "unshared"),
+             (Graph(1), full_leaf, "leaf 0 has bag"),
+             (Graph(1), foreign, "outside 0..0"))
     for graph, nd, message in cases:
         for counter in (count_perfect_matchings, count_matchings,
                         count_independent_sets, matching_polynomial,

@@ -8,19 +8,23 @@ from tdcount import (
     ParseError,
     SizeLimitError,
     TreeDecomposition,
+    build_chain,
     complete_graph,
     cycle_graph,
     decomposition_from_order,
     disjoint_union,
     emit_td,
+    ladder_graph,
     make_nice,
     min_fill_order,
+    parse_chain_file,
     parse_smiles,
     parse_td,
     path_decomposition_from_order,
     path_graph,
     validate,
 )
+from tdcount.cli import bundled_path
 from tdcount.decomposition import FORGET, INTRODUCE, JOIN, LEAF
 from conftest import CAFFEINE_SMILES, random_graph
 
@@ -74,6 +78,75 @@ def test_min_fill_caffeine_width_two():
     td = decomposition_from_order(g, min_fill_order(g))
     assert td.width() == 2
     assert validate(g, td).ok
+
+
+def _min_fill_order_by_scan(g):
+    """Reference: min-fill that scans every alive vertex at every step."""
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    alive = set(range(g.n))
+
+    def fill_cost(v):
+        nbrs = sorted(adj[v])
+        return sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1:]
+                   if b not in adj[a])
+
+    fill = {v: fill_cost(v) for v in alive}
+    order = []
+    while alive:
+        v = min(alive, key=lambda u: (fill[u], u))
+        order.append(v)
+        nbrs = sorted(adj[v])
+        dirty = set(nbrs)
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1:]:
+                if b not in adj[a]:
+                    adj[a].add(b)
+                    adj[b].add(a)
+                    dirty.update(adj[a] & adj[b])
+        for a in nbrs:
+            adj[a].discard(v)
+            dirty.update(adj[a])
+        alive.remove(v)
+        del fill[v]
+        for u in dirty & alive:
+            fill[u] = fill_cost(u)
+    return order
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=14, max_m=40))
+def test_min_fill_order_matches_scan(g):
+    assert min_fill_order(g) == _min_fill_order_by_scan(g)
+
+
+def test_min_fill_order_matches_scan_on_random_graphs():
+    # denser than the hypothesis graphs: fills rise and fall, so stale heap
+    # entries must be skipped for the orders to agree
+    rng = random.Random(5)
+    for _ in range(500):
+        g = random_graph(rng, max_n=24, max_m=60)
+        assert min_fill_order(g) == _min_fill_order_by_scan(g)
+
+
+def test_min_fill_order_matches_scan_on_long_chains():
+    element = parse_chain_file(bundled_path("hexagon.chain").read_text())
+    for g in (ladder_graph(600), build_chain(element, 300)):
+        for h in (g, _relabelled(g, 7)):
+            assert min_fill_order(h) == _min_fill_order_by_scan(h)
+
+
+def test_min_fill_ties_go_to_lowest_id():
+    # every vertex of a cycle has fill 1
+    for g in (cycle_graph(8), _relabelled(cycle_graph(8), 3)):
+        order = min_fill_order(g)
+        assert order[0] == 0
+        assert order == _min_fill_order_by_scan(g)
 
 
 # ------------------------------------------------- construction from orders

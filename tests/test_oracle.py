@@ -10,6 +10,7 @@ from tdcount import (
     disjoint_union,
     oracle_counts,
 )
+from tdcount.oracle import independent_set_counts, matching_counts
 from conftest import random_graph
 
 
@@ -79,5 +80,20 @@ def test_disjoint_union_multiplicativity():
 def test_cap_refusal():
     with pytest.raises(SizeLimitError):
         oracle_counts(complete_graph(21))  # n=21, m=210: over both caps
-    # within either single cap the oracle runs
-    assert oracle_counts(Graph(25, [(i, i + 1) for i in range(20)]))[0] == 0
+    # each oracle runs within its own cap, whatever the other measure
+    path = Graph(25, [(i, i + 1) for i in range(20)])  # n=25, m=20
+    assert matching_counts(path)[0] == 0
+    assert independent_set_counts(complete_graph(20)) == [1, 20]
+
+
+def test_per_oracle_caps():
+    # 2^40 independent sets and about 2.4e10 matchings: both refused before
+    # any enumeration starts, so this returns at once
+    edgeless, k20 = Graph(40), complete_graph(20)
+    with pytest.raises(SizeLimitError, match="n=40"):
+        independent_set_counts(edgeless)
+    with pytest.raises(SizeLimitError, match="m=190"):
+        matching_counts(k20)
+    for g in (edgeless, k20, Graph(25, [(i, i + 1) for i in range(20)])):
+        with pytest.raises(SizeLimitError):
+            oracle_counts(g)
