@@ -252,8 +252,9 @@ def _bench_instance(task):
             value = fns[name](graph, nd)
             ms = (time.perf_counter() - t0) * 1000.0
             dp_values[name] = value
-            rows.append([mol_id, graph.n, graph.m, width, name, str(value),
-                         _format_millis(ms, clock), "dp", "ok"])
+            rows.append([mol_id, graph.n, graph.m, width, name,
+                         _format_value(value), _format_millis(ms, clock), "dp",
+                         "ok"])
     if "baseline" in engines:
         fns = {
             "perfect_matchings": baselines.baseline_pm,
@@ -263,7 +264,7 @@ def _bench_instance(task):
         for name in BENCH_QUANTITIES:
             result = fns[name](graph, budget)
             status = "timeout" if result.timed_out else "ok"
-            value = "" if result.timed_out else str(result.value)
+            value = "" if result.timed_out else _format_value(result.value)
             rows.append([mol_id, graph.n, graph.m, width, name, value,
                          _format_millis(result.elapsed * 1000.0, clock),
                          "baseline", status])
@@ -308,10 +309,11 @@ def cmd_bench(args):
         per_instance = [_bench_instance(t) for t in tasks]
 
     rows = [row for rows_ in per_instance for row in rows_]
-    for row in rows:  # round-trip guard on the value column
-        if row[8] == "ok" and row[4] in BENCH_QUANTITIES:
-            if str(int(row[5])) != row[5]:
-                raise _InvariantError(f"value column corrupt in row {row}")
+    with _any_int_digits():
+        for row in rows:  # round-trip guard on the value column
+            if row[8] == "ok" and row[4] in BENCH_QUANTITIES:
+                if str(int(row[5])) != row[5]:
+                    raise _InvariantError(f"value column corrupt in row {row}")
     _write_csv(args.out or "-", rows)
     if args.summary:
         _write_summary(args.summary, rows)

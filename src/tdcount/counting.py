@@ -14,7 +14,13 @@ State semantics per counter, for node b with bag X and subset M:
   ``I ∩ X = M``.
 
 Joins for (perfect) matchings split the covered bag vertices between the two
-subtrees; submask enumeration makes the per-bag work 3^|bag|. Joins for
+subtrees: child states a and b combine iff ``a | b`` is the whole bag, into
+state ``a & b``. The join visits only non-zero entries of the sparser child
+and, for each, only the states of the other child that can combine with it
+and match no bag vertex that other child never matches. Its work is the
+number of combining pairs of non-zero entries, at most 3^|bag|; a child
+branch that ``make_nice`` grew to the join bag by introductions leaves those
+fresh vertices unmatched, so most pairs are never visited. Joins for
 independent sets multiply tables pointwise.
 
 The size polynomials run the same traversal (Kronecker substitution). With a
@@ -289,17 +295,30 @@ def _run(nd, plan, mode, stats, shift=0):
                     out[m] = t1[m] * t2[m]
                 products = 1 << w
             else:
-                for m in range(1 << w):
-                    free = full ^ m
-                    acc = 0
-                    h = free
+                # states a and b combine iff a | b == full, into out[a & b];
+                # only pairs of non-zero entries are visited
+                nz1 = [a for a, x in enumerate(t1) if x]
+                nz2 = [b for b, y in enumerate(t2) if y]
+                if len(nz2) < len(nz1):
+                    t1, t2, nz1, nz2 = t2, t1, nz2, nz1
+                live2 = 0  # bag vertices child 2 can have matched
+                for b in nz2:
+                    live2 |= full ^ b
+                for a in nz1:
+                    x = t1[a]
+                    # a vertex of a that child 2 cannot match stays unmatched
+                    var = a & live2
+                    forced = a ^ var
+                    base = full ^ var
+                    h = var
                     while True:
-                        acc += t1[m | h] * t2[m | (free ^ h)]
-                        products += 1
+                        y = t2[base | h]
+                        if y:
+                            out[forced | h] += x * y
+                            products += 1
                         if h == 0:
                             break
-                        h = (h - 1) & free
-                    out[m] = acc
+                        h = (h - 1) & var
             tables[i] = out
             if stats is not None:
                 stats.join_nodes += 1

@@ -305,15 +305,24 @@ class NiceDecomposition:
         return len(self.nodes)
 
     def structure_violations(self):
-        """List of grammar violations; empty for a well-formed decomposition."""
+        """List of grammar violations; empty for a well-formed decomposition.
+
+        Every bag must be a strictly increasing tuple, and every node but the
+        root the child of exactly one later node.
+        """
         out = []
         nodes = self.nodes
+        parents = [0] * len(nodes)
         if nodes[self.root].bag:
             out.append("root bag not empty")
         for i, nd in enumerate(nodes):
             for c in nd.children:
-                if not 0 <= c < i:
+                if 0 <= c < i:
+                    parents[c] += 1
+                else:
                     out.append(f"node {i} not in postorder")
+            if any(a >= b for a, b in zip(nd.bag, nd.bag[1:])):
+                out.append(f"node {i} bag {nd.bag} not strictly sorted")
             bag = set(nd.bag)
             if nd.kind == LEAF:
                 if nd.bag or nd.children:
@@ -341,6 +350,9 @@ class NiceDecomposition:
                     out.append(f"join {i} bags differ")
             else:
                 out.append(f"node {i} has unknown kind {nd.kind!r}")
+        for i, count in enumerate(parents[:self.root]):
+            if count != 1:
+                out.append(f"node {i} is the child of {count} nodes")
         return out
 
 

@@ -160,18 +160,27 @@ def test_chain_command_prints_huge_counts(capsys):
         capsys,
     )
     assert code == 0
-    a, b = 0, 1
-    for _ in range(n + 2):
-        a, b = b, a + b
     digits = out.strip()
-    assert len(digits) > 5000 and digits.isdigit()
-    # read the digits back in chunks below the limit: exact, and no global
-    # interpreter setting is touched
+    assert len(digits) > 5000
+    assert _read_digits(digits) == _fibonacci(n + 2)
+
+
+def _fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def _read_digits(digits):
+    # read the digits back in chunks below the interpreter's int/str digit
+    # limit: exact, and no global interpreter setting is touched
+    assert digits.isdigit()
     value = 0
     for i in range(0, len(digits), 1000):
         chunk = digits[i:i + 1000]
         value = value * 10 ** len(chunk) + int(chunk)
-    assert value == a
+    return value
 
 
 def _bench(tmp_path, capsys, name, extra):
@@ -207,6 +216,24 @@ def test_bench_values_agree_and_round_trip(tmp_path, capsys):
         assert len(seen) == 1, f"dp/baseline disagree on {key}"
     engines = {r["engine"] for r in rows}
     assert engines == {"dp", "baseline"}
+
+
+def test_bench_prints_huge_counts(tmp_path, capsys):
+    # the path on 21,000 atoms has Hosoya index F(21001), 4,389 digits:
+    # beyond the interpreter's default int/str digit limit
+    n = 21000
+    corpus = tmp_path / "long.smi"
+    corpus.write_text("C" * n + "\tlong\n")
+    code, out, _ = run(["bench", "--corpus", str(corpus), "--seed", "1",
+                        "--engines", "dp", "--clock", "none"], capsys)
+    assert code == 0
+    rows = {r["quantity"]: r for r in csv.DictReader(io.StringIO(out))}
+    hosoya = rows["matchings"]["value"]
+    assert len(hosoya) > 4300
+    assert _read_digits(hosoya) == _fibonacci(n + 1)
+    assert _read_digits(rows["independent_sets"]["value"]) == \
+        _fibonacci(n + 2)
+    assert rows["perfect_matchings"]["value"] == "1"
 
 
 def test_count_entropy_only(capsys):

@@ -10,6 +10,7 @@ from tdcount import (
     Graph,
     NiceDecomposition,
     SizePolynomial,
+    TreeDecomposition,
     complete_graph,
     count_independent_sets,
     count_matchings,
@@ -244,7 +245,31 @@ def test_path_decomposition_never_joins():
     assert stats.join_bags == []
 
 
+def _join_bags(counter, g, nd):
+    stats = DpStats()
+    value = counter(g, nd, stats)
+    assert stats.join_nodes == nd.join_count() == len(stats.join_bags)
+    return value, stats.join_bags
+
+
 def test_join_work_is_three_to_the_bag():
+    # A (perfect) matching join multiplies only non-zero child entries that
+    # combine, so its work is exact and at most 3^|bag|; an independent-set
+    # join is pointwise, 2^|bag|.
+    # K_{2,4}: each child matches two of {2..5} into the bag {0, 1}, all four
+    # child states are non-zero, and every one of the 3^2 combining pairs
+    # is multiplied for Hosoya; no pair covers the bag twice for pm
+    k24 = Graph(6, [(u, v) for u in (0, 1) for v in range(2, 6)])
+    nd = make_nice(TreeDecomposition([{0, 1}, {0, 1, 2, 3}, {0, 1, 4, 5}],
+                                     [-1, 0, 0], 0))
+    assert _join_bags(count_matchings, k24, nd) == (21, [(2, 9)])
+    assert _join_bags(count_perfect_matchings, k24, nd) == (0, [(2, 0)])
+    assert _join_bags(count_independent_sets, k24, nd) == (19, [(2, 4)])
+    # vertex 1 is fresh on one branch, so it can be matched only on the other
+    nd = make_nice(TreeDecomposition([{1}, {0, 1}, {1}], [-1, 0, 0], 0))
+    assert _join_bags(count_matchings, SINGLE_EDGE, nd) == (2, [(1, 2)])
+    assert _join_bags(count_perfect_matchings, SINGLE_EDGE, nd) == (1, [(1, 1)])
+
     # two triangle blobs bolted together tend to force joins under min-fill
     g = Graph(7, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3),
                   (3, 4), (4, 5), (5, 6), (6, 4), (0, 4)])
@@ -254,14 +279,9 @@ def test_join_work_is_three_to_the_bag():
         nd = minfill_nice(g)
     assert nd.join_count() >= 1
     for counter in (count_perfect_matchings, count_matchings):
-        stats = DpStats()
-        counter(g, nd, stats)
-        assert stats.join_nodes == nd.join_count()
-        for bag_size, products in stats.join_bags:
-            assert products == 3 ** bag_size
-    stats = DpStats()
-    count_independent_sets(g, nd, stats)
-    for bag_size, products in stats.join_bags:
+        for bag_size, products in _join_bags(counter, g, nd)[1]:
+            assert products <= 3 ** bag_size
+    for bag_size, products in _join_bags(count_independent_sets, g, nd)[1]:
         assert products == 2 ** bag_size
 
 

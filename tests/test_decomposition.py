@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdcount import (
+    DecompositionMismatch,
     Graph,
     ParseError,
     SizeLimitError,
     TreeDecomposition,
     build_chain,
     complete_graph,
+    count_matchings,
     cycle_graph,
     decomposition_from_order,
     disjoint_union,
@@ -25,7 +27,9 @@ from tdcount import (
     validate,
 )
 from tdcount.cli import bundled_path
-from tdcount.decomposition import FORGET, INTRODUCE, JOIN, LEAF
+from tdcount.decomposition import (
+    FORGET, INTRODUCE, JOIN, LEAF, NiceDecomposition, NiceNode,
+)
 from conftest import CAFFEINE_SMILES, random_graph
 
 
@@ -341,6 +345,45 @@ def test_path_input_gives_no_joins():
     nd = make_nice(pd)
     assert nd.is_path
     assert nd.join_count() == 0
+
+
+def test_structure_violations_match_what_the_counters_reject():
+    leaf = NiceNode((), LEAF, None, ())
+    # Graph(1): the leaf-introduce-forget subtree hangs below no node
+    orphan = NiceDecomposition([
+        leaf,
+        NiceNode((0,), INTRODUCE, 0, (0,)),
+        NiceNode((), FORGET, 0, (1,)),
+        leaf,
+    ])
+    assert orphan.structure_violations() == ["node 2 is the child of 0 nodes"]
+    # path 0-1-2 with one introduce bag out of order: the bag sets still fit
+    path = [
+        leaf,
+        NiceNode((0,), INTRODUCE, 0, (0,)),
+        NiceNode((0, 1), INTRODUCE, 1, (1,)),
+        NiceNode((0, 1, 2), INTRODUCE, 2, (2,)),
+        NiceNode((1, 2), FORGET, 0, (3,)),
+        NiceNode((2,), FORGET, 1, (4,)),
+        NiceNode((), FORGET, 2, (5,)),
+    ]
+    assert NiceDecomposition(path).structure_violations() == []
+    shuffled = NiceDecomposition(
+        path[:3] + [NiceNode((2, 1, 0), INTRODUCE, 2, (2,))] + path[4:])
+    assert shuffled.structure_violations() == \
+        ["node 3 bag (2, 1, 0) not strictly sorted"]
+    # one subtree used as both children of a join
+    shared = NiceDecomposition([
+        leaf,
+        NiceNode((0,), INTRODUCE, 0, (0,)),
+        NiceNode((0,), JOIN, None, (1, 1)),
+        NiceNode((), FORGET, 0, (2,)),
+    ])
+    assert shared.structure_violations() == ["node 1 is the child of 2 nodes"]
+    for g, nd in ((Graph(1), orphan), (path_graph(3), shuffled),
+                  (Graph(1), shared)):
+        with pytest.raises(DecompositionMismatch):
+            count_matchings(g, nd)
 
 
 # ------------------------------------------------------------------ td I/O

@@ -1,0 +1,210 @@
+"""Metamorphic checks beyond the oracle's size cap, aimed at join nodes.
+
+Every graph here has more vertices and edges than the oracles accept, and
+its min-fill decomposition has joins. The counts are checked against each
+other instead: across decompositions with and without joins, across vertex
+relabellings, through the deletion recurrences and over disjoint unions.
+"""
+
+import random
+
+from tdcount import (
+    DpStats,
+    Graph,
+    TreeDecomposition,
+    count_independent_sets,
+    count_matchings,
+    count_perfect_matchings,
+    decomposition_from_order,
+    disjoint_union,
+    independence_polynomial,
+    make_nice,
+    matching_polynomial,
+    min_fill_order,
+    path_decomposition_from_order,
+    path_graph,
+    run_all,
+)
+from tdcount.oracle import ORACLE_MAX_EDGES, ORACLE_MAX_VERTICES
+from conftest import minfill_nice
+from test_counting import grid_graph
+
+# random elimination orders on these graphs reach width 18; past 10 a
+# run_all takes seconds, so orders are redrawn until the width is at most 10
+RANDOM_ORDER_MAX_WIDTH = 10
+
+
+def relabel(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def sparse_graph(rng):
+    """A random graph on 25..40 vertices with n..4n/3 edges (min-fill
+    width 2..5 and 10..21 joins for the seed used here)."""
+    n = rng.randint(25, 40)
+    possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return Graph(n, rng.sample(possible, rng.randint(n, n + n // 3)))
+
+
+def beyond_cap_graphs():
+    out = [relabel(grid_graph(r, c), seed)
+           for r, c in ((4, 10), (5, 8)) for seed in (1, 2)]
+    rng = random.Random(2024)
+    out += [sparse_graph(rng) for _ in range(8)]
+    for g in out:
+        assert g.n > ORACLE_MAX_VERTICES and g.m > ORACLE_MAX_EDGES
+    return out
+
+
+def bfs_order(g):
+    order = []
+    seen = [False] * g.n
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        queue = [s]
+        for v in queue:
+            order.append(v)
+            for u in sorted(g.neighbors(v)):
+                if not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
+    return order
+
+
+def random_order_nice(g, seed):
+    rng = random.Random(seed)
+    while True:
+        order = list(range(g.n))
+        rng.shuffle(order)
+        td = decomposition_from_order(g, order)
+        if td.width() <= RANDOM_ORDER_MAX_WIDTH:
+            return make_nice(td)
+
+
+def answers(report):
+    return (report.perfect_matchings, report.matchings,
+            report.independent_sets, report.matching_poly,
+            report.independence_poly)
+
+
+def poly_product(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def shifted_sum(p, q):
+    """Coefficients of p(x) + x q(x)."""
+    return tuple(p[k] + q[k - 1] for k in range(max(len(p), len(q) + 1)))
+
+
+def test_decompositions_and_labels_agree_beyond_oracle_cap():
+    for i, g in enumerate(beyond_cap_graphs()):
+        minfill = minfill_nice(g)
+        assert minfill.join_count() >= 1
+        path = make_nice(path_decomposition_from_order(g, bfs_order(g)))
+        assert path.is_path
+        stats = DpStats()
+        expected = answers(run_all(g, minfill, stats))
+        assert all(p <= 3 ** w for w, p in stats.join_bags)
+        assert answers(run_all(g, path)) == expected
+        assert answers(run_all(g, random_order_nice(g, i))) == expected
+        again = relabel(g, 100 + i)
+        assert answers(run_all(again, minfill_nice(again))) == expected
+
+
+def test_matching_deletion_recurrences():
+    for i, g in enumerate(beyond_cap_graphs()):
+        rng = random.Random(i)
+        z = count_matchings(g, minfill_nice(g))
+        mp = matching_polynomial(g, minfill_nice(g))
+        for u, v in rng.sample(sorted(g.edges), 3):
+            minus_e = Graph(g.n, g.edges - {(u, v)})
+            minus_uv = g.delete_vertices((u, v))
+            # Z(G) = Z(G - e) + Z(G - u - v), and by size
+            assert z == count_matchings(minus_e, minfill_nice(minus_e)) + \
+                count_matchings(minus_uv, minfill_nice(minus_uv))
+            assert mp == shifted_sum(
+                matching_polynomial(minus_e, minfill_nice(minus_e)),
+                matching_polynomial(minus_uv, minfill_nice(minus_uv)))
+        # pm(G) = sum over the neighbours u of v of pm(G - v - u)
+        pm = count_perfect_matchings(g, minfill_nice(g))
+        v = rng.randrange(g.n)
+        total = 0
+        for u in g.neighbors(v):
+            h = g.delete_vertices((u, v))
+            total += count_perfect_matchings(h, minfill_nice(h))
+        assert pm == total
+
+
+def test_independent_set_deletion_recurrence():
+    for i, g in enumerate(beyond_cap_graphs()):
+        rng = random.Random(i)
+        ms = count_independent_sets(g, minfill_nice(g))
+        ip = independence_polynomial(g, minfill_nice(g))
+        for v in rng.sample(range(g.n), 3):
+            minus_v = g.delete_vertices((v,))
+            minus_nv = g.delete_vertices({v} | set(g.neighbors(v)))
+            # ind(G) = ind(G - v) + ind(G - N[v]), and by size
+            assert ms == count_independent_sets(minus_v, minfill_nice(minus_v)) \
+                + count_independent_sets(minus_nv, minfill_nice(minus_nv))
+            assert ip == shifted_sum(
+                independence_polynomial(minus_v, minfill_nice(minus_v)),
+                independence_polynomial(minus_nv, minfill_nice(minus_nv)))
+
+
+def empty_root_union(parts):
+    """Disjoint union of the parts and a decomposition of it: each part's
+    min-fill tree decomposition hangs below one empty root bag, so the nice
+    form joins the parts over an empty bag."""
+    bags = [frozenset()]
+    parent = [-1]
+    g = Graph(0)
+    for h in parts:
+        td = decomposition_from_order(h, min_fill_order(h))
+        base = len(bags)
+        bags += [frozenset(v + g.n for v in bag) for bag in td.bags]
+        parent += [0 if p == -1 else p + base for p in td.parent]
+        g = disjoint_union(g, h)
+    return g, make_nice(TreeDecomposition(bags, parent, 0))
+
+
+def test_degenerate_joins():
+    graphs = beyond_cap_graphs()
+    grid, sparse = graphs[2], graphs[5]
+    odd = path_graph(3)
+    parts = (grid, sparse, odd)
+    reports = [run_all(h, minfill_nice(h)) for h in parts]
+    pm, z, ms, mp, ip = answers(reports[0])
+    for report in reports[1:]:
+        pm *= report.perfect_matchings
+        z *= report.matchings
+        ms *= report.independent_sets
+        mp = poly_product(mp, report.matching_poly)
+        ip = poly_product(ip, report.independence_poly)
+    # the odd component has no perfect matching, so its branch's pm table
+    # is all zero when it meets the others
+    assert pm == 0
+    expected = (pm, z, ms, mp, ip)
+
+    # min-fill hangs each component below the root's one-vertex bag
+    union = disjoint_union(disjoint_union(grid, sparse), odd)
+    nd = minfill_nice(union)
+    stats = DpStats()
+    assert answers(run_all(union, nd, stats)) == expected
+    assert 1 in {w for w, _ in stats.join_bags}
+    stats = DpStats()
+    assert count_perfect_matchings(union, nd, stats) == 0
+    assert any(p == 0 for w, p in stats.join_bags)
+
+    # the same parts joined over an empty bag
+    union, nd = empty_root_union(parts)
+    stats = DpStats()
+    assert answers(run_all(union, nd, stats)) == expected
+    assert 0 in {w for w, _ in stats.join_bags}
