@@ -34,6 +34,14 @@ root holds P(2^B) exactly. Its coefficients are non-negative and sum to the
 total count, so taking B = bit length of the total makes every coefficient
 less than 2^B, and the B-bit slices of the root read them back uniquely.
 
+Before counting, ``_prepare`` checks that the decomposition describes the
+graph and compiles it into a plan of per-node instructions. The plan is kept
+on the ``NiceDecomposition``, keyed by the graph object, so every counter
+called on the same (graph, decomposition) -- the three totals, both
+polynomials and ``run_all`` -- checks and compiles it once. Nice nodes are
+immutable, so a kept plan cannot go stale; another graph object is checked
+afresh and its plan replaces the kept one.
+
 All counts are exact arbitrary-precision integers.
 """
 
@@ -105,10 +113,8 @@ class DecompositionMismatch(ValueError):
     """The nice decomposition does not describe the given graph."""
 
 
-def _arity_error(i, node):
-    return DecompositionMismatch(
-        f"{node.kind} node {i} has {len(node.children)} children"
-    )
+def _arity_error(i, kind, children):
+    return DecompositionMismatch(f"{kind} node {i} has {len(children)} children")
 
 
 def _prepare(g, nd):
@@ -122,6 +128,9 @@ def _prepare(g, nd):
     then sorted and within 0..n-1. With an empty root bag and every vertex
     forgotten exactly once, an edge can only be seen as a pair at the forget
     of its earlier endpoint, at most once, so counting pairs checks coverage.
+
+    The counters reach it through ``_plan_for``, once per graph and
+    decomposition.
     """
     n = g.n
     neighbors = g.neighbors
@@ -131,10 +140,7 @@ def _prepare(g, nd):
     forgets = [0] * n
     pair_count = 0
 
-    for i, node in enumerate(nodes):
-        bag = node.bag
-        kind = node.kind
-        children = node.children
+    for i, (bag, kind, v, children) in enumerate(nodes):
         for c in children:
             if not 0 <= c < i or has_parent[c]:
                 raise DecompositionMismatch(
@@ -144,8 +150,7 @@ def _prepare(g, nd):
             has_parent[c] = True
         if kind == INTRODUCE:
             if len(children) != 1:
-                raise _arity_error(i, node)
-            v = node.v
+                raise _arity_error(i, kind, children)
             c = children[0]
             child_bag = nodes[c].bag
             if not (isinstance(v, int) and 0 <= v < n):
@@ -166,8 +171,7 @@ def _prepare(g, nd):
             plan[i] = (_INTRO, c, p, nbr_mask, len(bag))
         elif kind == FORGET:
             if len(children) != 1:
-                raise _arity_error(i, node)
-            v = node.v
+                raise _arity_error(i, kind, children)
             c = children[0]
             child_bag = nodes[c].bag
             if v not in child_bag:
@@ -186,7 +190,7 @@ def _prepare(g, nd):
             plan[i] = (_FORGET, c, p, pairs, len(bag))
         elif kind == JOIN:
             if len(children) != 2:
-                raise _arity_error(i, node)
+                raise _arity_error(i, kind, children)
             c1, c2 = children
             if not bag == nodes[c1].bag == nodes[c2].bag:
                 raise DecompositionMismatch(f"join {i} bags differ")
@@ -194,16 +198,17 @@ def _prepare(g, nd):
             plan[i] = (_JOIN, c1, c2, w, (1 << w) - 1)
         elif kind == LEAF:
             if children:
-                raise _arity_error(i, node)
+                raise _arity_error(i, kind, children)
             if bag:
                 raise DecompositionMismatch(f"leaf {i} has bag {bag}")
             plan[i] = (_LEAF,)
         else:
             raise DecompositionMismatch(f"unknown node kind {kind!r}")
 
-    if nodes[nd.root].bag:
-        raise DecompositionMismatch(f"root bag {nodes[nd.root].bag} not empty")
-    orphans = [i for i in range(nd.root) if not has_parent[i]]
+    root = len(nodes) - 1
+    if nodes[root].bag:
+        raise DecompositionMismatch(f"root bag {nodes[root].bag} not empty")
+    orphans = [i for i in range(root) if not has_parent[i]]
     if orphans:
         raise DecompositionMismatch(f"nodes {orphans} not below the root")
     bad = [v for v in range(n) if forgets[v] != 1]
@@ -220,20 +225,36 @@ def _prepare(g, nd):
     return plan
 
 
+def _plan_for(g, nd):
+    """The plan of ``_prepare(g, nd)``, checked once per decomposition.
+
+    nd keeps the plan of the last graph object it was prepared for, and
+    every counter on the same (g, nd) reuses it: nodes are immutable, so it
+    cannot go stale. Another graph object, equal or not, is prepared and
+    checked afresh and its plan replaces the old one. A failed ``_prepare``
+    stores nothing, so the same mismatch raises on every call.
+    """
+    memo = nd._plan
+    if memo is not None and memo[0] is g:
+        return memo[1]
+    plan = _prepare(g, nd)
+    nd._plan = (g, plan)
+    return plan
+
+
 def _release(tables, children):
     for c in children:
         tables[c] = None
 
 
-def _run(nd, plan, mode, stats, shift=0):
+def _run(plan, mode, stats, shift=0):
     """The one DP traversal behind all five counters.
 
     mode: 'pm' (perfect matchings), 'match' (all matchings), 'ind'
     (independent sets). With ``shift`` = B > 0 every table entry is its size
     polynomial evaluated at x = 2^B: forget nodes commit size by shifting.
     """
-    nodes = nd.nodes
-    tables = [None] * len(nodes)
+    tables = [None] * len(plan)
     is_ind = mode == "ind"
     is_match = mode == "match"
     for i, op in enumerate(plan):
@@ -324,13 +345,13 @@ def _run(nd, plan, mode, stats, shift=0):
                 stats.join_nodes += 1
                 stats.join_bags.append((w, products))
             _release(tables, (c1, c2))
-    return tables[nd.root][0]
+    return tables[-1][0]
 
 
-def _size_poly(nd, plan, mode, total, stats):
+def _size_poly(plan, mode, total, stats):
     """Size polynomial from one shifted pass; total is its exact value at x = 1."""
     bits = total.bit_length()
-    value = _run(nd, plan, mode, stats, bits)
+    value = _run(plan, mode, stats, bits)
     mask = (1 << bits) - 1
     coeffs = []
     while value:
@@ -341,30 +362,30 @@ def _size_poly(nd, plan, mode, total, stats):
 
 def count_perfect_matchings(g, nd, stats=None):
     """Number of perfect matchings (Kekulé structures) of g."""
-    return _run(nd, _prepare(g, nd), "pm", stats)
+    return _run(_plan_for(g, nd), "pm", stats)
 
 
 def count_matchings(g, nd, stats=None):
     """Hosoya index: number of matchings of g, the empty one included."""
-    return _run(nd, _prepare(g, nd), "match", stats)
+    return _run(_plan_for(g, nd), "match", stats)
 
 
 def count_independent_sets(g, nd, stats=None):
     """Merrifield-Simmons index: number of independent sets, counting the
     empty set."""
-    return _run(nd, _prepare(g, nd), "ind", stats)
+    return _run(_plan_for(g, nd), "ind", stats)
 
 
 def matching_polynomial(g, nd, stats=None):
     """Matchings of g by size: coeffs[k] = matchings with k edges."""
-    plan = _prepare(g, nd)
-    return _size_poly(nd, plan, "match", _run(nd, plan, "match", stats), stats)
+    plan = _plan_for(g, nd)
+    return _size_poly(plan, "match", _run(plan, "match", stats), stats)
 
 
 def independence_polynomial(g, nd, stats=None):
     """Independent sets of g by size: coeffs[k] = sets of k vertices."""
-    plan = _prepare(g, nd)
-    return _size_poly(nd, plan, "ind", _run(nd, plan, "ind", stats), stats)
+    plan = _plan_for(g, nd)
+    return _size_poly(plan, "ind", _run(plan, "ind", stats), stats)
 
 
 def entropy(poly):
@@ -418,7 +439,7 @@ class RunReport:
 
 def run_all(g, nd, stats=None):
     """Run all five counters plus both entropies on one decomposition."""
-    plan = _prepare(g, nd)
+    plan = _plan_for(g, nd)
     millis = {}
 
     def timed(name, fn):
@@ -427,13 +448,13 @@ def run_all(g, nd, stats=None):
         millis[name] = (time.perf_counter() - t0) * 1000.0
         return value
 
-    pm = timed("perfect_matchings", lambda: _run(nd, plan, "pm", stats))
-    ma = timed("matchings", lambda: _run(nd, plan, "match", stats))
-    ind = timed("independent_sets", lambda: _run(nd, plan, "ind", stats))
+    pm = timed("perfect_matchings", lambda: _run(plan, "pm", stats))
+    ma = timed("matchings", lambda: _run(plan, "match", stats))
+    ind = timed("independent_sets", lambda: _run(plan, "ind", stats))
     mp = timed("matching_polynomial",
-               lambda: _size_poly(nd, plan, "match", ma, stats))
+               lambda: _size_poly(plan, "match", ma, stats))
     ip = timed("independence_polynomial",
-               lambda: _size_poly(nd, plan, "ind", ind, stats))
+               lambda: _size_poly(plan, "ind", ind, stats))
     return RunReport(
         width=nd.width(),
         node_count=len(nd),

@@ -10,6 +10,8 @@ produced decompositions can be loaded through the PACE-2017 ``.td`` format.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
+from functools import partial
 
 from .errors import ParseError, SizeLimitError
 
@@ -128,17 +130,28 @@ def validate(g, td):
             uncovered.append((u, v))
 
     missing = [v for v in range(g.n) if not holders[v]]
-
-    disconnected = []
-    for v in range(g.n):
-        idx = set(holders[v])
-        if not idx:
-            continue
-        tops = sum(1 for i in idx if td.parent[i] not in idx)
-        if tops != 1:
-            disconnected.append(v)
-
+    disconnected = [v for v in _disconnected_vertices(td) if 0 <= v < g.n]
     return ValidationReport(uncovered, missing, disconnected, sorted(foreign))
+
+
+def _disconnected_vertices(td):
+    """Sorted vertices whose bags do not form one connected subtree.
+
+    The bags holding v are connected iff exactly one of them has a parent
+    bag without v (the root has no parent), so one pass over the bags, at
+    O(sum of bag sizes), finds every vertex with a second such top.
+    """
+    bags = td.bags
+    parent = td.parent
+    seen = set()
+    bad = set()
+    for i, bag in enumerate(bags):
+        p = parent[i]
+        for v in bag - bags[p] if p >= 0 else bag:
+            if v in seen:
+                bad.add(v)
+            seen.add(v)
+    return sorted(bad)
 
 
 def check_order(g, order):
@@ -267,53 +280,82 @@ def path_decomposition_from_order(g, order):
     return TreeDecomposition(bags, parent, n - 1)
 
 
-class NiceNode:
-    __slots__ = ("bag", "kind", "v", "children")
+class NiceNode(namedtuple("NiceNode", "bag kind v children")):
+    """One node of a nice decomposition; immutable, so a checked plan of it
+    cannot go stale.
 
-    def __init__(self, bag, kind, v, children):
-        self.bag = bag          # sorted tuple of vertex ids
-        self.kind = kind        # LEAF / INTRODUCE / FORGET / JOIN
-        self.v = v              # introduced/forgotten vertex, else None
-        self.children = children
+    ``bag`` is a sorted tuple of vertex ids, ``kind`` is LEAF / INTRODUCE /
+    FORGET / JOIN, ``v`` the introduced or forgotten vertex (else None) and
+    ``children`` a tuple of earlier node indices.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, bag, kind, v, children):
+        # copy lists into tuples, so nothing the caller keeps can change it
+        return tuple.__new__(cls, (tuple(bag), kind, v, tuple(children)))
 
     def __repr__(self):
         extra = f" v={self.v}" if self.v is not None else ""
         return f"<{self.kind}{extra} bag={self.bag}>"
 
 
+# NiceNode without the constructor's copies, for make_nice, whose bags and
+# children are tuples already
+_node = partial(tuple.__new__, NiceNode)
+
+
 class NiceDecomposition:
     """Nice decomposition stored in postorder: children precede parents.
 
     ``nodes[root]`` is the last entry and has an empty bag, as do all leaves.
-    ``is_path`` is true iff there are no join nodes.
+    ``is_path`` is true iff there are no join nodes. ``nodes`` is a read-only
+    tuple of immutable nodes; the counters keep the plan they checked it
+    with in ``_plan``.
     """
+
+    __slots__ = ("_nodes", "_plan")
 
     def __init__(self, nodes):
         if not nodes:
             raise ValueError("empty nice decomposition")
-        self.nodes = tuple(nodes)
-        self.root = len(nodes) - 1
-        self.is_path = all(nd.kind != JOIN for nd in nodes)
+        self._nodes = tuple(nodes)
+        self._plan = None
+
+    @property
+    def nodes(self):
+        return self._nodes
+
+    @property
+    def root(self):
+        return len(self._nodes) - 1
+
+    @property
+    def is_path(self):
+        return self.join_count() == 0
 
     def width(self):
-        return max(len(nd.bag) for nd in self.nodes) - 1
+        return max(len(nd.bag) for nd in self._nodes) - 1
 
     def join_count(self):
-        return sum(1 for nd in self.nodes if nd.kind == JOIN)
+        return sum(1 for nd in self._nodes if nd.kind == JOIN)
 
     def __len__(self):
-        return len(self.nodes)
+        return len(self._nodes)
 
     def structure_violations(self):
         """List of grammar violations; empty for a well-formed decomposition.
 
-        Every bag must be a strictly increasing tuple, and every node but the
-        root the child of exactly one later node.
+        Every bag must be a strictly increasing tuple, every node but the
+        root the child of exactly one later node, and no vertex forgotten
+        twice.
         """
         out = []
-        nodes = self.nodes
+        nodes = self._nodes
+        root = self.root
         parents = [0] * len(nodes)
-        if nodes[self.root].bag:
+        forgets = {}
+        if nodes[root].bag:
             out.append("root bag not empty")
         for i, nd in enumerate(nodes):
             for c in nd.children:
@@ -335,6 +377,7 @@ class NiceDecomposition:
                 if nd.v in child or bag != child | {nd.v}:
                     out.append(f"introduce {i} bag equation violated")
             elif nd.kind == FORGET:
+                forgets[nd.v] = forgets.get(nd.v, 0) + 1
                 if len(nd.children) != 1:
                     out.append(f"forget {i} needs one child")
                     continue
@@ -350,23 +393,13 @@ class NiceDecomposition:
                     out.append(f"join {i} bags differ")
             else:
                 out.append(f"node {i} has unknown kind {nd.kind!r}")
-        for i, count in enumerate(parents[:self.root]):
+        for i, count in enumerate(parents[:root]):
             if count != 1:
                 out.append(f"node {i} is the child of {count} nodes")
+        twice = sorted(v for v, count in forgets.items() if count > 1)
+        if twice:
+            out.append(f"vertices {twice} forgotten more than once")
         return out
-
-
-def _subtree_connectivity_violations(td):
-    holders = {}
-    for i, bag in enumerate(td.bags):
-        for v in bag:
-            holders.setdefault(v, set()).add(i)
-    bad = []
-    for v, idx in holders.items():
-        tops = sum(1 for i in idx if td.parent[i] not in idx)
-        if tops != 1:
-            bad.append(v)
-    return sorted(bad)
 
 
 def make_nice(td, max_width=MAX_WIDTH):
@@ -380,53 +413,63 @@ def make_nice(td, max_width=MAX_WIDTH):
         raise SizeLimitError(
             f"decomposition width {td.width()} exceeds the cap of {max_width}"
         )
-    bad = _subtree_connectivity_violations(td)
+    bad = _disconnected_vertices(td)
     if bad:
         raise ValueError(
             f"invalid decomposition: bag sets of vertices {bad} are disconnected"
         )
 
     nodes = []
+    add = nodes.append
+    bags = td.bags
+    ordered = [tuple(sorted(b)) for b in bags]
 
-    def add(bag, kind, v, children):
-        nodes.append(NiceNode(tuple(bag), kind, v, tuple(children)))
-        return len(nodes) - 1
-
-    def grow(cur, cur_bag, target):
-        """Forget cur_bag\\target (descending), introduce target\\cur_bag."""
-        cur_bag = set(cur_bag)
-        for v in sorted(cur_bag - target, reverse=True):
-            cur_bag.discard(v)
-            cur = add(sorted(cur_bag), FORGET, v, (cur,))
-        for v in sorted(target - cur_bag):
-            cur_bag.add(v)
-            cur = add(sorted(cur_bag), INTRODUCE, v, (cur,))
+    def grow(cur, bag, have, target, want):
+        """Forget have\\want (descending), then introduce want\\have
+        (ascending), from node cur with sorted bag ``bag`` = ``have``."""
+        # forgetting the largest first leaves each smaller vertex in place
+        for p in range(len(bag) - 1, -1, -1):
+            v = bag[p]
+            if v not in want:
+                bag = bag[:p] + bag[p + 1:]
+                add(_node((bag, FORGET, v, (cur,))))
+                cur = len(nodes) - 1
+        # introducing the smallest first puts each vertex where target has it
+        for p, v in enumerate(target):
+            if v not in have:
+                bag = bag[:p] + (v,) + bag[p:]
+                add(_node((bag, INTRODUCE, v, (cur,))))
+                cur = len(nodes) - 1
         return cur
 
+    # postorder that builds the subtree of the last child first
     children_of = td.children()
-    tops = {}
-    stack = [(td.root, False)]
+    post = []
+    stack = [td.root]
     while stack:
-        b, expanded = stack.pop()
-        if not expanded:
-            stack.append((b, True))
-            for c in children_of[b]:
-                stack.append((c, False))
-            continue
-        bag = td.bags[b]
+        b = stack.pop()
+        post.append(b)
+        stack.extend(reversed(children_of[b]))
+    top = [0] * len(bags)
+    empty = frozenset()
+    for b in reversed(post):
+        target = ordered[b]
+        want = bags[b]
         kids = children_of[b]
         if not kids:
-            cur = add((), LEAF, None, ())
-            tops[b] = grow(cur, set(), bag)
+            add(_node(((), LEAF, None, ())))
+            top[b] = grow(len(nodes) - 1, (), empty, target, want)
         else:
-            branches = [grow(tops.pop(c), td.bags[c], bag) for c in kids]
+            branches = [grow(top[c], ordered[c], bags[c], target, want)
+                        for c in kids]
             cur = branches[0]
             for other in branches[1:]:
-                cur = add(sorted(bag), JOIN, None, (cur, other))
-            tops[b] = cur
+                add(_node((target, JOIN, None, (cur, other))))
+                cur = len(nodes) - 1
+            top[b] = cur
 
-    root = grow(tops.pop(td.root), td.bags[td.root], set())
-    assert root == len(nodes) - 1
+    root = td.root
+    grow(top[root], ordered[root], bags[root], (), empty)
     return NiceDecomposition(nodes)
 
 

@@ -12,7 +12,11 @@ from .errors import ParseError
 
 
 class Graph:
-    """Immutable simple graph. Vertices are 0..n-1."""
+    """Immutable simple graph. Vertices are 0..n-1.
+
+    Assigning an attribute raises AttributeError, so a decomposition plan
+    checked against a graph object stays valid for it.
+    """
 
     __slots__ = ("n", "edges", "labels", "_adj")
 
@@ -26,14 +30,25 @@ class Graph:
             seen.add((u, v) if u < v else (v, u))
         if labels is not None and len(labels) != n:
             raise ValueError("labels must have one entry per vertex")
-        self.n = n
-        self.edges = frozenset(seen)
-        self.labels = tuple(labels) if labels is not None else None
+        edges = frozenset(seen)
         adj = [set() for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in edges:
             adj[u].add(v)
             adj[v].add(u)
-        self._adj = tuple(frozenset(s) for s in adj)
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "edges", edges)
+        init(self, "labels", tuple(labels) if labels is not None else None)
+        init(self, "_adj", tuple(frozenset(s) for s in adj))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Graph is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Graph, (self.n, self.edges, self.labels)
 
     @property
     def m(self):

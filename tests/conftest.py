@@ -21,6 +21,21 @@ def path_nice(g):
     return make_nice(path_decomposition_from_order(g, min_fill_order(g)))
 
 
+def count_prepares(monkeypatch):
+    """Record the graph of every ``counting._prepare`` call from now on."""
+    from tdcount import counting
+
+    calls = []
+    prepare = counting._prepare
+
+    def counted(g, nd):
+        calls.append(g)
+        return prepare(g, nd)
+
+    monkeypatch.setattr(counting, "_prepare", counted)
+    return calls
+
+
 def random_graph(rng, max_n=12, max_m=24):
     n = rng.randint(1, max_n)
     possible = [(i, j) for i in range(n) for j in range(i + 1, n)]

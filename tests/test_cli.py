@@ -3,8 +3,9 @@ import io
 
 import pytest
 
-from tdcount import counting, emit_gr, emit_td, ladder_graph, parse_smiles
+from tdcount import emit_gr, emit_td, ladder_graph, parse_smiles
 from tdcount.cli import bundled_path, main
+from conftest import count_prepares
 
 TINY_CORPUS = """\
 # tiny bench corpus
@@ -35,17 +36,27 @@ def test_count_all(capsys):
 
 
 def test_count_all_prepares_once(capsys, monkeypatch):
-    calls = []
-    prepare = counting._prepare
-
-    def counted(g, nd):
-        calls.append(1)
-        return prepare(g, nd)
-
-    monkeypatch.setattr(counting, "_prepare", counted)
+    calls = count_prepares(monkeypatch)
     code, out, _ = run(["count", "--smiles", "C1CCCCC1", "--all"], capsys)
     assert code == 0
     assert "independence_polynomial = 1;6;9;2" in out
+    assert len(calls) == 1
+
+
+def test_single_counters_prepare_once(capsys, monkeypatch):
+    calls = count_prepares(monkeypatch)
+    code, out, _ = run(["count", "--smiles", "C1CCCCC1", "--pm", "--hosoya",
+                        "--ms"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["C1CCCCC1\tperfect_matchings = 2",
+                                "C1CCCCC1\tmatchings = 18",
+                                "C1CCCCC1\tindependent_sets = 18"]
+    assert len(calls) == 1
+    calls.clear()
+    code, out, _ = run(["count", "--smiles", "C1CCCCC1", "--pm", "--mpoly"],
+                       capsys)
+    assert code == 0
+    assert "matching_polynomial = 1;6;9;2" in out
     assert len(calls) == 1
 
 
@@ -247,9 +258,16 @@ def test_count_entropy_only(capsys):
 def test_bench_deterministic_across_interpreters(tmp_path):
     # separate interpreter launches get different hash seeds; output must not
     # depend on set iteration order
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import tdcount
+
+    # the child imports the same tdcount as this test, installed or not
+    src = str(Path(tdcount.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     corpus = tmp_path / "bench.smi"
     corpus.write_text(TINY_CORPUS)
     outputs = []
@@ -260,6 +278,7 @@ def test_bench_deterministic_across_interpreters(tmp_path):
              "--seed", "8", "--budget", "5", "--clock", "none",
              "--out", str(out_file)],
             capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out_file.read_bytes())

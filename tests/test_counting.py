@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from tdcount import (
     run_all,
 )
 from tdcount.decomposition import FORGET, INTRODUCE, JOIN, LEAF, NiceNode
-from conftest import minfill_nice, path_nice, random_graph
+from conftest import count_prepares, minfill_nice, path_nice, random_graph
 from test_decomposition import graphs
 
 SINGLE_EDGE = Graph(2, [(0, 1)])
@@ -359,8 +360,8 @@ def test_mismatched_decomposition_rejected():
     h = Graph(6, [(0, 1), (2, 3), (4, 5)])
     with pytest.raises(DecompositionMismatch, match="not covered"):
         count_matchings(g, minfill_nice(h))
-    # a vertex forgotten twice (this one passes structure_violations()) and
-    # a non-empty root bag both make the tables count wrongly
+    # a vertex forgotten twice and a non-empty root bag both make the tables
+    # count wrongly
     leaf = NiceNode((), LEAF, None, ())
     refound = NiceDecomposition([
         leaf,
@@ -371,6 +372,8 @@ def test_mismatched_decomposition_rejected():
         NiceNode((1,), FORGET, 0, (4,)),
         NiceNode((), FORGET, 1, (5,)),
     ])
+    assert refound.structure_violations() == \
+        ["vertices [0] forgotten more than once"]
     open_root = NiceDecomposition([leaf, NiceNode((0,), INTRODUCE, 0, (0,))])
     # the min-fill decomposition of C4, then with one introduce bag out of
     # order: (1, 3, 2) gave Hosoya 6 instead of 7 before bag equations were
@@ -453,6 +456,79 @@ def test_mismatched_decomposition_rejected():
                         independence_polynomial, run_all):
             with pytest.raises(DecompositionMismatch, match=message):
                 counter(graph, nd)
+
+
+# ------------------------------------------------------------- shared plan
+
+def test_counters_share_one_plan(monkeypatch):
+    calls = count_prepares(monkeypatch)
+    g = ladder_graph(5)
+    nd = minfill_nice(g)
+    pm, mp, ip = oracle_counts(g)
+    assert count_perfect_matchings(g, nd) == pm == 8
+    assert count_matchings(g, nd) == sum(mp)
+    assert count_independent_sets(g, nd) == sum(ip)
+    assert matching_polynomial(g, nd) == mp
+    assert independence_polynomial(g, nd) == ip
+    assert calls == [g]
+    assert run_all(g, nd).independence_poly == ip
+    assert calls == [g]
+
+
+def test_shared_plan_follows_the_graph_object(monkeypatch):
+    calls = count_prepares(monkeypatch)
+    g = cycle_graph(6)
+    nd = minfill_nice(g)
+    assert count_matchings(g, nd) == 18
+    # an equal but distinct graph is prepared afresh and counts the same
+    twin = cycle_graph(6)
+    assert twin == g and twin is not g
+    assert count_matchings(twin, nd) == 18
+    assert count_independent_sets(twin, nd) == 18
+    assert calls == [g, twin]
+    # a graph the decomposition does not cover is checked, not trusted
+    uncovered = Graph(6, [(0, 1), (2, 3), (4, 5), (0, 3)])
+    for _ in range(2):
+        with pytest.raises(DecompositionMismatch, match="not covered"):
+            count_matchings(uncovered, nd)
+    assert calls == [g, twin, uncovered, uncovered]
+    assert count_matchings(g, nd) == 18
+    assert calls[-1] is g
+    # nor can the graph behind a kept plan change
+    with pytest.raises(AttributeError):
+        g.edges = uncovered.edges
+    with pytest.raises(AttributeError):
+        del g.n
+    copied = pickle.loads(pickle.dumps(g))
+    assert copied == g and copied.neighbors(0) == g.neighbors(0)
+
+
+def test_failed_prepare_raises_every_time():
+    g = path_graph(3)
+    nd = minfill_nice(path_graph(2))
+    for counter in (count_matchings, count_matchings, count_perfect_matchings,
+                    run_all, run_all):
+        with pytest.raises(DecompositionMismatch, match="forgotten exactly once"):
+            counter(g, nd)
+
+
+def test_nice_nodes_are_immutable():
+    nd = minfill_nice(path_graph(3))
+    node = nd.nodes[1]
+    for name, value in (("bag", (5,)), ("kind", FORGET), ("v", 2),
+                        ("children", ())):
+        with pytest.raises(AttributeError):
+            setattr(node, name, value)
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    with pytest.raises(AttributeError):
+        nd.nodes = nd.nodes[:1]
+    # lists given to a node are frozen into tuples
+    bag = [0]
+    built = NiceNode(bag, INTRODUCE, 0, [0])
+    bag.append(1)
+    assert built.bag == (0,) and built.children == (0,)
+    assert count_matchings(path_graph(3), nd) == 3
 
 
 # ------------------------------------------------------------ SizePolynomial

@@ -339,6 +339,117 @@ def test_nice_separation_properties(g):
                 assert not (v in left and u in right)
 
 
+def _make_nice_by_sets(td):
+    """Reference: make_nice as it was, keeping each bag as a set and sorting
+    it for every node. Returns (bag, kind, v, children) per node."""
+    nodes = []
+
+    def add(bag, kind, v, children):
+        nodes.append((tuple(bag), kind, v, tuple(children)))
+        return len(nodes) - 1
+
+    def grow(cur, cur_bag, target):
+        cur_bag = set(cur_bag)
+        for v in sorted(cur_bag - target, reverse=True):
+            cur_bag.discard(v)
+            cur = add(sorted(cur_bag), FORGET, v, (cur,))
+        for v in sorted(target - cur_bag):
+            cur_bag.add(v)
+            cur = add(sorted(cur_bag), INTRODUCE, v, (cur,))
+        return cur
+
+    children_of = td.children()
+    tops = {}
+    stack = [(td.root, False)]
+    while stack:
+        b, expanded = stack.pop()
+        if not expanded:
+            stack.append((b, True))
+            for c in children_of[b]:
+                stack.append((c, False))
+            continue
+        bag = td.bags[b]
+        kids = children_of[b]
+        if not kids:
+            cur = add((), LEAF, None, ())
+            tops[b] = grow(cur, set(), bag)
+        else:
+            branches = [grow(tops.pop(c), td.bags[c], bag) for c in kids]
+            cur = branches[0]
+            for other in branches[1:]:
+                cur = add(sorted(bag), JOIN, None, (cur, other))
+            tops[b] = cur
+    grow(tops.pop(td.root), td.bags[td.root], set())
+    return nodes
+
+
+def _assert_same_nice(td):
+    nd = make_nice(td)
+    assert [(node.bag, node.kind, node.v, node.children)
+            for node in nd.nodes] == _make_nice_by_sets(td)
+
+
+def test_make_nice_matches_set_version_on_corpus():
+    for line in bundled_path("corpus100.smi").read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            g = parse_smiles(line.split("\t")[0]).graph
+            _assert_same_nice(decomposition_from_order(g, min_fill_order(g)))
+
+
+def test_make_nice_matches_set_version_on_random_orders():
+    rng = random.Random(11)
+    for _ in range(300):
+        g = random_graph(rng, max_n=16, max_m=40)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        _assert_same_nice(decomposition_from_order(g, order))
+        _assert_same_nice(path_decomposition_from_order(g, order))
+
+
+def test_make_nice_matches_set_version_on_multi_child_trees(caffeine_figure):
+    _, td = caffeine_figure
+    assert max(len(kids) for kids in td.children()) >= 2
+    _assert_same_nice(td)
+    # a root with three children, bags that shrink and grow on every edge
+    star = TreeDecomposition(
+        [{0, 1, 2}, {1, 2, 3}, {0, 4}, {2, 5, 6}, {5, 7}, set()],
+        [-1, 0, 0, 0, 3, 0], 0)
+    assert len(star.children()[0]) == 4
+    _assert_same_nice(star)
+
+
+def _disconnected_by_holders(g, td):
+    """Reference: validate's disconnected-vertex check as it was."""
+    holders = [set() for _ in range(g.n)]
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            if 0 <= v < g.n:
+                holders[v].add(i)
+    return [v for v in range(g.n) if holders[v]
+            and sum(1 for i in holders[v] if td.parent[i] not in holders[v]) != 1]
+
+
+def test_disconnected_vertices_match_holder_count():
+    rng = random.Random(12)
+    seen_bad = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        k = rng.randint(1, 8)
+        # vertex n is outside the graph: validate reports it as foreign only
+        bags = [rng.sample(range(n + 1), rng.randint(0, min(4, n + 1)))
+                for _ in range(k)]
+        parent = [-1] + [rng.randrange(i) for i in range(1, k)]
+        td = TreeDecomposition(bags, parent, 0)
+        g = Graph(n)
+        want = _disconnected_by_holders(g, td)
+        assert validate(g, td).disconnected_vertices == want
+        if want:
+            seen_bad += 1
+            with pytest.raises(ValueError, match="disconnected"):
+                make_nice(td)
+    assert seen_bad > 50
+
+
 def test_path_input_gives_no_joins():
     g = cycle_graph(8)
     pd = path_decomposition_from_order(g, list(range(8)))
