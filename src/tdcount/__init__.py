@@ -24,7 +24,6 @@ from .chain import (
     respectful_partial_matchings,
 )
 from .counting import (
-    DecompositionMismatch,
     DpStats,
     RunReport,
     SizePolynomial,
@@ -48,7 +47,7 @@ from .decomposition import (
     path_decomposition_from_order,
     validate,
 )
-from .errors import ParseError, SizeLimitError
+from .errors import DecompositionMismatch, ParseError, SizeLimitError
 from .graph import (
     Graph,
     complete_graph,

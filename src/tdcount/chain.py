@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .counting import count_perfect_matchings
+from .decomposition import decomposition_from_order, make_nice, min_fill_order
 from .errors import ParseError, SizeLimitError
 from .graph import Graph, parse_gr
-from .oracle import matching_counts
 
-MAX_STATE_VERTICES = 20
+# The matrix is allocated dense, 2^k x 2^k for k interior vertices: a cap of
+# 12 keeps it at 2^24 cells.
+MAX_STATE_VERTICES = 12
 
 
 class ChainElement:
@@ -156,14 +159,15 @@ def build_transition(element):
     matchings of the top copy whose covered left-boundary vertices map (via
     the boundary bijection) onto that predecessor's excluded set. b1 entries
     are perfect-matching counts of the element minus the state's vertices,
-    taken from the enumeration oracle.
+    counted by the DP on a min-fill nice decomposition.
     """
     interior = element.interior
     k = len(interior)
     if k > MAX_STATE_VERTICES:
         raise SizeLimitError(
             f"{k} interior vertices exceed the transition cap of "
-            f"{MAX_STATE_VERTICES}"
+            f"{MAX_STATE_VERTICES}; count build_chain(element, n) with the "
+            f"generic DP instead"
         )
     dim = 1 << k
     states = []
@@ -182,8 +186,9 @@ def build_transition(element):
 
     initial = []
     for state in states:
-        pm, _ = matching_counts(element.g.delete_vertices(state))
-        initial.append(pm)
+        h = element.g.delete_vertices(state)
+        nd = make_nice(decomposition_from_order(h, min_fill_order(h)))
+        initial.append(count_perfect_matchings(h, nd))
     return TransitionSystem(element, dim, matrix, initial, states)
 
 

@@ -19,7 +19,7 @@ from random import Random
 
 from . import baselines, counting, decomposition
 from .chain import chain_pm_count, parse_chain_file
-from .errors import ParseError, SizeLimitError
+from .errors import DecompositionMismatch, ParseError, SizeLimitError
 from .graph import parse_gr
 from .smiles import load_corpus, parse_smiles
 
@@ -243,14 +243,9 @@ def _bench_instance(task):
     rows = []
     dp_values = {}
     if "dp" in engines:
-        fns = {
-            "perfect_matchings": counting.count_perfect_matchings,
-            "matchings": counting.count_matchings,
-            "independent_sets": counting.count_independent_sets,
-        }
         for name in BENCH_QUANTITIES:
             t0 = time.perf_counter()
-            value = fns[name](graph, nd)
+            value = _SINGLE_COUNTERS[name](graph, nd)
             ms = (time.perf_counter() - t0) * 1000.0
             dp_values[name] = value
             rows.append([mol_id, graph.n, graph.m, width, name,
@@ -413,8 +408,8 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (_InputError, ParseError, SizeLimitError,
-            counting.DecompositionMismatch, OSError) as exc:
+    except (_InputError, ParseError, SizeLimitError, DecompositionMismatch,
+            OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except _InvariantError as exc:

@@ -34,13 +34,15 @@ root holds P(2^B) exactly. Its coefficients are non-negative and sum to the
 total count, so taking B = bit length of the total makes every coefficient
 less than 2^B, and the B-bit slices of the root read them back uniquely.
 
-Before counting, ``_prepare`` checks that the decomposition describes the
-graph and compiles it into a plan of per-node instructions. The plan is kept
-on the ``NiceDecomposition``, keyed by the graph object, so every counter
-called on the same (graph, decomposition) -- the three totals, both
-polynomials and ``run_all`` -- checks and compiles it once. Nice nodes are
-immutable, so a kept plan cannot go stale; another graph object is checked
-afresh and its plan replaces the kept one.
+Before counting, ``_prepare`` checks the decomposition -- its grammar
+through ``decomposition._check_grammar``, which ``structure_violations``
+reports too, then what needs the graph -- and compiles it into a plan of
+per-node instructions. The plan is kept on the ``NiceDecomposition``, keyed
+by the graph object, so every counter called on the same (graph,
+decomposition) -- the three totals, both polynomials and ``run_all`` --
+checks and compiles it once. Nice nodes are immutable, so a kept plan cannot
+go stale; another graph object is checked afresh and its plan replaces the
+kept one.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -49,10 +51,10 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .decomposition import FORGET, INTRODUCE, JOIN, LEAF
+from .decomposition import FORGET, INTRODUCE, JOIN, _check_grammar
+from .errors import DecompositionMismatch
 
 _LEAF, _INTRO, _FORGET, _JOIN = 0, 1, 2, 3
 
@@ -109,25 +111,15 @@ class DpStats:
     join_bags: list = field(default_factory=list)
 
 
-class DecompositionMismatch(ValueError):
-    """The nice decomposition does not describe the given graph."""
-
-
-def _arity_error(i, kind, children):
-    return DecompositionMismatch(f"{kind} node {i} has {len(children)} children")
-
-
 def _prepare(g, nd):
-    """Compile nd into per-node instructions and check it matches g.
+    """Check that nd describes g and compile it into per-node instructions.
 
-    Every node must be the child of exactly one later node (the root of
-    none), and its bag must satisfy its bag equation as a tuple: empty at a
-    leaf, the child's bag with v inserted in order at an introduce node (v in
-    0..n-1 and not in the child's bag), with v removed at a forget node, and
-    both children's bags at a join. From the empty leaves up, every bag is
-    then sorted and within 0..n-1. With an empty root bag and every vertex
-    forgotten exactly once, an edge can only be seen as a pair at the forget
-    of its earlier endpoint, at most once, so counting pairs checks coverage.
+    ``_check_grammar`` checks nd alone and gives each v's bag position.
+    Here every introduced vertex must be in 0..n-1 and every vertex of g
+    forgotten, which the grammar makes exactly once. With an empty root bag
+    and no orphan node, an edge can then only be seen as a pair at the
+    forget of its earlier endpoint, at most once, so counting pairs checks
+    coverage.
 
     The counters reach it through ``_plan_for``, once per graph and
     decomposition.
@@ -135,51 +127,26 @@ def _prepare(g, nd):
     n = g.n
     neighbors = g.neighbors
     nodes = nd.nodes
+    pos = _check_grammar(nodes)
     plan = [None] * len(nodes)
-    has_parent = [False] * len(nodes)
-    forgets = [0] * n
+    forgets = 0
     pair_count = 0
 
     for i, (bag, kind, v, children) in enumerate(nodes):
-        for c in children:
-            if not 0 <= c < i or has_parent[c]:
-                raise DecompositionMismatch(
-                    f"node {i} has child {c} that is not an earlier,"
-                    " unshared node"
-                )
-            has_parent[c] = True
         if kind == INTRODUCE:
-            if len(children) != 1:
-                raise _arity_error(i, kind, children)
-            c = children[0]
-            child_bag = nodes[c].bag
-            if not (isinstance(v, int) and 0 <= v < n):
+            if v >= n:
                 raise DecompositionMismatch(
-                    f"introduced vertex {v!r} outside 0..{n - 1}"
-                )
-            p = bisect_left(child_bag, v)
-            if child_bag[p:p + 1] == (v,) or \
-                    bag != child_bag[:p] + (v,) + child_bag[p:]:
-                raise DecompositionMismatch(
-                    f"introduce {i} bag equation violated"
+                    f"introduced vertex {v} outside 0..{n - 1}"
                 )
             nbrs = neighbors(v)
             nbr_mask = 0
             for q, u in enumerate(bag):
                 if u in nbrs:
                     nbr_mask |= 1 << q
-            plan[i] = (_INTRO, c, p, nbr_mask, len(bag))
+            plan[i] = (_INTRO, children[0], pos[i], nbr_mask, len(bag))
         elif kind == FORGET:
-            if len(children) != 1:
-                raise _arity_error(i, kind, children)
-            c = children[0]
-            child_bag = nodes[c].bag
-            if v not in child_bag:
-                raise DecompositionMismatch(f"forget {i} bag equation violated")
-            p = child_bag.index(v)
-            if bag != child_bag[:p] + child_bag[p + 1:]:
-                raise DecompositionMismatch(f"forget {i} bag equation violated")
-            forgets[v] += 1
+            p = pos[i]
+            forgets += 1
             nbrs = neighbors(v)
             pairs = tuple([
                 (1 << q, 1 << (q if q < p else q + 1))
@@ -187,33 +154,20 @@ def _prepare(g, nd):
                 if u in nbrs
             ])
             pair_count += len(pairs)
-            plan[i] = (_FORGET, c, p, pairs, len(bag))
+            plan[i] = (_FORGET, children[0], p, pairs, len(bag))
         elif kind == JOIN:
-            if len(children) != 2:
-                raise _arity_error(i, kind, children)
             c1, c2 = children
-            if not bag == nodes[c1].bag == nodes[c2].bag:
-                raise DecompositionMismatch(f"join {i} bags differ")
             w = len(bag)
             plan[i] = (_JOIN, c1, c2, w, (1 << w) - 1)
-        elif kind == LEAF:
-            if children:
-                raise _arity_error(i, kind, children)
-            if bag:
-                raise DecompositionMismatch(f"leaf {i} has bag {bag}")
-            plan[i] = (_LEAF,)
         else:
-            raise DecompositionMismatch(f"unknown node kind {kind!r}")
+            plan[i] = (_LEAF,)
 
-    root = len(nodes) - 1
-    if nodes[root].bag:
-        raise DecompositionMismatch(f"root bag {nodes[root].bag} not empty")
-    orphans = [i for i in range(root) if not has_parent[i]]
-    if orphans:
-        raise DecompositionMismatch(f"nodes {orphans} not below the root")
-    bad = [v for v in range(n) if forgets[v] != 1]
-    if bad:
-        raise DecompositionMismatch(f"vertices {bad} not forgotten exactly once")
+    if forgets != n:
+        forgotten = {node.v for node in nodes if node.kind == FORGET}
+        missing = [v for v in range(n) if v not in forgotten]
+        raise DecompositionMismatch(
+            f"vertices {missing} not forgotten exactly once"
+        )
     if pair_count != g.m:
         seen = {
             (min(node.v, u), max(node.v, u))
@@ -240,11 +194,6 @@ def _plan_for(g, nd):
     plan = _prepare(g, nd)
     nd._plan = (g, plan)
     return plan
-
-
-def _release(tables, children):
-    for c in children:
-        tables[c] = None
 
 
 def _run(plan, mode, stats, shift=0):
@@ -279,7 +228,7 @@ def _run(plan, mode, stats, shift=0):
                     if val:
                         out[((cm & low) | ((cm >> p) << (p + 1))) | bit] = val
             tables[i] = out
-            _release(tables, (c,))
+            tables[c] = None
         elif code == _FORGET:
             _, c, p, pairs, w = op
             child = tables[c]
@@ -304,7 +253,7 @@ def _run(plan, mode, stats, shift=0):
                             paired += child[base | bit | cbit]
                     out[m] = val + (paired << shift)
             tables[i] = out
-            _release(tables, (c,))
+            tables[c] = None
         else:  # _JOIN
             _, c1, c2, w, full = op
             t1 = tables[c1]
@@ -344,7 +293,7 @@ def _run(plan, mode, stats, shift=0):
             if stats is not None:
                 stats.join_nodes += 1
                 stats.join_bags.append((w, products))
-            _release(tables, (c1, c2))
+            tables[c1] = tables[c2] = None
     return tables[-1][0]
 
 
@@ -438,7 +387,11 @@ class RunReport:
 
 
 def run_all(g, nd, stats=None):
-    """Run all five counters plus both entropies on one decomposition."""
+    """All five counts plus both entropies on one decomposition.
+
+    Four DP passes: Hosoya, Merrifield-Simmons and one shifted pass per
+    polynomial. The perfect matchings are read off the matching polynomial.
+    """
     plan = _plan_for(g, nd)
     millis = {}
 
@@ -448,11 +401,13 @@ def run_all(g, nd, stats=None):
         millis[name] = (time.perf_counter() - t0) * 1000.0
         return value
 
-    pm = timed("perfect_matchings", lambda: _run(plan, "pm", stats))
     ma = timed("matchings", lambda: _run(plan, "match", stats))
     ind = timed("independent_sets", lambda: _run(plan, "ind", stats))
     mp = timed("matching_polynomial",
                lambda: _size_poly(plan, "match", ma, stats))
+    # a perfect matching is a matching of n/2 edges: no pass of its own
+    n = g.n
+    pm = timed("perfect_matchings", lambda: 0 if n % 2 else mp[n // 2])
     ip = timed("independence_polynomial",
                lambda: _size_poly(plan, "ind", ind, stats))
     return RunReport(

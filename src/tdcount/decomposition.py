@@ -10,10 +10,11 @@ produced decompositions can be loaded through the PACE-2017 ``.td`` format.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import namedtuple
 from functools import partial
 
-from .errors import ParseError, SizeLimitError
+from .errors import DecompositionMismatch, ParseError, SizeLimitError
 
 # Bag-subset state masks must fit comfortably in a machine word.
 MAX_WIDTH = 30
@@ -344,62 +345,98 @@ class NiceDecomposition:
         return len(self._nodes)
 
     def structure_violations(self):
-        """List of grammar violations; empty for a well-formed decomposition.
+        """The first grammar fault as a one-item list; ``[]`` if well formed.
 
-        Every bag must be a strictly increasing tuple, every node but the
-        root the child of exactly one later node, and no vertex forgotten
-        twice.
+        The counters raise ``DecompositionMismatch`` when a decomposition is
+        malformed or does not describe the graph. This runs their grammar
+        check, ``_check_grammar``, which needs no graph, and lists the
+        message they would raise.
         """
-        out = []
-        nodes = self._nodes
-        root = self.root
-        parents = [0] * len(nodes)
-        forgets = {}
-        if nodes[root].bag:
-            out.append("root bag not empty")
-        for i, nd in enumerate(nodes):
-            for c in nd.children:
-                if 0 <= c < i:
-                    parents[c] += 1
-                else:
-                    out.append(f"node {i} not in postorder")
-            if any(a >= b for a, b in zip(nd.bag, nd.bag[1:])):
-                out.append(f"node {i} bag {nd.bag} not strictly sorted")
-            bag = set(nd.bag)
-            if nd.kind == LEAF:
-                if nd.bag or nd.children:
-                    out.append(f"leaf {i} malformed")
-            elif nd.kind == INTRODUCE:
-                if len(nd.children) != 1:
-                    out.append(f"introduce {i} needs one child")
-                    continue
-                child = set(nodes[nd.children[0]].bag)
-                if nd.v in child or bag != child | {nd.v}:
-                    out.append(f"introduce {i} bag equation violated")
-            elif nd.kind == FORGET:
-                forgets[nd.v] = forgets.get(nd.v, 0) + 1
-                if len(nd.children) != 1:
-                    out.append(f"forget {i} needs one child")
-                    continue
-                child = set(nodes[nd.children[0]].bag)
-                if nd.v not in child or bag != child - {nd.v}:
-                    out.append(f"forget {i} bag equation violated")
-            elif nd.kind == JOIN:
-                if len(nd.children) != 2:
-                    out.append(f"join {i} needs two children")
-                    continue
-                c1, c2 = nd.children
-                if not (bag == set(nodes[c1].bag) == set(nodes[c2].bag)):
-                    out.append(f"join {i} bags differ")
-            else:
-                out.append(f"node {i} has unknown kind {nd.kind!r}")
-        for i, count in enumerate(parents[:root]):
-            if count != 1:
-                out.append(f"node {i} is the child of {count} nodes")
-        twice = sorted(v for v, count in forgets.items() if count > 1)
-        if twice:
-            out.append(f"vertices {twice} forgotten more than once")
-        return out
+        try:
+            _check_grammar(self._nodes)
+        except DecompositionMismatch as exc:
+            return [str(exc)]
+        return []
+
+
+def _arity_error(i, kind, children):
+    return DecompositionMismatch(f"{kind} node {i} has {len(children)} children")
+
+
+def _check_grammar(nodes):
+    """The one nice-decomposition grammar check; raises at the first fault.
+
+    Every child must be an earlier node with no other parent, and each kind
+    must have its number of children. Bag equations hold as tuples: empty at
+    a leaf, the child's bag with v inserted in order at an introduce node (v
+    a non-negative int not in it), with v removed at a forget node, and both
+    children's bags at a join; so every bag is strictly increasing. No
+    vertex is forgotten twice, the root bag is empty and every node is below
+    the root. Returns, per node, the position of v in the introduce node's
+    bag or the forget node's child bag (None elsewhere).
+    """
+    has_parent = [False] * len(nodes)
+    forgotten = set()
+    pos = [None] * len(nodes)
+    for i, (bag, kind, v, children) in enumerate(nodes):
+        for c in children:
+            if not 0 <= c < i or has_parent[c]:
+                raise DecompositionMismatch(
+                    f"node {i} has child {c} that is not an earlier,"
+                    " unshared node"
+                )
+            has_parent[c] = True
+        if kind == INTRODUCE:
+            if len(children) != 1:
+                raise _arity_error(i, kind, children)
+            child_bag = nodes[children[0]].bag
+            if not (isinstance(v, int) and v >= 0):
+                raise DecompositionMismatch(
+                    f"introduced vertex {v!r} is not a non-negative int"
+                )
+            p = bisect_left(child_bag, v)
+            if child_bag[p:p + 1] == (v,) or \
+                    bag != child_bag[:p] + (v,) + child_bag[p:]:
+                raise DecompositionMismatch(
+                    f"introduce {i} bag equation violated"
+                )
+            pos[i] = p
+        elif kind == FORGET:
+            if len(children) != 1:
+                raise _arity_error(i, kind, children)
+            child_bag = nodes[children[0]].bag
+            if v not in child_bag:
+                raise DecompositionMismatch(f"forget {i} bag equation violated")
+            p = child_bag.index(v)
+            if bag != child_bag[:p] + child_bag[p + 1:]:
+                raise DecompositionMismatch(f"forget {i} bag equation violated")
+            if v in forgotten:
+                raise DecompositionMismatch(
+                    f"vertex {v} not forgotten exactly once (again at forget {i})"
+                )
+            forgotten.add(v)
+            pos[i] = p
+        elif kind == JOIN:
+            if len(children) != 2:
+                raise _arity_error(i, kind, children)
+            c1, c2 = children
+            if not bag == nodes[c1].bag == nodes[c2].bag:
+                raise DecompositionMismatch(f"join {i} bags differ")
+        elif kind == LEAF:
+            if children:
+                raise _arity_error(i, kind, children)
+            if bag:
+                raise DecompositionMismatch(f"leaf {i} has bag {bag}")
+        else:
+            raise DecompositionMismatch(f"unknown node kind {kind!r}")
+
+    root = len(nodes) - 1
+    if nodes[root].bag:
+        raise DecompositionMismatch(f"root bag {nodes[root].bag} not empty")
+    orphans = [i for i in range(root) if not has_parent[i]]
+    if orphans:
+        raise DecompositionMismatch(f"nodes {orphans} not below the root")
+    return pos
 
 
 def make_nice(td, max_width=MAX_WIDTH):

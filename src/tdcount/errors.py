@@ -21,3 +21,7 @@ class ParseError(ValueError):
 
 class SizeLimitError(ValueError):
     """Instance exceeds a hard cap (oracle size, bag width, chain state count)."""
+
+
+class DecompositionMismatch(ValueError):
+    """The nice decomposition is malformed or does not describe the graph."""

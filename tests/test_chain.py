@@ -110,14 +110,30 @@ def test_transition_row_structure():
     assert hits == {0: 1, system.state_index({4, 5}): 1}
 
 
+def strip_element():
+    # five rungs (2i, 2i+1) with both rails and both diagonals of each
+    # square, plus four chords across the middle: 25 edges, one more than
+    # the matching oracle enumerates
+    edges = [(2 * i, 2 * i + 1) for i in range(5)]
+    for i in range(4):
+        edges += [(2 * i, 2 * i + 2), (2 * i + 1, 2 * i + 3),
+                  (2 * i, 2 * i + 3), (2 * i + 1, 2 * i + 2)]
+    edges += [(2, 6), (3, 7), (2, 7), (3, 6)]
+    return ChainElement(Graph(10, edges), left=(0, 1), right=(8, 9))
+
+
 def test_chain_counts_match_generic_dp():
-    e = hexagon_element()
-    for n in range(1, 7):
-        g = build_chain(e, n)
-        expected = count_perfect_matchings(g, minfill_nice(g))
-        stats = ChainStats()
-        assert chain_pm_count(e, n, stats) == expected
-        assert stats.matrix_mults <= 2 * max(1, (n - 1)).bit_length()
+    strip = strip_element()
+    assert strip.g.m == 25
+    for e, copies in ((hexagon_element(), 6), (strip, 4)):
+        for n in range(1, copies + 1):
+            g = build_chain(e, n)
+            expected = count_perfect_matchings(g, minfill_nice(g))
+            stats = ChainStats()
+            assert chain_pm_count(e, n, stats) == expected
+            assert stats.matrix_mults <= 2 * max(1, (n - 1)).bit_length()
+    assert [chain_pm_count(strip, n) for n in range(1, 5)] == \
+        [31, 861, 23991, 668421]
 
 
 def test_matrix_power_agrees_with_iteration():
@@ -171,6 +187,10 @@ def test_state_cap():
     e = ChainElement(g, (0,), (21,))
     with pytest.raises(SizeLimitError):
         build_transition(e)
+    # 13 interior vertices: refused before a 2^13 x 2^13 matrix is allocated
+    g = Graph(14, [(i, i + 1) for i in range(13)])
+    with pytest.raises(SizeLimitError, match="build_chain"):
+        build_transition(ChainElement(g, (0,), (13,)))
 
 
 def test_parse_chain_file():

@@ -360,6 +360,7 @@ def test_mismatched_decomposition_rejected():
     h = Graph(6, [(0, 1), (2, 3), (4, 5)])
     with pytest.raises(DecompositionMismatch, match="not covered"):
         count_matchings(g, minfill_nice(h))
+    assert minfill_nice(h).structure_violations() == []
     # a vertex forgotten twice and a non-empty root bag both make the tables
     # count wrongly
     leaf = NiceNode((), LEAF, None, ())
@@ -373,7 +374,7 @@ def test_mismatched_decomposition_rejected():
         NiceNode((), FORGET, 1, (5,)),
     ])
     assert refound.structure_violations() == \
-        ["vertices [0] forgotten more than once"]
+        ["vertex 0 not forgotten exactly once (again at forget 5)"]
     open_root = NiceDecomposition([leaf, NiceNode((0,), INTRODUCE, 0, (0,))])
     # the min-fill decomposition of C4, then with one introduce bag out of
     # order: (1, 3, 2) gave Hosoya 6 instead of 7 before bag equations were
@@ -451,11 +452,15 @@ def test_mismatched_decomposition_rejected():
              (Graph(1), full_leaf, "leaf 0 has bag"),
              (Graph(1), foreign, "outside 0..0"))
     for graph, nd, message in cases:
+        # one grammar check behind both entry points: every fault it finds
+        # is reported word for word as the counters raise it
+        reported = nd.structure_violations()
         for counter in (count_perfect_matchings, count_matchings,
                         count_independent_sets, matching_polynomial,
                         independence_polynomial, run_all):
-            with pytest.raises(DecompositionMismatch, match=message):
+            with pytest.raises(DecompositionMismatch, match=message) as exc:
                 counter(graph, nd)
+            assert reported == ([] if nd is foreign else [str(exc.value)])
 
 
 # ------------------------------------------------------------- shared plan

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -97,3 +99,26 @@ def test_per_oracle_caps():
     for g in (edgeless, k20, Graph(25, [(i, i + 1) for i in range(20)])):
         with pytest.raises(SizeLimitError):
             oracle_counts(g)
+
+
+def test_production_code_never_imports_the_oracle():
+    # the oracle is the ground truth the counters are tested against, so no
+    # module but the package's export list may depend on it
+    package = Path(__file__).resolve().parents[1] / "src" / "tdcount"
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                if node.level or node.module == "tdcount":
+                    names += [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "oracle" for name in names):
+                importers.append(path.name)
+    assert (package / "oracle.py").exists()
+    assert importers == []
