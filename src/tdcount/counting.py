@@ -34,6 +34,23 @@ root holds P(2^B) exactly. Its coefficients are non-negative and sum to the
 total count, so taking B = bit length of the total makes every coefficient
 less than 2^B, and the B-bit slices of the root read them back uniquely.
 
+In such a pass a join entry is a string of B-bit slots, and the two
+children's entries can differ a lot in length: min-fill's caterpillar trees
+join a short branch to a long spine, and a branch entry may hold small
+coefficients in slots of a few hundred bits. Multiplying the integers whole
+then spends most of its digit operations on zero padding. So a matching join
+splits the child with the shorter entries into its B-bit coefficients and
+visits its combining pairs once per slot, from the highest (Horner's rule):
+the output table is shifted left by B bits, then each pair adds coefficient
+times the other entry into it. No accumulator table is needed, and each
+product has a one-digit factor. The join splits only where that takes fewer
+digit operations -- every coefficient fits one int digit
+(``sys.int_info.bits_per_digit``), the entries span two slots or more, and a
+slot spans at least two digits -- and multiplies whole entries otherwise.
+Products per join are still counted once per combining pair. The pointwise
+independent-set join keeps whole products: it does one product per state,
+and there the split's per-slot shifts cost more than the padding.
+
 Before counting, ``_prepare`` checks the decomposition -- its grammar
 through ``decomposition._check_grammar``, which ``structure_violations``
 reports too, then what needs the graph -- and compiles it into a plan of
@@ -50,13 +67,17 @@ All counts are exact arbitrary-precision integers.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
-from .decomposition import FORGET, INTRODUCE, JOIN, _check_grammar
-from .errors import DecompositionMismatch
+from .decomposition import (
+    FORGET, INTRODUCE, JOIN, MAX_WIDTH, _check_grammar,
+)
+from .errors import DecompositionMismatch, SizeLimitError
 
 _LEAF, _INTRO, _FORGET, _JOIN = 0, 1, 2, 3
+_DIGIT = sys.int_info.bits_per_digit
 
 
 class SizePolynomial:
@@ -116,10 +137,12 @@ def _prepare(g, nd):
 
     ``_check_grammar`` checks nd alone and gives each v's bag position.
     Here every introduced vertex must be in 0..n-1 and every vertex of g
-    forgotten, which the grammar makes exactly once. With an empty root bag
-    and no orphan node, an edge can then only be seen as a pair at the
-    forget of its earlier endpoint, at most once, so counting pairs checks
-    coverage.
+    forgotten, which the grammar makes exactly once. No bag may hold more
+    than ``MAX_WIDTH`` + 1 vertices, whatever cap built nd, so no table
+    grows past 2^(MAX_WIDTH + 1) entries; only introduce nodes grow a bag.
+    With an empty root bag and no orphan node, an edge can then only be
+    seen as a pair at the forget of its earlier endpoint, at most once, so
+    counting pairs checks coverage.
 
     The counters reach it through ``_plan_for``, once per graph and
     decomposition.
@@ -137,6 +160,11 @@ def _prepare(g, nd):
             if v >= n:
                 raise DecompositionMismatch(
                     f"introduced vertex {v} outside 0..{n - 1}"
+                )
+            if len(bag) > MAX_WIDTH + 1:
+                raise SizeLimitError(
+                    f"decomposition width {len(bag) - 1} exceeds the cap"
+                    f" of {MAX_WIDTH}"
                 )
             nbrs = neighbors(v)
             nbr_mask = 0
@@ -194,6 +222,42 @@ def _plan_for(g, nd):
     plan = _prepare(g, nd)
     nd._plan = (g, plan)
     return plan
+
+
+def _split_narrow(t1, nz1, t2, nz2, shift):
+    """Split the child with the shorter entries into B-bit coefficients.
+
+    B = shift (0 in a plain pass); nz1 and nz2 list the non-zero states of
+    tables t1 and t2, nz1 the shorter list. Returns (whether t1 is the one
+    split, tables), where table j holds coefficient j of each of its
+    non-zero entries (0 elsewhere), lowest slot first. Returns None where
+    the split costs no fewer digit operations than multiplying whole
+    entries: it needs two slots or more, slots of at least two int digits,
+    and every coefficient within one digit, so that each slot costs one
+    one-digit product per pair.
+    """
+    if shift < 2 * _DIGIT or not nz1:
+        return None
+    top1 = max(t1[a] for a in nz1)
+    top2 = max(t2[b] for b in nz2)
+    narrow_first = top1 <= top2
+    t, nz, top = (t1, nz1, top1) if narrow_first else (t2, nz2, top2)
+    count = -(-top.bit_length() // shift)
+    if count < 2:
+        return None
+    mask = (1 << shift) - 1
+    slots = [[0] * len(t) for _ in range(count)]
+    for s in nz:
+        x = t[s]
+        j = 0
+        while x:
+            c = x & mask
+            if c >> _DIGIT:
+                return None
+            slots[j][s] = c
+            x >>= shift
+            j += 1
+    return narrow_first, slots
 
 
 def _run(plan, mode, stats, shift=0):
@@ -274,21 +338,52 @@ def _run(plan, mode, stats, shift=0):
                 live2 = 0  # bag vertices child 2 can have matched
                 for b in nz2:
                     live2 |= full ^ b
-                for a in nz1:
-                    x = t1[a]
-                    # a vertex of a that child 2 cannot match stays unmatched
-                    var = a & live2
-                    forced = a ^ var
-                    base = full ^ var
-                    h = var
-                    while True:
-                        y = t2[base | h]
-                        if y:
-                            out[forced | h] += x * y
-                            products += 1
-                        if h == 0:
-                            break
-                        h = (h - 1) & var
+                split = _split_narrow(t1, nz1, t2, nz2, shift)
+                if split is None:
+                    for a in nz1:
+                        x = t1[a]
+                        # a vertex of a that child 2 cannot match stays
+                        # unmatched
+                        var = a & live2
+                        forced = a ^ var
+                        base = full ^ var
+                        h = var
+                        while True:
+                            y = t2[base | h]
+                            if y:
+                                out[forced | h] += x * y
+                                products += 1
+                            if h == 0:
+                                break
+                            h = (h - 1) & var
+                else:
+                    # Horner's rule over the split side's slots, highest
+                    # first: out = out * 2^B + coefficient j times the whole
+                    # other entry, over the same pairs for every slot j, so
+                    # products counts one slot
+                    narrow_first, slots = split
+                    for cj in reversed(slots):
+                        for m, o in enumerate(out):
+                            if o:
+                                out[m] = o << shift
+                        v1, v2 = (cj, t2) if narrow_first else (t1, cj)
+                        products = 0
+                        for a in nz1:
+                            x = v1[a]
+                            var = a & live2
+                            forced = a ^ var
+                            base = full ^ var
+                            h = var
+                            while True:
+                                b = base | h
+                                if t2[b]:
+                                    products += 1
+                                    y = v2[b]
+                                    if x and y:
+                                        out[forced | h] += x * y
+                                if h == 0:
+                                    break
+                                h = (h - 1) & var
             tables[i] = out
             if stats is not None:
                 stats.join_nodes += 1

@@ -366,21 +366,22 @@ def _arity_error(i, kind, children):
 def _check_grammar(nodes):
     """The one nice-decomposition grammar check; raises at the first fault.
 
-    Every child must be an earlier node with no other parent, and each kind
-    must have its number of children. Bag equations hold as tuples: empty at
-    a leaf, the child's bag with v inserted in order at an introduce node (v
-    a non-negative int not in it), with v removed at a forget node, and both
-    children's bags at a join; so every bag is strictly increasing. No
-    vertex is forgotten twice, the root bag is empty and every node is below
-    the root. Returns, per node, the position of v in the introduce node's
-    bag or the forget node's child bag (None elsewhere).
+    Every child must be the int index of an earlier node with no other
+    parent, and each kind must have its number of children. Bag equations
+    hold as tuples: empty at a leaf, the child's bag with v inserted in
+    order at an introduce node (v a non-negative int not in it), with v
+    removed at a forget node, and both children's bags at a join; so every
+    bag is strictly increasing. No vertex is forgotten twice, the root bag
+    is empty and every node is below the root. Returns, per node, the
+    position of v in the introduce node's bag or the forget node's child
+    bag (None elsewhere).
     """
     has_parent = [False] * len(nodes)
     forgotten = set()
     pos = [None] * len(nodes)
     for i, (bag, kind, v, children) in enumerate(nodes):
         for c in children:
-            if not 0 <= c < i or has_parent[c]:
+            if type(c) is not int or not 0 <= c < i or has_parent[c]:
                 raise DecompositionMismatch(
                     f"node {i} has child {c} that is not an earlier,"
                     " unshared node"

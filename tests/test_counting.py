@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdcount import (
+    MAX_WIDTH,
     DecompositionMismatch,
     DpStats,
     Graph,
     NiceDecomposition,
+    SizeLimitError,
     SizePolynomial,
     TreeDecomposition,
     complete_graph,
@@ -29,6 +31,7 @@ from tdcount import (
     path_graph,
     run_all,
 )
+from tdcount import counting
 from tdcount.decomposition import FORGET, INTRODUCE, JOIN, LEAF, NiceNode
 from conftest import count_prepares, minfill_nice, path_nice, random_graph
 from test_decomposition import graphs
@@ -441,6 +444,12 @@ def test_mismatched_decomposition_rejected():
         NiceNode((1,), INTRODUCE, 1, (0,)),
         NiceNode((), FORGET, 1, (1,)),
     ])
+    # a child index that is not an int once ended in a TypeError
+    float_child = NiceDecomposition([
+        leaf,
+        NiceNode((0,), INTRODUCE, 0, (0.0,)),
+        NiceNode((), FORGET, 0, (1,)),
+    ])
     cases = ((path_graph(2), refound, "forgotten exactly once"),
              (Graph(1), open_root, "root bag"),
              (cycle_graph(4), shuffled, "bag equation"),
@@ -450,6 +459,7 @@ def test_mismatched_decomposition_rejected():
              (path_graph(2), uneven, "join 5 bags differ"),
              (path_graph(2), shared, "unshared"),
              (Graph(1), full_leaf, "leaf 0 has bag"),
+             (Graph(1), float_child, "child 0.0 that is not an earlier"),
              (Graph(1), foreign, "outside 0..0"))
     for graph, nd, message in cases:
         # one grammar check behind both entry points: every fault it finds
@@ -461,6 +471,35 @@ def test_mismatched_decomposition_rejected():
             with pytest.raises(DecompositionMismatch, match=message) as exc:
                 counter(graph, nd)
             assert reported == ([] if nd is foreign else [str(exc.value)])
+
+
+def _one_bag_nice(k):
+    """Introduce 0..k-1 into one bag of k vertices, then forget them."""
+    nodes = [NiceNode((), LEAF, None, ())]
+    for v in range(k):
+        nodes.append(NiceNode(tuple(range(v + 1)), INTRODUCE, v, (v,)))
+    for v in reversed(range(k)):
+        nodes.append(NiceNode(tuple(range(v)), FORGET, v, (len(nodes) - 1,)))
+    return NiceDecomposition(nodes)
+
+
+def test_counters_refuse_bags_past_the_width_cap():
+    # make_nice enforces its max_width, which a caller may raise; the
+    # counters refuse a wider bag themselves, before any table of 2^|bag|
+    # entries is allocated
+    wide = _one_bag_nice(MAX_WIDTH + 2)
+    assert wide.width() == MAX_WIDTH + 1
+    assert wide.structure_violations() == []
+    g = Graph(MAX_WIDTH + 2)
+    for counter in (count_perfect_matchings, count_matchings,
+                    count_independent_sets, matching_polynomial,
+                    independence_polynomial, run_all):
+        with pytest.raises(SizeLimitError,
+                           match=f"width {MAX_WIDTH + 1} exceeds the cap"):
+            counter(g, wide)
+    # a bag of MAX_WIDTH + 1 vertices is admitted (checked, not counted)
+    at_cap = _one_bag_nice(MAX_WIDTH + 1)
+    assert len(counting._prepare(Graph(MAX_WIDTH + 1), at_cap)) == len(at_cap)
 
 
 # ------------------------------------------------------------- shared plan

@@ -7,6 +7,7 @@ relabellings, through the deletion recurrences and over disjoint unions.
 """
 
 import random
+import sys
 
 from tdcount import (
     DpStats,
@@ -18,6 +19,7 @@ from tdcount import (
     decomposition_from_order,
     disjoint_union,
     independence_polynomial,
+    ladder_graph,
     make_nice,
     matching_polynomial,
     min_fill_order,
@@ -208,3 +210,78 @@ def test_degenerate_joins():
     stats = DpStats()
     assert answers(run_all(union, nd, stats)) == expected
     assert 0 in {w for w, _ in stats.join_bags}
+
+
+def bfs_nice(g):
+    return make_nice(path_decomposition_from_order(g, bfs_order(g)))
+
+
+def split_calls(monkeypatch):
+    """Spy on the shifted matching join's coefficient split.
+
+    One record per matching join, plain passes (shift 0) included:
+    (whether it split, whether the rule's slot conditions hold -- a shift
+    of two int digits or more and two slots or more --, whether every B-bit
+    coefficient of the child with the shorter entries fits one digit,
+    whether the child split is that child).
+    """
+    from tdcount import counting
+
+    digit = sys.int_info.bits_per_digit
+    real = counting._split_narrow
+    calls = []
+
+    def spy(t1, nz1, t2, nz2, shift):
+        split = real(t1, nz1, t2, nz2, shift)
+        top1, top2 = max(t1), max(t2)
+        short = t1 if top1 <= top2 else t2
+        mask = (1 << shift) - 1
+        fits = shift > 0 and all(
+            (x >> k) & mask < 1 << digit
+            for x in short for k in range(0, x.bit_length(), shift))
+        slotted = shift >= 2 * digit and max(short).bit_length() > shift
+        narrow = split is None or (top1 <= top2 if split[0] else top2 <= top1)
+        calls.append((split is not None, slotted, fits, narrow))
+        return split
+
+    monkeypatch.setattr(counting, "_split_narrow", spy)
+    return calls
+
+
+def test_split_joins_agree_with_path_decompositions(monkeypatch):
+    # min-fill joins on the 5x16, 5x30 and 6x12 grids split the shorter
+    # child into B-bit coefficients (B = 72, 136, 65); B = 45 on the 5x10
+    # grid is under two int digits, so its joins multiply whole entries.
+    # BFS path decompositions have no joins.
+    calls = split_calls(monkeypatch)
+    for g in (grid_graph(5, 10), grid_graph(5, 16), grid_graph(5, 30),
+              relabel(grid_graph(6, 12), 7)):
+        minfill = minfill_nice(g)
+        assert minfill.join_count() >= 1
+        assert answers(run_all(g, minfill)) == answers(run_all(g, bfs_nice(g)))
+    assert any(split for split, _, _, _ in calls)
+    # every join splits exactly where the cost rule allows, and splits the
+    # child with the shorter entries
+    assert all(split == (slotted and fits) and narrow
+               for split, slotted, fits, narrow in calls)
+
+    # two 2x60 ladders joined over an empty bag: each one's matching
+    # coefficients reach 98 bits, so the join multiplies whole entries
+    calls.clear()
+    ladders, nd = empty_root_union([ladder_graph(60)] * 2)
+    assert nd.join_count() == 1
+    assert answers(run_all(ladders, nd)) == \
+        answers(run_all(ladders, bfs_nice(ladders)))
+    assert (False, True, False, True) in calls
+
+    # the split visits each combining pair once per slot but records it
+    # once: the shifted pass makes the same products as the plain one
+    g = grid_graph(5, 30)
+    nd = minfill_nice(g)
+    stats = DpStats()
+    run_all(g, nd, stats)
+    joins = nd.join_count()
+    passes = [stats.join_bags[k * joins:(k + 1) * joins] for k in range(4)]
+    assert [sum(p for _, p in bags) for bags in passes] == \
+        [5692, 3344, 5692, 3344]
+    assert passes[2] == passes[0] and passes[3] == passes[1]
