@@ -21,7 +21,6 @@ from .chain import (
     build_transition,
     chain_pm_count,
     parse_chain_file,
-    respectful_partial_matchings,
 )
 from .counting import (
     DpStats,

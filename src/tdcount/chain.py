@@ -7,19 +7,21 @@ left boundary of the next. Perfect matchings of the whole chain are counted
 by propagating a vector of boundary states (subsets of V \\ L, encoded as
 bitmasks over the ascending interior vertex ids) through a transition matrix,
 whose (n-1)-th power is taken with O(log n) exact integer matrix products.
+Every matrix and initial-vector entry is the perfect-matching count of an
+induced subgraph of the element, read from a table over all 2^|V| vertex
+subsets; the state cap keeps |V| at 24 or fewer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .counting import count_perfect_matchings
-from .decomposition import decomposition_from_order, make_nice, min_fill_order
 from .errors import ParseError, SizeLimitError
 from .graph import Graph, parse_gr
 
 # The matrix is allocated dense, 2^k x 2^k for k interior vertices: a cap of
-# 12 keeps it at 2^24 cells.
+# 12 keeps it at 2^24 cells, and the subset tables (|L| <= k, so at most 24
+# vertices) at 2^24 entries.
 MAX_STATE_VERTICES = 12
 
 
@@ -31,9 +33,10 @@ class ChainElement:
         right = tuple(right)
         if len(left) != len(right):
             raise ValueError("boundary lists must have equal length")
-        if len(set(left)) != len(left) or len(set(right)) != len(right):
+        left_set = set(left)
+        if len(left_set) != len(left) or len(set(right)) != len(right):
             raise ValueError("boundary lists must not repeat vertices")
-        if set(left) & set(right):
+        if left_set & set(right):
             raise ValueError("left and right boundaries must be disjoint")
         for v in left + right:
             if not 0 <= v < g.n:
@@ -48,8 +51,7 @@ class ChainElement:
         self.g = g
         self.left = left
         self.right = right
-        self.fmap = dict(zip(left, right))
-        self.interior = tuple(v for v in range(g.n) if v not in set(left))
+        self.interior = tuple(v for v in range(g.n) if v not in left_set)
 
     def __repr__(self):
         return (f"ChainElement(n={self.g.n}, L={list(self.left)}, "
@@ -82,53 +84,6 @@ def build_chain(element, n):
     return Graph(next_id, edges)
 
 
-def respectful_partial_matchings(element, alpha):
-    """Matchings of the element usable as the top copy of a chain.
-
-    Given alpha, the interior vertices already excluded, return every matching
-    M such that all interior vertices outside alpha are covered, every edge of
-    M has an endpoint among those vertices, and no edge touches alpha. Edges
-    may reach into L; the L vertices they cover are the boundary demand passed
-    to the previous copy.
-    """
-    alpha = frozenset(alpha)
-    interior = set(element.interior)
-    if not alpha <= interior:
-        raise ValueError("alpha must be a subset of the non-left vertices")
-    must_cover = interior - alpha
-    g = element.g
-    allowed = {}
-    for v in must_cover:
-        allowed[v] = sorted(
-            u for u in g.neighbors(v)
-            if u not in alpha
-        )
-
-    results = []
-    chosen = []
-    covered = set()
-
-    def rec():
-        todo = sorted(must_cover - covered)
-        if not todo:
-            results.append(frozenset(chosen))
-            return
-        v = todo[0]
-        for u in allowed[v]:
-            if u in covered:
-                continue
-            covered.add(v)
-            covered.add(u)
-            chosen.append((v, u) if v < u else (u, v))
-            rec()
-            chosen.pop()
-            covered.discard(v)
-            covered.discard(u)
-
-    rec()
-    return sorted(results, key=sorted)
-
-
 @dataclass
 class ChainStats:
     matrix_mults: int = 0
@@ -152,16 +107,45 @@ class TransitionSystem:
         return idx
 
 
+def _pm_by_subset(n, edges):
+    """Entry S (a vertex bitmask) is the perfect-matching count of G[S].
+
+    The lowest vertex of S is matched to each of its neighbours in S, so
+    the table costs O(2^n * degree); odd subsets keep their 0.
+    """
+    nbr = [0] * n
+    for u, v in edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    table = [0] * (1 << n)
+    table[0] = 1
+    for s in range(1, 1 << n):
+        if s.bit_count() & 1:
+            continue
+        low = s & -s
+        rest = s ^ low
+        cand = nbr[low.bit_length() - 1] & rest
+        total = 0
+        while cand:
+            bit = cand & -cand
+            total += table[rest ^ bit]
+            cand ^= bit
+        table[s] = total
+    return table
+
+
 def build_transition(element):
     """Transition matrix A and initial vector b1 with b_n = A^(n-1) b1.
 
-    Row alpha of A counts, per predecessor state, the respectful partial
-    matchings of the top copy whose covered left-boundary vertices map (via
-    the boundary bijection) onto that predecessor's excluded set. b1 entries
-    are perfect-matching counts of the element minus the state's vertices,
-    counted by the DP on a min-fill nice decomposition.
+    For state alpha let I be the interior minus alpha. The first copy is
+    the whole element minus alpha, so b1[alpha] = pm(G[I + L]). The top
+    copy of a longer chain covers I with edges that each have an endpoint
+    in I, so it uses H, the element without the edges inside L; the left
+    vertices C it covers are excluded from the copy below, as the state
+    beta that the boundary map sends C onto. So A[alpha][beta] =
+    pm(H[I + C]). Both are read from one subset table per edge set.
     """
-    interior = element.interior
+    g, left, interior = element.g, element.left, element.interior
     k = len(interior)
     if k > MAX_STATE_VERTICES:
         raise SizeLimitError(
@@ -174,21 +158,26 @@ def build_transition(element):
     for idx in range(dim):
         states.append(tuple(interior[i] for i in range(k) if idx & (1 << i)))
 
-    fmap = element.fmap
-    matrix = [[0] * dim for _ in range(dim)]
-    for idx, state in enumerate(states):
-        for m in respectful_partial_matchings(element, state):
-            covered_left = {x for e in m for x in e if x in fmap}
-            beta = 0
-            for x in covered_left:
-                beta |= 1 << interior.index(fmap[x])
-            matrix[idx][beta] += 1
-
+    left_set = set(left)
+    pm_g = _pm_by_subset(g.n, g.edges)
+    pm_h = _pm_by_subset(g.n, [(u, v) for u, v in g.edges
+                               if u not in left_set or v not in left_set])
+    # every covered set C of left vertices, with the state beta it maps onto
+    pos = {v: i for i, v in enumerate(interior)}
+    covers = [(0, 0)]
+    for x, y in zip(left, element.right):
+        covers += [(c | 1 << x, beta | 1 << pos[y]) for c, beta in covers]
+    left_mask = sum(1 << x for x in left)
+    interior_mask = (1 << g.n) - 1 - left_mask
+    matrix = []
     initial = []
     for state in states:
-        h = element.g.delete_vertices(state)
-        nd = make_nice(decomposition_from_order(h, min_fill_order(h)))
-        initial.append(count_perfect_matchings(h, nd))
+        rest = interior_mask - sum(1 << v for v in state)
+        row = [0] * dim
+        for c, beta in covers:
+            row[beta] = pm_h[rest | c]
+        matrix.append(row)
+        initial.append(pm_g[rest | left_mask])
     return TransitionSystem(element, dim, matrix, initial, states)
 
 

@@ -331,6 +331,8 @@ def _write_summary(path, rows):
 
 
 def cmd_chain(args):
+    if args.n < 1:
+        raise _UsageError(f"--n must be at least 1, got {args.n}")
     element = parse_chain_file(Path(args.element).read_text(encoding="utf-8"))
     print(_format_value(chain_pm_count(element, args.n)))
     return EXIT_OK

@@ -138,7 +138,7 @@ def _prepare(g, nd):
     ``_check_grammar`` checks nd alone and gives each v's bag position.
     Here every introduced vertex must be in 0..n-1 and every vertex of g
     forgotten, which the grammar makes exactly once. No bag may hold more
-    than ``MAX_WIDTH`` + 1 vertices, whatever cap built nd, so no table
+    than ``MAX_WIDTH`` + 1 vertices, whatever built nd, so no table
     grows past 2^(MAX_WIDTH + 1) entries; only introduce nodes grow a bag.
     With an empty root bag and no orphan node, an edge can then only be
     seen as a pair at the forget of its earlier endpoint, at most once, so

@@ -440,16 +440,16 @@ def _check_grammar(nodes):
     return pos
 
 
-def make_nice(td, max_width=MAX_WIDTH):
+def make_nice(td):
     """Rewrite a tree decomposition into nice form of the same width.
 
     Adjacent bags are bridged by forget-then-introduce chains (so no
     intermediate bag exceeds the larger of the two); multi-child bags are
     binarized with join nodes. A path-shaped input yields no join nodes.
     """
-    if td.width() > max_width:
+    if td.width() > MAX_WIDTH:
         raise SizeLimitError(
-            f"decomposition width {td.width()} exceeds the cap of {max_width}"
+            f"decomposition width {td.width()} exceeds the cap of {MAX_WIDTH}"
         )
     bad = _disconnected_vertices(td)
     if bad:

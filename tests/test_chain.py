@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tdcount import (
@@ -13,7 +15,6 @@ from tdcount import (
     cycle_graph,
     oracle_counts,
     parse_chain_file,
-    respectful_partial_matchings,
 )
 from conftest import minfill_nice
 
@@ -60,28 +61,6 @@ def test_build_chain_sizes():
     assert three.n == 3 * 6 - 2 * 2
 
 
-def test_respectful_partial_matchings_fixture():
-    e = hexagon_element()
-    # everything excluded: only the empty matching remains
-    assert respectful_partial_matchings(e, {2, 3, 4, 5}) == [frozenset()]
-    # nothing excluded: exactly two matchings cover v3..v6; the second one
-    # walks around the ring (the edge {v1,v2} itself may not appear: every
-    # matching edge needs an endpoint among v3..v6)
-    ms = respectful_partial_matchings(e, set())
-    assert ms == sorted(
-        [frozenset({(2, 3), (4, 5)}), frozenset({(0, 5), (1, 2), (3, 4)})],
-        key=sorted,
-    )
-    # v3 and v5 excluded: v4 and v6 cannot both be covered
-    assert respectful_partial_matchings(e, {2, 4}) == []
-
-
-def test_alpha_must_avoid_left_boundary():
-    e = hexagon_element()
-    with pytest.raises(ValueError):
-        respectful_partial_matchings(e, {0})
-
-
 def test_initial_vector_matches_reference():
     system = build_transition(hexagon_element())
     assert system.dim == 16
@@ -100,14 +79,78 @@ def test_initial_vector_is_oracle_backed():
 def test_transition_row_structure():
     e = hexagon_element()
     system = build_transition(e)
-    # alpha = {v3,v5}: no respectful matchings, so the row is all zero
+    # alpha = {v3,v5}: v4 and v6 cannot both be covered, so H[I + C] has
+    # no perfect matching for any C and the row is all zero
     row = system.matrix[system.state_index({2, 4})]
     assert all(x == 0 for x in row)
-    # alpha = {}: two matchings; with right boundary (v5,v6) the ring-walk
-    # matching covers both left vertices, mapping to state {v5,v6}
+    # alpha = {}: H lacks the edge {v1,v2}, so v3..v6 are matched alone
+    # (C = {}) or with both left vertices around the ring (C = {v1,v2}),
+    # which the right boundary (v5,v6) maps to state {v5,v6}
     row = system.matrix[0]
     hits = {j: c for j, c in enumerate(row) if c}
     assert hits == {0: 1, system.state_index({4, 5}): 1}
+
+
+def random_element(rng):
+    """Up to 8 vertices and 24 edges (the matching oracle's cap), |L| <= 3.
+
+    Edges inside L are drawn like any other and copied onto R, so the
+    boundary map is an isomorphism; sparse draws leave isolated vertices.
+    """
+    while True:
+        n = rng.randint(1, 8)
+        b = rng.randint(0, min(3, n // 2))
+        verts = rng.sample(range(n), n)
+        left, right = verts[:b], verts[b:2 * b]
+        p = rng.choice([0.15, 0.4, 0.7])
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < p}
+        for i in range(b):
+            for j in range(i + 1, b):
+                pair = tuple(sorted((right[i], right[j])))
+                edges.discard(pair)
+                if tuple(sorted((left[i], left[j]))) in edges:
+                    edges.add(pair)
+        if len(edges) <= 24:
+            return ChainElement(Graph(n, edges), left, right)
+
+
+def induced_pm(g, keep):
+    return oracle_counts(g.delete_vertices(set(range(g.n)) - set(keep)))[0]
+
+
+def test_transition_entries_are_induced_subgraph_counts():
+    # b1[alpha] = pm(G[I + L]) and A[alpha][beta] = pm(H[I + C]), where I is
+    # the interior minus alpha, H drops the edges inside L and C is the set
+    # of left vertices whose right partners make up beta
+    rng = random.Random(8)
+    kinds = {"edge inside L": 0, "empty boundary": 0, "isolated vertex": 0}
+    for _ in range(200):
+        e = random_element(rng)
+        g, left, right = e.g, e.left, e.right
+        kinds["edge inside L"] += any(u in left and v in left for u, v in g.edges)
+        kinds["empty boundary"] += not left
+        kinds["isolated vertex"] += any(g.degree(v) == 0 for v in range(g.n))
+        h = Graph(g.n, [(u, v) for u, v in g.edges
+                        if u not in left or v not in left])
+        system = build_transition(e)
+        assert system.dim == 1 << len(e.interior)
+        for idx, state in enumerate(system.states):
+            rest = set(e.interior) - set(state)
+            assert system.initial[idx] == induced_pm(g, rest | set(left))
+            expected = [0] * system.dim
+            for mask in range(1 << len(left)):
+                chosen = [i for i in range(len(left)) if mask >> i & 1]
+                beta = system.state_index({right[i] for i in chosen})
+                expected[beta] = induced_pm(h, rest | {left[i] for i in chosen})
+            assert system.matrix[idx] == expected
+        # and the vector b_n = A^(n-1) b1 counts the fused chain itself
+        vec = list(system.initial)
+        for n in range(1, 4):
+            chain = build_chain(e, n)
+            assert vec[0] == count_perfect_matchings(chain, minfill_nice(chain))
+            vec = [sum(a * x for a, x in zip(row, vec)) for row in system.matrix]
+    assert min(kinds.values()) >= 10, kinds
 
 
 def strip_element():

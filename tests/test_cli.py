@@ -161,6 +161,17 @@ def test_chain_command(capsys):
     assert out.strip() == "3"
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_chain_command_rejects_short_chains(capsys, n):
+    code, out, err = run(
+        ["chain", "--element", str(bundled_path("hexagon.chain")), "--n", n],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: --n must be at least 1, got {n}\n"
+
+
 def test_chain_command_prints_huge_counts(capsys):
     # the hexagon chain has F(n+2) perfect matchings: about 5,200 digits
     # here, beyond the interpreter's default int/str digit limit

@@ -484,9 +484,9 @@ def _one_bag_nice(k):
 
 
 def test_counters_refuse_bags_past_the_width_cap():
-    # make_nice enforces its max_width, which a caller may raise; the
-    # counters refuse a wider bag themselves, before any table of 2^|bag|
-    # entries is allocated
+    # make_nice refuses such a width, but a hand-built or parsed
+    # decomposition skips it; the counters refuse a wider bag themselves,
+    # before any table of 2^|bag| entries is allocated
     wide = _one_bag_nice(MAX_WIDTH + 2)
     assert wide.width() == MAX_WIDTH + 1
     assert wide.structure_violations() == []
