@@ -274,6 +274,9 @@ def _bench_instance(task):
 
 
 def cmd_bench(args):
+    for flag, value in (("--per-size", args.per_size), ("--jobs", args.jobs)):
+        if value < 1:
+            raise _UsageError(f"{flag} must be at least 1, got {value}")
     corpus_file = args.corpus or bundled_path("corpus100.smi")
     corpus = load_corpus(corpus_file)
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]

@@ -39,17 +39,18 @@ children's entries can differ a lot in length: min-fill's caterpillar trees
 join a short branch to a long spine, and a branch entry may hold small
 coefficients in slots of a few hundred bits. Multiplying the integers whole
 then spends most of its digit operations on zero padding. So a matching join
-splits the child with the shorter entries into its B-bit coefficients and
-visits its combining pairs once per slot, from the highest (Horner's rule):
-the output table is shifted left by B bits, then each pair adds coefficient
-times the other entry into it. No accumulator table is needed, and each
-product has a one-digit factor. The join splits only where that takes fewer
-digit operations -- every coefficient fits one int digit
-(``sys.int_info.bits_per_digit``), the entries span two slots or more, and a
-slot spans at least two digits -- and multiplies whole entries otherwise.
-Products per join are still counted once per combining pair. The pointwise
-independent-set join keeps whole products: it does one product per state,
-and there the split's per-slot shifts cost more than the padding.
+runs its one pair loop once per slot table, from the highest (Horner's
+rule): before every slot but the first the output table is shifted left by
+B bits, then each pair adds its slot entry times the other child's entry
+into it. Where that takes fewer digit operations -- every coefficient of
+the child with the shorter entries fits one int digit
+(``sys.int_info.bits_per_digit``), its entries span two slots or more, and a
+slot spans at least two digits -- the slot tables are that child's B-bit
+coefficients, so each product has a one-digit factor and no accumulator
+table is needed. Otherwise, plain passes included, the one slot table is the
+sparser child whole. Products per join are counted once per combining pair.
+The pointwise independent-set join keeps whole products: it does one product
+per state, and there the split's per-slot shifts cost more than the padding.
 
 Before counting, ``_prepare`` checks the decomposition -- its grammar
 through ``decomposition._check_grammar``, which ``structure_violations``
@@ -224,27 +225,29 @@ def _plan_for(g, nd):
     return plan
 
 
-def _split_narrow(t1, nz1, t2, nz2, shift):
-    """Split the child with the shorter entries into B-bit coefficients.
+def _join_slots(t1, nz1, t2, nz2, shift):
+    """Slot tables of a matching join: (whether they stand for t1, tables).
 
     B = shift (0 in a plain pass); nz1 and nz2 list the non-zero states of
-    tables t1 and t2, nz1 the shorter list. Returns (whether t1 is the one
-    split, tables), where table j holds coefficient j of each of its
-    non-zero entries (0 elsewhere), lowest slot first. Returns None where
-    the split costs no fewer digit operations than multiplying whole
-    entries: it needs two slots or more, slots of at least two int digits,
-    and every coefficient within one digit, so that each slot costs one
-    one-digit product per pair.
+    tables t1 and t2, nz1 the shorter list. The child with the shorter
+    entries is split into its B-bit coefficients: table j holds coefficient
+    j of each of its non-zero entries (0 elsewhere), lowest slot first. The
+    split needs two slots or more, slots of at least two int digits, and
+    every coefficient within one digit, so that each slot costs one
+    one-digit product per pair. Where it would not, it costs no fewer digit
+    operations than multiplying whole entries, and the one table is t1
+    whole: the one-slot case.
     """
+    whole = True, [t1]
     if shift < 2 * _DIGIT or not nz1:
-        return None
+        return whole
     top1 = max(t1[a] for a in nz1)
     top2 = max(t2[b] for b in nz2)
     narrow_first = top1 <= top2
     t, nz, top = (t1, nz1, top1) if narrow_first else (t2, nz2, top2)
     count = -(-top.bit_length() // shift)
     if count < 2:
-        return None
+        return whole
     mask = (1 << shift) - 1
     slots = [[0] * len(t) for _ in range(count)]
     for s in nz:
@@ -253,7 +256,7 @@ def _split_narrow(t1, nz1, t2, nz2, shift):
         while x:
             c = x & mask
             if c >> _DIGIT:
-                return None
+                return whole
             slots[j][s] = c
             x >>= shift
             j += 1
@@ -323,7 +326,6 @@ def _run(plan, mode, stats, shift=0):
             t1 = tables[c1]
             t2 = tables[c2]
             out = [0] * (1 << w)
-            products = 0
             if is_ind:
                 for m in range(1 << w):
                     out[m] = t1[m] * t2[m]
@@ -338,10 +340,19 @@ def _run(plan, mode, stats, shift=0):
                 live2 = 0  # bag vertices child 2 can have matched
                 for b in nz2:
                     live2 |= full ^ b
-                split = _split_narrow(t1, nz1, t2, nz2, shift)
-                if split is None:
+                # Horner's rule over the slot tables, highest first: out =
+                # out * 2^B + slot entry times the other child's entry, over
+                # the same pairs for every slot, so products counts one slot
+                narrow_first, slots = _join_slots(t1, nz1, t2, nz2, shift)
+                for k, cj in enumerate(reversed(slots)):
+                    if k:
+                        for m, o in enumerate(out):
+                            if o:
+                                out[m] = o << shift
+                    v1, v2 = (cj, t2) if narrow_first else (t1, cj)
+                    products = 0
                     for a in nz1:
-                        x = t1[a]
+                        x = v1[a]
                         # a vertex of a that child 2 cannot match stays
                         # unmatched
                         var = a & live2
@@ -349,41 +360,15 @@ def _run(plan, mode, stats, shift=0):
                         base = full ^ var
                         h = var
                         while True:
-                            y = t2[base | h]
-                            if y:
-                                out[forced | h] += x * y
+                            b = base | h
+                            if t2[b]:
                                 products += 1
+                                y = v2[b]
+                                if x and y:
+                                    out[forced | h] += x * y
                             if h == 0:
                                 break
                             h = (h - 1) & var
-                else:
-                    # Horner's rule over the split side's slots, highest
-                    # first: out = out * 2^B + coefficient j times the whole
-                    # other entry, over the same pairs for every slot j, so
-                    # products counts one slot
-                    narrow_first, slots = split
-                    for cj in reversed(slots):
-                        for m, o in enumerate(out):
-                            if o:
-                                out[m] = o << shift
-                        v1, v2 = (cj, t2) if narrow_first else (t1, cj)
-                        products = 0
-                        for a in nz1:
-                            x = v1[a]
-                            var = a & live2
-                            forced = a ^ var
-                            base = full ^ var
-                            h = var
-                            while True:
-                                b = base | h
-                                if t2[b]:
-                                    products += 1
-                                    y = v2[b]
-                                    if x and y:
-                                        out[forced | h] += x * y
-                                if h == 0:
-                                    break
-                                h = (h - 1) & var
             tables[i] = out
             if stats is not None:
                 stats.join_nodes += 1

@@ -61,8 +61,9 @@ def _bracket_atom(content, offset):
 def parse_smiles(s, name=None):
     """Parse a SMILES string into a :class:`Molecule`.
 
-    Dot-separated fragments yield a disconnected graph and a logged warning;
-    the counters are multiplicative over components, so this is safe.
+    Dot-separated fragments that no ring bond joins yield a disconnected
+    graph and a logged warning; the counters are multiplicative over
+    components, so this is safe. An empty fragment is a ``ParseError``.
     """
     if s is None or not s.strip():
         raise ParseError("empty SMILES string", offset=0)
@@ -74,7 +75,6 @@ def parse_smiles(s, name=None):
     branch_stack = []
     open_rings = {}
     bond_pending_at = None
-    fragments = 1
 
     def new_atom(symbol):
         nonlocal prev, bond_pending_at
@@ -122,16 +122,18 @@ def parse_smiles(s, name=None):
                 raise ParseError("dangling bond before ')'", offset=bond_pending_at)
             if not branch_stack:
                 raise ParseError("unmatched ')'", offset=i)
+            if prev is None:
+                raise ParseError("trailing '.' in branch", offset=i - 1)
             prev = branch_stack.pop()
             i += 1
             continue
         if ch == ".":
             if bond_pending_at is not None:
                 raise ParseError("bond symbol before '.'", offset=bond_pending_at)
-            if prev is None and not labels:
-                raise ParseError("leading '.'", offset=i)
+            if prev is None:
+                raise ParseError("leading '.'" if not labels
+                                 else "empty fragment between '.'", offset=i)
             prev = None
-            fragments += 1
             i += 1
             continue
         if ch == "%":
@@ -176,10 +178,11 @@ def parse_smiles(s, name=None):
     if prev is None:
         raise ParseError("trailing '.'", offset=len(s) - 1)
 
-    if fragments > 1:
-        log.warning("SMILES %r has %d fragments; graph will be disconnected",
-                    s, fragments)
-    return Molecule(Graph(len(labels), edges, labels), source=s, name=name)
+    graph = Graph(len(labels), edges, labels)
+    if "." in s and not graph.is_connected():
+        log.warning("SMILES %r has dot-separated fragments; graph is"
+                    " disconnected", s)
+    return Molecule(graph, source=s, name=name)
 
 
 @dataclass

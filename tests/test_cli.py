@@ -224,6 +224,19 @@ def test_bench_deterministic_and_jobs_equal(tmp_path, capsys):
     assert parallel == first
 
 
+@pytest.mark.parametrize("flag, value", [("--per-size", "-1"),
+                                         ("--per-size", "0"),
+                                         ("--jobs", "0")])
+def test_bench_rejects_non_positive_counts(tmp_path, capsys, flag, value):
+    # checked before the corpus is read: a missing corpus is not reached
+    missing = tmp_path / "missing.smi"
+    code, out, err = run(["bench", "--corpus", str(missing), "--seed", "1",
+                          flag, value], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: {flag} must be at least 1, got {value}\n"
+
+
 def test_bench_values_agree_and_round_trip(tmp_path, capsys):
     data = _bench(tmp_path, capsys, "d.csv", [])
     rows = list(csv.DictReader(io.StringIO(data.decode())))

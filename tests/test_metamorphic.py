@@ -228,11 +228,11 @@ def split_calls(monkeypatch):
     from tdcount import counting
 
     digit = sys.int_info.bits_per_digit
-    real = counting._split_narrow
+    real = counting._join_slots
     calls = []
 
     def spy(t1, nz1, t2, nz2, shift):
-        split = real(t1, nz1, t2, nz2, shift)
+        first, slots = real(t1, nz1, t2, nz2, shift)
         top1, top2 = max(t1), max(t2)
         short = t1 if top1 <= top2 else t2
         mask = (1 << shift) - 1
@@ -240,11 +240,14 @@ def split_calls(monkeypatch):
             (x >> k) & mask < 1 << digit
             for x in short for k in range(0, x.bit_length(), shift))
         slotted = shift >= 2 * digit and max(short).bit_length() > shift
-        narrow = split is None or (top1 <= top2 if split[0] else top2 <= top1)
-        calls.append((split is not None, slotted, fits, narrow))
-        return split
+        # a join that does not split runs one slot: the whole sparser child
+        split = len(slots) > 1
+        assert split or (first and slots[0] is t1)
+        narrow = not split or (top1 <= top2 if first else top2 <= top1)
+        calls.append((split, slotted, fits, narrow))
+        return first, slots
 
-    monkeypatch.setattr(counting, "_split_narrow", spy)
+    monkeypatch.setattr(counting, "_join_slots", spy)
     return calls
 
 

@@ -84,6 +84,13 @@ def test_structural_errors():
         parse_smiles("")
     with pytest.raises(ParseError, match="dangling bond"):
         parse_smiles("CC=")
+    # an empty fragment fails at its second '.', as leading and trailing
+    # dots (of the string or of a branch) fail at theirs
+    for text, bad_offset in [("C..C", 2), ("CC...O", 3), (".C", 0),
+                             ("C.", 1), ("C(C.)C", 3)]:
+        with pytest.raises(ParseError) as err:
+            parse_smiles(text)
+        assert err.value.offset == bad_offset
 
 
 def test_dot_fragments_warn_and_disconnect(caplog):
@@ -94,6 +101,12 @@ def test_dot_fragments_warn_and_disconnect(caplog):
     assert any("fragments" in rec.message for rec in caplog.records)
     with pytest.raises(ParseError):
         parse_smiles("CC.")
+    # a ring bond across the dot joins the fragments: ethane, no warning
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="tdcount.smiles"):
+        mol = parse_smiles("C1.C1")
+    assert mol.graph.is_connected() and (mol.graph.n, mol.graph.m) == (2, 1)
+    assert not caplog.records
 
 
 def test_duplicate_ring_bond_collapses():
