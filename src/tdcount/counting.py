@@ -52,6 +52,16 @@ sparser child whole. Products per join are counted once per combining pair.
 The pointwise independent-set join keeps whole products: it does one product
 per state, and there the split's per-slot shifts cost more than the padding.
 
+The kernel never adds, shifts or stores through a zero term. CPython's int
+addition copies the other operand when one is 0, so ``x + 0`` on an entry of
+(n/2)·B bits costs as much as ``x + x``, and most cells of a shifted pass
+are sums with zero terms. So a forget node keeps its first non-zero term by
+reference and shifts and adds a paired or chosen term only where it is
+non-zero, and a matching join stores a cell's first product rather than
+adding it to 0. Coefficients are read back from the root by halving it at
+slot boundaries, since peeling one B-bit slot at a time copies the rest of
+the integer for every slot.
+
 Before counting, ``_prepare`` checks the decomposition -- its grammar
 through ``decomposition._check_grammar``, which ``structure_violations``
 reports too, then what needs the graph -- and compiles it into a plan of
@@ -79,6 +89,9 @@ from .errors import DecompositionMismatch, SizeLimitError
 
 _LEAF, _INTRO, _FORGET, _JOIN = 0, 1, 2, 3
 _DIGIT = sys.int_info.bits_per_digit
+# peeling B-bit slots off an int of up to this many bits costs less than
+# halving it first
+_PEEL_BITS = 4096
 
 
 class SizePolynomial:
@@ -282,18 +295,19 @@ def _run(plan, mode, stats, shift=0):
             child = tables[c]
             out = [0] * (1 << w)
             low = (1 << p) - 1
+            high = ~low
             bit = 1 << p
             if is_ind:
                 for cm, val in enumerate(child):
                     if val:
-                        base = (cm & low) | ((cm >> p) << (p + 1))
+                        base = (cm & low) | ((cm & high) << 1)
                         out[base] = val
                         if not base & nbr_mask:
                             out[base | bit] = val
             else:
                 for cm, val in enumerate(child):
                     if val:
-                        out[((cm & low) | ((cm >> p) << (p + 1))) | bit] = val
+                        out[((cm & low) | ((cm & high) << 1)) | bit] = val
             tables[i] = out
             tables[c] = None
         elif code == _FORGET:
@@ -301,24 +315,36 @@ def _run(plan, mode, stats, shift=0):
             child = tables[c]
             out = [0] * (1 << w)
             low = (1 << p) - 1
+            high = ~low
             bit = 1 << p
             if is_ind:
-                # forgetting a chosen vertex commits it: one factor of x
+                # forgetting a chosen vertex commits it: one factor of x.
+                # A set stays independent without v, so val is non-zero
+                # wherever y is.
                 for m in range(1 << w):
-                    base = (m & low) | ((m >> p) << (p + 1))
-                    out[m] = child[base] + (child[base | bit] << shift)
+                    base = (m & low) | ((m & high) << 1)
+                    val = child[base]
+                    y = child[base | bit]
+                    out[m] = val + (y << shift) if y else val
             else:
                 for m in range(1 << w):
-                    base = (m & low) | ((m >> p) << (p + 1))
+                    base = (m & low) | ((m & high) << 1)
                     val = child[base]
                     if is_match:
-                        val += child[base | bit]
+                        y = child[base | bit]
+                        if y:
+                            val = val + y if val else y
                     # each pair edge v-u joins the matching here: one factor of x
                     paired = 0
                     for pbit, cbit in pairs:
                         if not m & pbit:
-                            paired += child[base | bit | cbit]
-                    out[m] = val + (paired << shift)
+                            y = child[base | bit | cbit]
+                            if y:
+                                paired = paired + y if paired else y
+                    if paired:
+                        paired <<= shift
+                        val = val + paired if val else paired
+                    out[m] = val
             tables[i] = out
             tables[c] = None
         else:  # _JOIN
@@ -365,7 +391,9 @@ def _run(plan, mode, stats, shift=0):
                                 products += 1
                                 y = v2[b]
                                 if x and y:
-                                    out[forced | h] += x * y
+                                    k = forced | h
+                                    o = out[k]
+                                    out[k] = o + x * y if o else x * y
                             if h == 0:
                                 break
                             h = (h - 1) & var
@@ -377,16 +405,32 @@ def _run(plan, mode, stats, shift=0):
     return tables[-1][0]
 
 
-def _size_poly(plan, mode, total, stats):
-    """Size polynomial from one shifted pass; total is its exact value at x = 1."""
-    bits = total.bit_length()
-    value = _run(plan, mode, stats, bits)
+def _coefficients(value, bits):
+    """The base-2^bits digits of value >= 0, lowest first; [] for 0.
+
+    Peeling one slot at a time (mask, then shift right) copies the rest of
+    the integer for every slot, which is quadratic in its length. So a value
+    longer than ``_PEEL_BITS`` is first halved at a slot boundary, each
+    level of halving copying it once, and only parts that short are peeled.
+    """
+    length = value.bit_length()
+    if length > _PEEL_BITS and length > bits:
+        half = -(-length // bits) // 2
+        low = _coefficients(value & ((1 << half * bits) - 1), bits)
+        high = _coefficients(value >> half * bits, bits)
+        return low + [0] * (half - len(low)) + high
     mask = (1 << bits) - 1
     coeffs = []
     while value:
         coeffs.append(value & mask)
         value >>= bits
-    return SizePolynomial(coeffs)
+    return coeffs
+
+
+def _size_poly(plan, mode, total, stats):
+    """Size polynomial from one shifted pass; total is its exact value at x = 1."""
+    bits = total.bit_length()
+    return SizePolynomial(_coefficients(_run(plan, mode, stats, bits), bits))
 
 
 def count_perfect_matchings(g, nd, stats=None):

@@ -233,6 +233,43 @@ def test_moderate_ladder_polynomial_identities():
         assert ip.total() == count_independent_sets(g, nd)
 
 
+@pytest.mark.parametrize("nice", [minfill_nice, path_nice],
+                         ids=["min-fill", "path"])
+def test_closed_forms_on_long_paths_and_cycles(nice):
+    # far past the oracle's cap, with coefficients of hundreds of bits:
+    # m_k(P_n) = C(n-k, k), i_k(P_n) = C(n-k+1, k) and
+    # m_k(C_n) = i_k(C_n) = n/(n-k) C(n-k, k)
+    n = 2000
+    path = path_graph(n)
+    nd = nice(path)
+    assert matching_polynomial(path, nd) == [
+        math.comb(n - k, k) for k in range(n + 1)]
+    assert independence_polynomial(path, nd) == [
+        math.comb(n - k + 1, k) for k in range(n + 1)]
+    cycle = cycle_graph(n)
+    nd = nice(cycle)
+    expected = [n * math.comb(n - k, k) // (n - k) for k in range(n // 2 + 1)]
+    assert matching_polynomial(cycle, nd) == expected
+    assert independence_polynomial(cycle, nd) == expected
+
+
+def test_coefficients_read_back_every_slot_width():
+    # B-bit slots with zero runs inside, past the length where the read-back
+    # starts halving, at widths on and off a byte boundary
+    rng = random.Random(10)
+    assert counting._coefficients(0, 7) == []
+    for bits in range(1, 301):
+        count = rng.randint(2, 3 * counting._PEEL_BITS // bits + 2)
+        coeffs = [
+            rng.choice((0, 0, 1, (1 << bits) - 1, rng.getrandbits(bits)))
+            for _ in range(count)
+        ]
+        coeffs[rng.randrange(count - 1)] = 0
+        coeffs[-1] = (1 << bits) - 1
+        value = sum(c << (j * bits) for j, c in enumerate(coeffs))
+        assert counting._coefficients(value, bits) == coeffs, bits
+
+
 # ----------------------------------------------------------- instrumentation
 
 def test_path_decomposition_never_joins():
