@@ -38,6 +38,7 @@ from .decomposition import (
     MAX_WIDTH,
     NiceDecomposition,
     TreeDecomposition,
+    decompose,
     decomposition_from_order,
     emit_td,
     make_nice,

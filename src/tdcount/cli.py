@@ -97,12 +97,6 @@ def _format_millis(ms, clock):
     return "0" if clock == "none" else f"{ms:.3f}"
 
 
-def _decomposition_for(graph):
-    order = decomposition.min_fill_order(graph)
-    td = decomposition.decomposition_from_order(graph, order)
-    return decomposition.make_nice(td)
-
-
 def _load_inputs(args):
     """Resolve the count inputs to a list of (id, graph, nice decomposition)."""
     given = [x for x in (args.smiles, args.gr, args.corpus) if x is not None]
@@ -195,21 +189,25 @@ def _compute(graph, nd, names):
             for name, fn in _SINGLE_COUNTERS.items() if name in wanted}
 
 
+def _dp_rows(mol_id, graph, nd, results, clock):
+    """CSV rows of the ``_compute`` results, in ``QUANTITIES`` order."""
+    return [[mol_id, graph.n, graph.m, nd.width(), name,
+             _format_value(results[name][0]),
+             _format_millis(results[name][1], clock), "dp", "ok"]
+            for name in QUANTITIES if name in results]
+
+
 def cmd_count(args):
     names = _selected_quantities(args)
     rows = []
     for mol_id, graph, nd in _load_inputs(args):
         if nd is None:
-            nd = _decomposition_for(graph)
-        results = _compute(graph, nd, names)
-        for name in QUANTITIES:
-            if name not in results:
-                continue
-            value, ms = results[name]
-            print(f"{mol_id}\t{name} = {_format_value(value)}")
-            rows.append([mol_id, graph.n, graph.m, nd.width(), name,
-                         _format_value(value), _format_millis(ms, args.clock),
-                         "dp", "ok"])
+            nd = decomposition.decompose(graph)
+        dp_rows = _dp_rows(mol_id, graph, nd, _compute(graph, nd, names),
+                           args.clock)
+        for row in dp_rows:
+            print(f"{mol_id}\t{row[4]} = {row[5]}")
+        rows += dp_rows
     _write_csv(args.out, rows)
     return EXIT_OK
 
@@ -238,19 +236,10 @@ def cmd_stats(args):
 def _bench_instance(task):
     """Compute all bench rows for one molecule (runs inside worker processes)."""
     mol_id, graph, engines, budget, clock = task
-    nd = _decomposition_for(graph)
+    nd = decomposition.decompose(graph)
     width = nd.width()
-    rows = []
-    dp_values = {}
-    if "dp" in engines:
-        for name in BENCH_QUANTITIES:
-            t0 = time.perf_counter()
-            value = _SINGLE_COUNTERS[name](graph, nd)
-            ms = (time.perf_counter() - t0) * 1000.0
-            dp_values[name] = value
-            rows.append([mol_id, graph.n, graph.m, width, name,
-                         _format_value(value), _format_millis(ms, clock), "dp",
-                         "ok"])
+    dp = _compute(graph, nd, BENCH_QUANTITIES) if "dp" in engines else {}
+    rows = _dp_rows(mol_id, graph, nd, dp, clock)
     if "baseline" in engines:
         fns = {
             "perfect_matchings": baselines.baseline_pm,
@@ -264,11 +253,11 @@ def _bench_instance(task):
             rows.append([mol_id, graph.n, graph.m, width, name, value,
                          _format_millis(result.elapsed * 1000.0, clock),
                          "baseline", status])
-            if not result.timed_out and name in dp_values:
-                if dp_values[name] != result.value:
+            if not result.timed_out and name in dp:
+                if dp[name][0] != result.value:
                     raise _InvariantError(
                         f"baseline disagrees with dp on {mol_id}/{name}: "
-                        f"{result.value} != {dp_values[name]}"
+                        f"{result.value} != {dp[name][0]}"
                     )
     return rows
 

@@ -3,8 +3,9 @@
 A :class:`TreeDecomposition` is a rooted tree of bags. ``make_nice`` rewrites
 it into a :class:`NiceDecomposition` where every node is a leaf (empty bag),
 introduce, forget or join node; the counting dynamic programs consume only
-the nice form. Construction is heuristic (min-fill elimination); externally
-produced decompositions can be loaded through the PACE-2017 ``.td`` format.
+the nice form. Construction is heuristic: ``decompose`` is the min-fill
+elimination tree in nice form. Externally produced decompositions can be
+loaded through the PACE-2017 ``.td`` format.
 """
 
 from __future__ import annotations
@@ -216,39 +217,41 @@ def min_fill_order(g):
 
 
 def decomposition_from_order(g, order):
-    """Elimination-game tree decomposition: one bag per eliminated vertex."""
+    """Elimination-game tree decomposition: one bag per eliminated vertex.
+
+    Bag i is ``order[i]`` with its later neighbours in the filled graph, and
+    its parent is the bag of the earliest of them, p. One symbolic pass finds
+    both without storing a fill edge. Eliminating v makes its later set a
+    clique, but p is eliminated before every other member, so it is enough
+    to merge the rest into ``higher[p]``. From there the set moves up the
+    parent chain, losing its earliest member at each step, so each member u
+    holds the members after it by the time u is eliminated: when the
+    elimination game would read those fill edges.
+    """
     check_order(g, order)
     n = g.n
     if n == 0:
         return TreeDecomposition([frozenset()], [-1], 0)
-    pos = {v: i for i, v in enumerate(order)}
-    adj = [set(g.neighbors(v)) for v in range(n)]
-    bags = []
-    for v in order:
-        later = sorted(adj[v])
-        bags.append(frozenset([v] + later))
-        for i in range(len(later)):
-            a = later[i]
-            for j in range(i + 1, len(later)):
-                b = later[j]
-                adj[a].add(b)
-                adj[b].add(a)
-        for a in later:
-            adj[a].discard(v)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    higher = [{u for u in g.neighbors(v) if pos[u] > pos[v]} for v in range(n)]
     root = n - 1
+    bags = []
     parent = []
     for i, v in enumerate(order):
-        rest = bags[i] - {v}
+        rest = higher[v]
+        bags.append(frozenset(rest | {v}))
         if rest:
-            first = min(rest, key=pos.__getitem__)
-            parent.append(pos[first])
-        elif i == root:
-            parent.append(-1)
+            p = min(rest, key=pos.__getitem__)
+            rest.discard(p)
+            higher[p] |= rest
+            parent.append(pos[p])
         else:
             # isolated remainder (last vertex of a component): hang it off the
             # global root bag; components share no vertices, so any tree shape
             # is valid
-            parent.append(root)
+            parent.append(-1 if i == root else root)
     return TreeDecomposition(bags, parent, root)
 
 
@@ -509,6 +512,12 @@ def make_nice(td):
     root = td.root
     grow(top[root], ordered[root], bags[root], (), empty)
     return NiceDecomposition(nodes)
+
+
+def decompose(g):
+    """The nice decomposition the counters use for ``g`` when none is given:
+    the min-fill elimination tree in nice form."""
+    return make_nice(decomposition_from_order(g, min_fill_order(g)))
 
 
 def parse_td(text):

@@ -10,13 +10,10 @@ explicit hydrogens are rejected with the offending offset.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .errors import ParseError
 from .graph import Graph
-
-log = logging.getLogger(__name__)
 
 _ELEMENTS = frozenset(
     """He Li Be B C N O F Ne Na Mg Al Si P S Cl Ar K Ca Sc Ti V Cr Mn Fe Co
@@ -180,8 +177,12 @@ def parse_smiles(s, name=None):
 
     graph = Graph(len(labels), edges, labels)
     if "." in s and not graph.is_connected():
-        log.warning("SMILES %r has dot-separated fragments; graph is"
-                    " disconnected", s)
+        # imported only here: at module level it adds milliseconds to every
+        # `import tdcount`, which needs it for this one warning
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "SMILES %r has dot-separated fragments; graph is disconnected", s)
     return Molecule(graph, source=s, name=name)
 
 

@@ -43,6 +43,14 @@ def random_graph(rng, max_n=12, max_m=24):
     return Graph(n, rng.sample(possible, m))
 
 
+def grid_graph(rows, cols):
+    return Graph(rows * cols,
+                 [(r * cols + c, r * cols + c + 1)
+                  for r in range(rows) for c in range(cols - 1)]
+                 + [(r * cols + c, (r + 1) * cols + c)
+                    for r in range(rows - 1) for c in range(cols)])
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

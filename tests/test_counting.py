@@ -33,7 +33,9 @@ from tdcount import (
 )
 from tdcount import counting
 from tdcount.decomposition import FORGET, INTRODUCE, JOIN, LEAF, NiceNode
-from conftest import count_prepares, minfill_nice, path_nice, random_graph
+from conftest import (
+    count_prepares, grid_graph, minfill_nice, path_nice, random_graph,
+)
 from test_decomposition import graphs
 
 SINGLE_EDGE = Graph(2, [(0, 1)])
@@ -211,14 +213,6 @@ def test_dense_and_structured_graphs_match_oracle():
         assert count_perfect_matchings(g, nd) == pm
         assert matching_polynomial(g, nd) == mp
         assert independence_polynomial(g, nd) == ip
-
-
-def grid_graph(rows, cols):
-    return Graph(rows * cols,
-                 [(r * cols + c, r * cols + c + 1)
-                  for r in range(rows) for c in range(cols - 1)]
-                 + [(r * cols + c, (r + 1) * cols + c)
-                    for r in range(rows - 1) for c in range(cols)])
 
 
 def test_moderate_ladder_polynomial_identities():

@@ -30,7 +30,7 @@ from tdcount.cli import bundled_path
 from tdcount.decomposition import (
     FORGET, INTRODUCE, JOIN, LEAF, NiceDecomposition, NiceNode,
 )
-from conftest import CAFFEINE_SMILES, random_graph
+from conftest import CAFFEINE_SMILES, grid_graph, random_graph
 
 
 def graphs(max_n=8, max_m=16):
@@ -223,6 +223,89 @@ def test_disconnected_graph_decomposes():
     assert validate(g, td).ok
     nd = make_nice(td)
     assert nd.structure_violations() == []
+
+
+def _decomposition_by_elimination_game(g, order):
+    """Reference: decomposition_from_order as it was, adding every fill edge
+    pair by pair to a copy of the adjacency, then finding each parent in a
+    second pass. Returns (bags, parent, root)."""
+    n = g.n
+    if n == 0:
+        return [frozenset()], [-1], 0
+    pos = {v: i for i, v in enumerate(order)}
+    adj = [set(g.neighbors(v)) for v in range(n)]
+    bags = []
+    for v in order:
+        later = sorted(adj[v])
+        bags.append(frozenset([v] + later))
+        for i in range(len(later)):
+            a = later[i]
+            for j in range(i + 1, len(later)):
+                b = later[j]
+                adj[a].add(b)
+                adj[b].add(a)
+        for a in later:
+            adj[a].discard(v)
+    root = n - 1
+    parent = []
+    for i, v in enumerate(order):
+        rest = bags[i] - {v}
+        if rest:
+            parent.append(pos[min(rest, key=pos.__getitem__)])
+        else:
+            parent.append(-1 if i == root else root)
+    return bags, parent, root
+
+
+def _assert_same_tree(g, order):
+    td = decomposition_from_order(g, order)
+    assert ((td.bags, td.parent, td.root)
+            == _decomposition_by_elimination_game(g, order))
+
+
+def test_elimination_tree_matches_game_on_corpus():
+    rng = random.Random(13)
+    for line in bundled_path("corpus100.smi").read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            g = parse_smiles(line.split("\t")[0]).graph
+            _assert_same_tree(g, min_fill_order(g))
+            order = list(range(g.n))
+            rng.shuffle(order)
+            _assert_same_tree(g, order)
+
+
+def test_elimination_tree_matches_game_on_benchmark_graphs():
+    element = parse_chain_file(bundled_path("hexagon.chain").read_text())
+    for g in [grid_graph(k, 30) for k in range(3, 9)]:
+        _assert_same_tree(g, min_fill_order(g))
+        _assert_same_tree(g, list(range(g.n)))  # row by row: width 30
+    # (the ladder's ids run along one rail, so its id order has width 600)
+    for g in (ladder_graph(600), build_chain(element, 300)):
+        _assert_same_tree(g, min_fill_order(g))
+
+
+def test_elimination_tree_matches_game_on_random_graphs():
+    rng = random.Random(14)
+    for _ in range(300):
+        g = random_graph(rng, max_n=40, max_m=rng.choice((20, 60, 120)))
+        _assert_same_tree(g, min_fill_order(g))
+        order = list(range(g.n))
+        rng.shuffle(order)
+        _assert_same_tree(g, order)
+
+
+def test_elimination_tree_matches_game_on_small_and_disconnected_graphs():
+    _assert_same_tree(Graph(0), [])
+    _assert_same_tree(Graph(1), [0])
+    rng = random.Random(15)
+    split = disjoint_union(disjoint_union(cycle_graph(5), Graph(2)),
+                           disjoint_union(path_graph(4), complete_graph(4)))
+    for g in (Graph(4), split):
+        _assert_same_tree(g, min_fill_order(g))
+        for _ in range(20):
+            order = list(range(g.n))
+            rng.shuffle(order)
+            _assert_same_tree(g, order)
 
 
 # ------------------------------------------------------------------ validate

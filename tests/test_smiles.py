@@ -1,4 +1,7 @@
 import logging
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +110,19 @@ def test_dot_fragments_warn_and_disconnect(caplog):
         mol = parse_smiles("C1.C1")
     assert mol.graph.is_connected() and (mol.graph.n, mol.graph.m) == (2, 1)
     assert not caplog.records
+
+
+def test_import_does_not_load_logging():
+    # the dot-fragment warning imports logging when it fires, not before;
+    # the child imports the same tdcount as this test, without site
+    import tdcount
+
+    src = Path(tdcount.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tdcount; "
+            "print('logging' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_duplicate_ring_bond_collapses():
