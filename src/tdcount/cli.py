@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -266,6 +267,9 @@ def cmd_bench(args):
     for flag, value in (("--per-size", args.per_size), ("--jobs", args.jobs)):
         if value < 1:
             raise _UsageError(f"{flag} must be at least 1, got {value}")
+    if not (math.isfinite(args.budget) and args.budget > 0):
+        raise _UsageError("--budget must be a positive finite number of "
+                          f"seconds, got {args.budget:g}")
     corpus_file = args.corpus or bundled_path("corpus100.smi")
     corpus = load_corpus(corpus_file)
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]

@@ -164,55 +164,69 @@ def check_order(g, order):
 def min_fill_order(g):
     """Greedy elimination order minimizing fill-in, ties broken by lowest id.
 
-    Works on a copy of the adjacency where fill edges accumulate. Each step
-    takes the alive vertex of least (fill, id) from a lazy min-heap: a
-    vertex gets a new entry only when its fill changes, and a popped entry
-    whose vertex is dead or whose fill is stale is skipped. Eliminating v
-    changes the fill of v's neighbours and of the common neighbours of each
-    fill edge it adds, and of no other vertex, so only those are recomputed.
-    If no vertex has more than d neighbours during elimination, a step costs
-    O(d^4 + d^2 log n): near-linear in n for small width, where scanning
-    every alive vertex per step cost O(n^2) in all. The order is the same.
+    ``fill[u]`` counts the non-adjacent pairs in N(u) of the graph where
+    fill edges accumulate, and is kept exact as v is eliminated:
+
+    * each neighbour a loses the missing pairs {v, x}, that is
+      ``|N(a) - v| - |N(a) & N(v)|``;
+    * each fill edge {a, b} added among N(v) takes the missing pair {a, b}
+      from every common neighbour of a and b, and gives a
+      ``|N(a)| - |N(a) & N(b)|`` new missing pairs (b likewise), both read
+      just before the edge is added.
+
+    No other fill changes, and no neighbourhood is ever recounted. Each step
+    takes the alive vertex of least (fill, id) from a lazy min-heap of ints
+    ``fill * n + id``: a vertex whose fill changed in a step gets one new
+    entry, and a popped entry that no longer matches its vertex (stale fill,
+    or dead) is skipped. If no vertex has more than d neighbours during
+    elimination, a step costs O(d^3 + d^2 log n), near-linear in n for small
+    width. The order is the one a scan of every alive vertex would pick.
     """
     n = g.n
     adj = [set(g.neighbors(v)) for v in range(n)]
-
-    def fill_cost(v):
-        nv = adj[v]
+    fill = []
+    for nv in adj:
         d = len(nv)
-        linked = 0  # twice the edges among N(v)
-        for a in nv:
-            linked += len(adj[a] & nv)
-        return (d * (d - 1) - linked) // 2
-
-    fill = [fill_cost(v) for v in range(n)]
-    heap = [(f, v) for v, f in enumerate(fill)]
+        linked = sum(len(adj[a] & nv) for a in nv)  # twice the edges in N(v)
+        fill.append((d * (d - 1) - linked) // 2)
+    heap = [f * n + v for v, f in enumerate(fill)]
     heapq.heapify(heap)
+    heappop = heapq.heappop
+    heappush = heapq.heappush
     order = []
     while heap:
-        f, v = heapq.heappop(heap)
-        if f != fill[v]:  # stale, or v already eliminated
+        key = heappop(heap)
+        v = key % n
+        if key != fill[v] * n + v:  # stale, or v already eliminated
             continue
-        fill[v] = None
+        fill[v] = -1
         order.append(v)
-        nbrs = sorted(adj[v])
-        for a in nbrs:
-            adj[a].discard(v)
-        dirty = set(nbrs)
-        for i in range(len(nbrs)):
-            a = nbrs[i]
+        nv = adj[v]
+        before = {}  # fill at the start of this step, of each vertex touched
+        for a in nv:
             adj_a = adj[a]
-            for j in range(i + 1, len(nbrs)):
-                b = nbrs[j]
+            adj_a.discard(v)
+            f = before[a] = fill[a]
+            fill[a] = f - len(adj_a) + len(adj_a & nv)
+        nbrs = list(nv)
+        for i, a in enumerate(nbrs):
+            adj_a = adj[a]
+            for b in nbrs[i + 1:]:
                 if b not in adj_a:
+                    adj_b = adj[b]
+                    common = adj_a & adj_b
+                    for c in common:
+                        if c not in before:
+                            before[c] = fill[c]
+                        fill[c] -= 1
+                    k = len(common)
+                    fill[a] += len(adj_a) - k
+                    fill[b] += len(adj_b) - k
                     adj_a.add(b)
-                    adj[b].add(a)
-                    dirty.update(adj_a & adj[b])
-        for u in dirty:
-            f = fill_cost(u)
-            if f != fill[u]:
-                fill[u] = f
-                heapq.heappush(heap, (f, u))
+                    adj_b.add(a)
+        for u, f in before.items():
+            if fill[u] != f:
+                heappush(heap, fill[u] * n + u)
     return order
 
 

@@ -21,6 +21,8 @@ class Graph:
     __slots__ = ("n", "edges", "labels", "_adj")
 
     def __init__(self, n, edges=(), labels=None):
+        if n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
         seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

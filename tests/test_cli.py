@@ -237,6 +237,18 @@ def test_bench_rejects_non_positive_counts(tmp_path, capsys, flag, value):
     assert err == f"usage error: {flag} must be at least 1, got {value}\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_bench_rejects_budget_not_positive_finite(tmp_path, capsys, value):
+    # nan would turn the budget off: no time is ever greater than nan
+    missing = tmp_path / "missing.smi"
+    code, out, err = run(["bench", "--corpus", str(missing), "--seed", "1",
+                          "--budget", value], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("usage error: --budget must be a positive finite number "
+                   f"of seconds, got {value}\n")
+
+
 def test_bench_values_agree_and_round_trip(tmp_path, capsys):
     data = _bench(tmp_path, capsys, "d.csv", [])
     rows = list(csv.DictReader(io.StringIO(data.decode())))

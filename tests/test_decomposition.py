@@ -145,6 +145,35 @@ def test_min_fill_order_matches_scan_on_long_chains():
             assert min_fill_order(h) == _min_fill_order_by_scan(h)
 
 
+def test_min_fill_order_matches_scan_on_grids():
+    # wide enough that one elimination adds fill edges whose common
+    # neighbours lose fill while their endpoints gain it
+    for k in range(3, 9):
+        g = grid_graph(k, 30)
+        for h in (g, _relabelled(g, k)):
+            assert min_fill_order(h) == _min_fill_order_by_scan(h)
+
+
+def test_min_fill_order_matches_scan_on_dense_random_graphs():
+    rng = random.Random(12)
+    for _ in range(150):
+        g = random_graph(rng, max_n=40, max_m=360)
+        assert min_fill_order(g) == _min_fill_order_by_scan(g)
+
+
+def test_min_fill_order_on_complete_graphs_and_isolated_vertices():
+    for n in range(9):
+        # no vertex ever has fill, so ties alone decide
+        assert min_fill_order(complete_graph(n)) == list(range(n))
+    g = disjoint_union(disjoint_union(grid_graph(3, 4), Graph(3)),
+                       disjoint_union(complete_graph(5), cycle_graph(7)))
+    # the isolated vertices 12-14 and the clique 15-19 are the only ones of
+    # fill 0, and eliminating one leaves the others at fill 0
+    assert min_fill_order(g)[:8] == list(range(12, 20))
+    for h in (g, _relabelled(g, 4)):
+        assert min_fill_order(h) == _min_fill_order_by_scan(h)
+
+
 def test_min_fill_ties_go_to_lowest_id():
     # every vertex of a cycle has fill 1
     for g in (cycle_graph(8), _relabelled(cycle_graph(8), 3)):

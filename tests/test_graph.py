@@ -77,6 +77,12 @@ def test_constructor_rejects_bad_edges():
         Graph(2, [(1, 1)])
 
 
+def test_constructor_rejects_negative_vertex_count():
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        Graph(-1)
+    assert Graph(0).n == 0
+
+
 def test_generators():
     assert path_graph(4).m == 3
     assert complete_graph(4).m == 6
