@@ -4,24 +4,28 @@ A chain element is a small graph with ordered boundary lists L and R and the
 positional bijection L[i] -> R[i] under which the induced boundary subgraphs
 are isomorphic. Chaining identifies the right boundary of one copy with the
 left boundary of the next. Perfect matchings of the whole chain are counted
-by propagating a vector of boundary states (subsets of V \\ L, encoded as
-bitmasks over the ascending interior vertex ids) through a transition matrix,
-whose (n-1)-th power is taken with O(log n) exact integer matrix products.
-Every matrix and initial-vector entry is the perfect-matching count of an
-induced subgraph of the element, read from a table over all 2^|V| vertex
-subsets; the state cap keeps |V| at 24 or fewer.
+by propagating a vector of boundary states through a transition matrix. A
+state is the set f(C) of right vertices that the copy above has matched,
+for a set C of its left vertices, so only 2^|L| states are reachable; the
+n-th power is applied with O(log n) exact integer matrix products. Every
+matrix entry is the perfect-matching count of an induced subgraph of the
+element, read from one table over all 2^|V| vertex subsets; the state cap
+keeps |V| at 24 or fewer. build_transition spells the same recursion out
+over all 2^k subsets of the k interior vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import ParseError, SizeLimitError
 from .graph import Graph, parse_gr
 
-# The matrix is allocated dense, 2^k x 2^k for k interior vertices: a cap of
-# 12 keeps it at 2^24 cells, and the subset tables (|L| <= k, so at most 24
-# vertices) at 2^24 entries.
+# build_transition allocates its matrix dense, 2^k x 2^k for k interior
+# vertices: a cap of 12 keeps it at 2^24 cells, and the subset table (|L| <=
+# k, so at most 24 vertices) at 2^24 entries. Counting needs only 2^|L| x
+# 2^|L| cells, but the same table.
 MAX_STATE_VERTICES = 12
 
 
@@ -31,6 +35,9 @@ class ChainElement:
     def __init__(self, g, left, right):
         left = tuple(left)
         right = tuple(right)
+        for v in left + right:
+            if type(v) is not int:
+                raise ValueError(f"boundary vertex {v!r} is not an int")
         if len(left) != len(right):
             raise ValueError("boundary lists must have equal length")
         left_set = set(left)
@@ -58,10 +65,14 @@ class ChainElement:
                 f"R={list(self.right)})")
 
 
+def _check_length(n):
+    if type(n) is not int or n < 1:
+        raise ValueError(f"chain length must be an int of at least 1, got {n!r}")
+
+
 def build_chain(element, n):
     """Graph of n fused copies: R of copy i is identified with L of copy i+1."""
-    if n < 1:
-        raise ValueError("chain length must be at least 1")
+    _check_length(n)
     g = element.g
     ids = [dict() for _ in range(n)]
     for v in range(g.n):
@@ -134,16 +145,15 @@ def _pm_by_subset(n, edges):
     return table
 
 
-def build_transition(element):
-    """Transition matrix A and initial vector b1 with b_n = A^(n-1) b1.
+def _reachable(element):
+    """Cap check, subset tables and covers, shared by both builders.
 
-    For state alpha let I be the interior minus alpha. The first copy is
-    the whole element minus alpha, so b1[alpha] = pm(G[I + L]). The top
-    copy of a longer chain covers I with edges that each have an endpoint
-    in I, so it uses H, the element without the edges inside L; the left
-    vertices C it covers are excluded from the copy below, as the state
-    beta that the boundary map sends C onto. So A[alpha][beta] =
-    pm(H[I + C]). Both are read from one subset table per edge set.
+    Returns (covers, row, u). covers lists (C, f(C)) as vertex masks for
+    every set C of left vertices, bit i of its index standing for L[i];
+    f(C) is the reachable state it gives the copy below. row(alpha) is the
+    row of state alpha (a vertex mask inside the interior) over the covers:
+    with I the interior minus alpha, entry j is pm(H[I + C_j]), where H is
+    the element without the edges inside L. u[j] = pm(G[L - C_j]).
     """
     g, left, interior = element.g, element.left, element.interior
     k = len(interior)
@@ -153,71 +163,77 @@ def build_transition(element):
             f"{MAX_STATE_VERTICES}; count build_chain(element, n) with the "
             f"generic DP instead"
         )
-    dim = 1 << k
-    states = []
-    for idx in range(dim):
-        states.append(tuple(interior[i] for i in range(k) if idx & (1 << i)))
-
-    left_set = set(left)
-    pm_g = _pm_by_subset(g.n, g.edges)
+    pos = {v: i for i, v in enumerate(left)}
     pm_h = _pm_by_subset(g.n, [(u, v) for u, v in g.edges
-                               if u not in left_set or v not in left_set])
-    # every covered set C of left vertices, with the state beta it maps onto
-    pos = {v: i for i, v in enumerate(interior)}
+                               if u not in pos or v not in pos])
+    pm_l = _pm_by_subset(len(left), [(pos[u], pos[v]) for u, v in g.edges
+                                     if u in pos and v in pos])
     covers = [(0, 0)]
     for x, y in zip(left, element.right):
-        covers += [(c | 1 << x, beta | 1 << pos[y]) for c, beta in covers]
-    left_mask = sum(1 << x for x in left)
-    interior_mask = (1 << g.n) - 1 - left_mask
+        covers += [(c | 1 << x, fc | 1 << y) for c, fc in covers]
+    interior_mask = sum(1 << v for v in interior)
+    full = len(covers) - 1
+
+    def row(alpha):
+        rest = interior_mask ^ alpha
+        return [pm_h[rest | c] for c, _ in covers]
+
+    return covers, row, [pm_l[full ^ j] for j in range(len(covers))]
+
+
+def build_transition(element):
+    """Transition matrix A and initial vector b1 over all 2^k interior states.
+
+    For state alpha let I be the interior minus alpha. The top copy of a
+    chain covers I with edges that each have an endpoint in I, so it uses
+    H, the element without the edges inside L; the left vertices C it
+    covers are excluded from the copy below, as the state beta that the
+    boundary map sends C onto. So A[alpha][beta] = pm(H[I + C]), and only
+    the 2^|L| images of the sets C are reachable. The first copy is the
+    whole element minus alpha: every perfect matching of G[I + L] splits L
+    into the vertices matched inside L and the set C matched into I, so
+    b1 = A u with u[C] = pm(G[L - C]), and b_n = A^(n-1) b1. This dense
+    form spells the recursion out; chain_pm_count does not build it.
+    """
+    covers, row, u = _reachable(element)
+    interior = element.interior
+    k = len(interior)
+    dim = 1 << k
+    states = [tuple(interior[i] for i in range(k) if idx >> i & 1)
+              for idx in range(dim)]
+    masks = [sum(1 << v for v in state) for state in states]
+    index = {mask: idx for idx, mask in enumerate(masks)}
+    betas = [index[fc] for _, fc in covers]
     matrix = []
     initial = []
-    for state in states:
-        rest = interior_mask - sum(1 << v for v in state)
-        row = [0] * dim
-        for c, beta in covers:
-            row[beta] = pm_h[rest | c]
-        matrix.append(row)
-        initial.append(pm_g[rest | left_mask])
+    for alpha in masks:
+        entries = row(alpha)
+        dense = [0] * dim
+        for beta, x in zip(betas, entries):
+            dense[beta] = x
+        matrix.append(dense)
+        initial.append(sum(map(mul, entries, u)))
     return TransitionSystem(element, dim, matrix, initial, states)
 
 
-def _mat_mul(a, b, dim):
-    out = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        row = a[i]
-        acc = out[i]
-        for t in range(dim):
-            x = row[t]
-            if x:
-                brow = b[t]
-                for j in range(dim):
-                    y = brow[j]
-                    if y:
-                        acc[j] += x * y
-    return out
-
-
-def _mat_vec(a, v, dim):
-    return [sum(a[i][t] * v[t] for t in range(dim) if v[t]) for i in range(dim)]
-
-
 def chain_pm_count(element, n, stats=None):
-    """Perfect matchings of chain(element, n) via binary exponentiation.
+    """Perfect matchings of chain(element, n) on the 2^|L| reachable states.
 
-    Matrix-matrix products performed: at most 2*ceil(log2 n).
+    State j is f(C_j), so A[i][j] = pm(H[(interior - f(C_i)) + C_j]) (see
+    build_transition). A copy 0 that holds only L gives b_n = A^n u, whose
+    entry 0 is the count; A^n u is taken by binary exponentiation, with
+    floor(log2 n) matrix squarings counted in stats.matrix_mults.
     """
-    if n < 1:
-        raise ValueError("chain length must be at least 1")
-    system = build_transition(element)
-    vec = list(system.initial)
-    e = n - 1
-    base = system.matrix
-    while e:
-        if e & 1:
-            vec = _mat_vec(base, vec, system.dim)
-        e >>= 1
-        if e:
-            base = _mat_mul(base, base, system.dim)
+    _check_length(n)
+    covers, row, vec = _reachable(element)
+    a = [row(fc) for _, fc in covers]
+    while n:
+        if n & 1:
+            vec = [sum(map(mul, r, vec)) for r in a]
+        n >>= 1
+        if n:
+            cols = list(zip(*a))
+            a = [[sum(map(mul, r, col)) for col in cols] for r in a]
             if stats is not None:
                 stats.matrix_mults += 1
     return vec[0]
@@ -227,34 +243,34 @@ def parse_chain_file(text):
     """Parse a chain element file: a ``.gr`` body plus ``l``/``r`` boundary lines.
 
     The boundary lines list 1-based vertex ids; positions pair up, so the i-th
-    left vertex maps to the i-th right vertex.
+    left vertex maps to the i-th right vertex. Errors give the line they are
+    on; a fault between the two lists gives the later one.
     """
     gr_lines = []
-    left = right = None
+    found = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        parts = stripped.split()
-        if parts and parts[0] == "l":
-            if left is not None:
-                raise ParseError("duplicate 'l' line", line=lineno)
+        parts = raw.split()
+        if parts and parts[0] in ("l", "r"):
+            side = "left" if parts[0] == "l" else "right"
+            if side in found:
+                raise ParseError(f"duplicate '{parts[0]}' line", line=lineno)
             try:
-                left = [int(x) - 1 for x in parts[1:]]
+                found[side] = ([int(x) for x in parts[1:]], lineno)
             except ValueError:
-                raise ParseError("non-integer left boundary", line=lineno)
-        elif parts and parts[0] == "r":
-            if right is not None:
-                raise ParseError("duplicate 'r' line", line=lineno)
-            try:
-                right = [int(x) - 1 for x in parts[1:]]
-            except ValueError:
-                raise ParseError("non-integer right boundary", line=lineno)
-        else:
-            gr_lines.append(raw)
-    if left is None or right is None:
+                raise ParseError(f"non-integer {side} boundary", line=lineno)
+            raw = "c"  # keeps the .gr line numbers
+        gr_lines.append(raw)
+    if len(found) < 2:
         raise ParseError("chain element file needs 'l' and 'r' boundary lines",
                          line=1)
     g = parse_gr("\n".join(gr_lines))
+    for ids, lineno in found.values():
+        for v in ids:
+            if not 1 <= v <= g.n:
+                raise ParseError(f"boundary vertex {v} out of range",
+                                 line=lineno)
+    (left, l_line), (right, r_line) = found["left"], found["right"]
     try:
-        return ChainElement(g, left, right)
+        return ChainElement(g, [v - 1 for v in left], [v - 1 for v in right])
     except ValueError as exc:
-        raise ParseError(str(exc), line=1)
+        raise ParseError(str(exc), line=max(l_line, r_line))

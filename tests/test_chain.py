@@ -16,7 +16,7 @@ from tdcount import (
     oracle_counts,
     parse_chain_file,
 )
-from conftest import minfill_nice
+from conftest import grid_graph, minfill_nice
 
 
 def hexagon_element():
@@ -49,6 +49,11 @@ def test_element_validation():
         ChainElement(g, (0, 1), (2, 4))
     with pytest.raises(ValueError, match="out of range"):
         ChainElement(g, (0, 1), (4, 9))
+    # a float id is not a vertex, though it compares equal to one
+    with pytest.raises(ValueError, match="not an int"):
+        ChainElement(cycle_graph(3), (0.0,), (2,))
+    with pytest.raises(ValueError, match="not an int"):
+        ChainElement(g, (0, 1), (4, True))
 
 
 def test_build_chain_sizes():
@@ -144,11 +149,14 @@ def test_transition_entries_are_induced_subgraph_counts():
                 beta = system.state_index({right[i] for i in chosen})
                 expected[beta] = induced_pm(h, rest | {left[i] for i in chosen})
             assert system.matrix[idx] == expected
-        # and the vector b_n = A^(n-1) b1 counts the fused chain itself
+        # and the vector b_n = A^(n-1) b1 counts the fused chain itself, as
+        # does the counter on the reachable states alone
         vec = list(system.initial)
         for n in range(1, 4):
             chain = build_chain(e, n)
-            assert vec[0] == count_perfect_matchings(chain, minfill_nice(chain))
+            expected = count_perfect_matchings(chain, minfill_nice(chain))
+            assert vec[0] == expected
+            assert chain_pm_count(e, n) == expected
             vec = [sum(a * x for a, x in zip(row, vec)) for row in system.matrix]
     assert min(kinds.values()) >= 10, kinds
 
@@ -165,10 +173,25 @@ def strip_element():
     return ChainElement(Graph(10, edges), left=(0, 1), right=(8, 9))
 
 
+def grid_element():
+    # a 4x3 grid with L = first column, R = last column: 16 of the 256
+    # interior states are reachable
+    return ChainElement(grid_graph(4, 3), left=(0, 3, 6, 9),
+                        right=(2, 5, 8, 11))
+
+
 def test_chain_counts_match_generic_dp():
     strip = strip_element()
     assert strip.g.m == 25
-    for e, copies in ((hexagon_element(), 6), (strip, 4)):
+    grid = grid_element()
+    system = build_transition(grid)
+    reachable = [i for i, s in enumerate(system.states)
+                 if set(s) <= set(grid.right)]
+    assert (system.dim, len(reachable)) == (256, 16)
+    # rows the counter never builds are not all zero
+    assert any(any(system.matrix[i]) for i in range(system.dim)
+               if i not in reachable)
+    for e, copies in ((hexagon_element(), 6), (strip, 4), (grid, 4)):
         for n in range(1, copies + 1):
             g = build_chain(e, n)
             expected = count_perfect_matchings(g, minfill_nice(g))
@@ -230,10 +253,15 @@ def test_state_cap():
     e = ChainElement(g, (0,), (21,))
     with pytest.raises(SizeLimitError):
         build_transition(e)
+    with pytest.raises(SizeLimitError):
+        chain_pm_count(e, 2)
     # 13 interior vertices: refused before a 2^13 x 2^13 matrix is allocated
     g = Graph(14, [(i, i + 1) for i in range(13)])
+    e = ChainElement(g, (0,), (13,))
     with pytest.raises(SizeLimitError, match="build_chain"):
-        build_transition(ChainElement(g, (0,), (13,)))
+        build_transition(e)
+    with pytest.raises(SizeLimitError, match="build_chain"):
+        chain_pm_count(e, 2)
 
 
 def test_parse_chain_file():
@@ -250,6 +278,17 @@ def test_parse_chain_file():
         parse_chain_file("p tw 2 1\n1 2\n")
     with pytest.raises(ParseError):
         parse_chain_file("p tw 2 1\n1 2\nl 1\nr 3\n")
+    # a bad id is reported as written, on its own boundary line
+    with pytest.raises(ParseError, match=r"vertex 0 out of range \(line 3\)"):
+        parse_chain_file("p tw 2 1\n1 2\nl 0\nr 2\n")
+    with pytest.raises(ParseError, match=r"vertex 3 out of range \(line 2\)"):
+        parse_chain_file("p tw 2 1\nr 3\n1 2\nl 1\n")
+    # a fault between the lists is reported on the later one, and .gr
+    # errors keep their lines when boundary lines come first
+    with pytest.raises(ParseError, match=r"equal length \(line 4\)"):
+        parse_chain_file("p tw 3 1\n1 2\nl 1\nr 2 3\n")
+    with pytest.raises(ParseError, match=r"\(line 4\)"):
+        parse_chain_file("p tw 2 1\nl 1\nr 2\n1 x\n")
 
 
 def test_invalid_length():
@@ -257,3 +296,8 @@ def test_invalid_length():
         chain_pm_count(hexagon_element(), 0)
     with pytest.raises(ValueError):
         build_chain(hexagon_element(), 0)
+    for n in (1.5, 2.0, "2", True):
+        with pytest.raises(ValueError, match="must be an int"):
+            chain_pm_count(hexagon_element(), n)
+        with pytest.raises(ValueError, match="must be an int"):
+            build_chain(hexagon_element(), n)
