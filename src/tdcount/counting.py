@@ -72,12 +72,25 @@ checks and compiles it once. Nice nodes are immutable, so a kept plan cannot
 go stale; another graph object is checked afresh and its plan replaces the
 kept one.
 
+``run_all`` needs two families of passes that share only the read-only
+plan: Hosoya then the matching polynomial, Merrifield-Simmons then the
+independence polynomial. After the Hosoya pass it predicts the bit work of
+a shifted pass (``_bit_work``, B = the Hosoya total's bit length). Where
+that reaches ``_FORK_WORK``, ``os.fork`` exists, no second thread is alive
+and the CPU affinity holds two CPUs or more, one forked child computes the
+independence family while the parent computes the matching polynomial; the
+child marshals its answers, join bags and times back through a pipe. Else,
+or if the child fails, the parent computes the family itself. Answers and
+``DpStats`` are the same either way.
+
 All counts are exact arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -92,6 +105,11 @@ _DIGIT = sys.int_info.bits_per_digit
 # peeling B-bit slots off an int of up to this many bits costs less than
 # halving it first
 _PEEL_BITS = 4096
+# ``_bit_work`` at or above which ``run_all`` computes the independence
+# family in a forked child. Forking and reaping cost the parent about
+# 1.5 ms; min-fill on the 6x30 grid (3.2e8) spends about 18 ms in that
+# family, on the 5x30 grid (1.0e8, no fork) 7 ms
+_FORK_WORK = 1 << 27
 
 
 class SizePolynomial:
@@ -219,6 +237,31 @@ def _prepare(g, nd):
         stray = sorted(g.edges - seen)
         raise DecompositionMismatch(f"edges {stray} not covered by any bag")
     return plan
+
+
+def _bit_work(plan, bits):
+    """Predicted bit work of a shifted pass over plan with B = bits.
+
+    A cell at a node holds at most one B-bit slot per vertex forgotten
+    below it (the node included), so the unit is
+    B × Σ over nodes of 2^|bag| × (vertices forgotten below the node).
+    """
+    # per node whose parent is still ahead; every node has one parent
+    below = {}
+    cells = 0
+    for i, op in enumerate(plan):
+        code = op[0]
+        if code == _JOIN:
+            forgotten = below.pop(op[1], 0) + below.pop(op[2], 0)
+            w = op[3]
+        elif code == _LEAF:
+            continue
+        else:
+            forgotten = below.pop(op[1], 0) + (code == _FORGET)
+            w = op[4]
+        below[i] = forgotten
+        cells += forgotten << w
+    return bits * cells
 
 
 def _plan_for(g, nd):
@@ -510,13 +553,118 @@ class RunReport:
         }
 
 
+def _fork_pays(plan, n, width, bits):
+    """Whether ``run_all`` computes the independence family in a child.
+
+    bits is the Hosoya total's bit length. The bound bits × nodes × n ×
+    2^(width + 1) on ``_bit_work`` is tested first, so small inputs pay O(1).
+    """
+    if (bits * len(plan) * n) << (width + 1) < _FORK_WORK:
+        return False
+    if _bit_work(plan, bits) < _FORK_WORK:
+        return False
+    # tdcount does not import threading, which would add to every start-up:
+    # a process that never imported it started no thread through it
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (
+            threading is not None and threading.active_count() > 1):
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return cpus >= 2
+
+
+def _independence_family(plan, traced):
+    """The Merrifield-Simmons total, then its shifted pass.
+
+    Returns (total, coefficients, join bags, millis): the coefficients
+    lowest first, the join bags of each pass as a pair of lists (None
+    unless traced) and the two passes' elapsed milliseconds. All of it is
+    plain ints, floats, lists, tuples and dicts, which ``marshal`` carries.
+    """
+    passes = (DpStats(), DpStats()) if traced else (None, None)
+    t0 = time.perf_counter()
+    total = _run(plan, "ind", passes[0])
+    t1 = time.perf_counter()
+    bits = total.bit_length()
+    coeffs = _coefficients(_run(plan, "ind", passes[1], bits), bits)
+    t2 = time.perf_counter()
+    bags = [s.join_bags for s in passes] if traced else None
+    millis = {"independent_sets": (t1 - t0) * 1000.0,
+              "independence_polynomial": (t2 - t1) * 1000.0}
+    return total, coeffs, bags, millis
+
+
+def _fork_independence(plan, traced):
+    """Start ``_independence_family`` in a child: (pid, pipe read end).
+
+    None if the fork fails. The child writes the marshalled result to the
+    pipe and always leaves through ``os._exit``: 0 once the result is
+    written, 1 on any exception, which the parent meets again when it
+    computes the family itself.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pipe.write(marshal.dumps(_independence_family(plan, traced)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _join_independence(pid, r):
+    """The child's ``_independence_family`` result, or None if it failed.
+
+    The pipe is read to its end before the child is reaped, since a child
+    with more to write than the pipe holds cannot exit; it is reaped even
+    if the read fails.
+    """
+    try:
+        with open(r, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    return marshal.loads(data) if status == 0 else None
+
+
 def run_all(g, nd, stats=None):
     """All five counts plus both entropies on one decomposition.
 
     Four DP passes: Hosoya, Merrifield-Simmons and one shifted pass per
     polynomial. The perfect matchings are read off the matching polynomial.
+
+    The Hosoya pass runs first. When its bit length predicts enough work
+    (see ``_fork_pays``: ``_FORK_WORK``, POSIX fork, no second thread, two
+    CPUs or more), one forked child computes the independence family, the
+    Merrifield-Simmons total and then the independence polynomial, while
+    this process runs the matching-polynomial pass; the child sends its
+    answers back through a pipe and is always reaped before this returns.
+    Otherwise, or if the child fails, this process runs the family itself,
+    so an error in it is raised here. Answers and ``stats`` are the same
+    either way: the join bags of a traced call keep the pass order Hosoya,
+    Merrifield-Simmons, matching polynomial, independence polynomial.
+
+    ``millis`` holds each pass's elapsed milliseconds. Entries the child
+    computed are its own elapsed times, so in a forked call they overlap
+    the matching-polynomial pass and the entries may add up to more than
+    the call took.
     """
     plan = _plan_for(g, nd)
+    width = nd.width()
+    traced = stats is not None
     millis = {}
 
     def timed(name, fn):
@@ -526,16 +674,31 @@ def run_all(g, nd, stats=None):
         return value
 
     ma = timed("matchings", lambda: _run(plan, "match", stats))
-    ind = timed("independent_sets", lambda: _run(plan, "ind", stats))
-    mp = timed("matching_polynomial",
-               lambda: _size_poly(plan, "match", ma, stats))
+    child = None
+    if _fork_pays(plan, g.n, width, ma.bit_length()):
+        child = _fork_independence(plan, traced)
+    mp_stats = DpStats() if traced else None
+    family = None
+    try:
+        mp = timed("matching_polynomial",
+                   lambda: _size_poly(plan, "match", ma, mp_stats))
+    finally:
+        if child is not None:
+            family = _join_independence(*child)
+    if family is None:
+        family = _independence_family(plan, traced)
+    ind, ip_coeffs, ind_bags, ind_millis = family
+    ip = SizePolynomial(ip_coeffs)
     # a perfect matching is a matching of n/2 edges: no pass of its own
     n = g.n
     pm = timed("perfect_matchings", lambda: 0 if n % 2 else mp[n // 2])
-    ip = timed("independence_polynomial",
-               lambda: _size_poly(plan, "ind", ind, stats))
+    millis.update(ind_millis)
+    if traced:
+        for bags in (ind_bags[0], mp_stats.join_bags, ind_bags[1]):
+            stats.join_nodes += len(bags)
+            stats.join_bags += bags
     return RunReport(
-        width=nd.width(),
+        width=width,
         node_count=len(nd),
         join_count=nd.join_count(),
         perfect_matchings=pm,

@@ -384,14 +384,15 @@ def _check_grammar(nodes):
     """The one nice-decomposition grammar check; raises at the first fault.
 
     Every child must be the int index of an earlier node with no other
-    parent, and each kind must have its number of children. Bag equations
-    hold as tuples: empty at a leaf, the child's bag with v inserted in
-    order at an introduce node (v a non-negative int not in it), with v
-    removed at a forget node, and both children's bags at a join; so every
-    bag is strictly increasing. No vertex is forgotten twice, the root bag
-    is empty and every node is below the root. Returns, per node, the
-    position of v in the introduce node's bag or the forget node's child
-    bag (None elsewhere).
+    parent, and each kind must have its number of children; child indices
+    and introduced vertices are of type int exactly, so a bool is refused
+    as either. Bag equations hold as tuples: empty at a leaf, the child's
+    bag with v inserted in order at an introduce node (v non-negative and
+    not in it), with v removed at a forget node, and both children's bags
+    at a join; so every bag is strictly increasing. No vertex is forgotten
+    twice, the root bag is empty and every node is below the root. Returns,
+    per node, the position of v in the introduce node's bag or the forget
+    node's child bag (None elsewhere).
     """
     has_parent = [False] * len(nodes)
     forgotten = set()
@@ -408,7 +409,7 @@ def _check_grammar(nodes):
             if len(children) != 1:
                 raise _arity_error(i, kind, children)
             child_bag = nodes[children[0]].bag
-            if not (isinstance(v, int) and v >= 0):
+            if type(v) is not int or v < 0:
                 raise DecompositionMismatch(
                     f"introduced vertex {v!r} is not a non-negative int"
                 )

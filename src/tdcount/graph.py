@@ -21,10 +21,15 @@ class Graph:
     __slots__ = ("n", "edges", "labels", "_adj")
 
     def __init__(self, n, edges=(), labels=None):
+        # ints only: a bool would pass as 0 or 1, a float fails as an index
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         seen = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r},{v!r}) has a non-int endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:

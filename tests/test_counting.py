@@ -1,6 +1,9 @@
+import marshal
 import math
+import os
 import pickle
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +27,7 @@ from tdcount import (
     entropy,
     independence_polynomial,
     ladder_graph,
+    load_corpus,
     make_nice,
     matching_polynomial,
     min_fill_order,
@@ -32,6 +36,7 @@ from tdcount import (
     run_all,
 )
 from tdcount import counting
+from tdcount.cli import bundled_path
 from tdcount.decomposition import FORGET, INTRODUCE, JOIN, LEAF, NiceNode
 from conftest import (
     count_prepares, grid_graph, minfill_nice, path_nice, random_graph,
@@ -383,6 +388,173 @@ def test_run_all_internal_consistency_caffeine():
     assert report.independence_poly == ip
 
 
+# ------------------------------------------------------- forked run_all
+
+def _report_answers(report):
+    return (report.perfect_matchings, report.matchings,
+            report.independent_sets, report.matching_poly,
+            report.independence_poly, report.entropy_matchings,
+            report.entropy_independent_sets, report.width,
+            report.node_count, report.join_count)
+
+
+def _record_forks(monkeypatch, fork_work):
+    """Set ``_FORK_WORK`` and two CPUs of affinity; returns the pids forked."""
+    monkeypatch.setattr(counting, "_FORK_WORK", fork_work)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    forks = []
+    real_fork = os.fork
+
+    def recorded():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _traced_run_all(g, nd):
+    stats = DpStats()
+    report = run_all(g, nd, stats)
+    return _report_answers(report), stats
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@needs_fork
+def test_forked_run_all_matches_serial_and_oracle(monkeypatch):
+    from tdcount import parse_smiles
+    from conftest import CAFFEINE_SMILES
+
+    k24 = Graph(6, [(u, v) for u in (0, 1) for v in range(2, 6)])
+    k24_nd = make_nice(TreeDecomposition(
+        [{0, 1}, {0, 1, 2, 3}, {0, 1, 4, 5}], [-1, 0, 0], 0))
+    small = [(g, minfill_nice(g)) for g in (
+        Graph(1), path_graph(2), path_graph(3), path_graph(4),
+        cycle_graph(4), cycle_graph(6), Graph(6, [(0, 1), (2, 3), (4, 5)]),
+        grid_graph(3, 4), parse_smiles(CAFFEINE_SMILES).graph)]
+    small.append((k24, k24_nd))
+    n = 2000
+    long_ones = [(path_graph(n), path_nice(path_graph(n))),
+                 (cycle_graph(n), minfill_nice(cycle_graph(n)))]
+    path_m = [math.comb(n - k, k) for k in range(n + 1)]
+    path_i = [math.comb(n - k + 1, k) for k in range(n + 1)]
+    cycle = [n * math.comb(n - k, k) // (n - k) for k in range(n // 2 + 1)]
+    expected = [oracle_counts(g) for g, _ in small] + [
+        (path_m[n // 2], path_m, path_i), (cycle[n // 2], cycle, cycle)]
+
+    forks = _record_forks(monkeypatch, 1 << 200)
+    serial = [_traced_run_all(g, nd) for g, nd in small + long_ones]
+    assert forks == []
+    monkeypatch.setattr(counting, "_FORK_WORK", 0)
+    forked = [_traced_run_all(g, nd) for g, nd in small + long_ones]
+    assert len(forks) == len(serial)
+    _no_child_left()
+
+    for (g, nd), want, (answers, stats), (serial_answers, serial_stats) in \
+            zip(small + long_ones, expected, forked, serial):
+        assert answers == serial_answers
+        assert answers[0] == want[0]
+        assert answers[3] == want[1] and answers[4] == want[2]
+        # Hosoya, Merrifield-Simmons, match-poly, ind-poly: each pass
+        # visits every join once, and a shifted pass multiplies the pairs
+        # its plain pass does
+        assert stats == serial_stats
+        joins = nd.join_count()
+        assert stats.join_nodes == len(stats.join_bags) == 4 * joins
+        passes = [stats.join_bags[k * joins:(k + 1) * joins]
+                  for k in range(4)]
+        assert passes[2] == passes[0] and passes[3] == passes[1]
+        assert [p for _, p in passes[1]] == [1 << w for w, _ in passes[1]]
+    # K_{2,4}: Hosoya multiplies 9 pairs at its join, Merrifield-Simmons 4
+    assert forked[len(small) - 1][1].join_bags == \
+        [(2, 9), (2, 4), (2, 9), (2, 4)]
+
+
+@needs_fork
+def test_run_all_forks_only_where_the_gate_allows(monkeypatch):
+    g = ladder_graph(40)
+    nd = minfill_nice(g)
+    fork_work = counting._FORK_WORK
+    forks = _record_forks(monkeypatch, 0)
+    want = _report_answers(run_all(g, nd))
+    assert len(forks) == 1
+
+    def no_fork():
+        raise AssertionError("run_all forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    # a single CPU of affinity
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert _report_answers(run_all(g, nd)) == want
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    # a second thread alive
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        assert _report_answers(run_all(g, nd)) == want
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    # predicted work below the constant
+    monkeypatch.setattr(counting, "_FORK_WORK",
+                        counting._bit_work(counting._plan_for(g, nd),
+                                           want[1].bit_length()) + 1)
+    assert _report_answers(run_all(g, nd)) == want
+    monkeypatch.setattr(counting, "_FORK_WORK", fork_work)
+    # no molecule of the bundled corpus predicts that much work
+    for mol in load_corpus(bundled_path("corpus100.smi")).molecules:
+        run_all(mol.graph, minfill_nice(mol.graph))
+    _no_child_left()
+
+
+@needs_fork
+def test_failed_child_leaves_the_family_to_the_parent(monkeypatch):
+    g = ladder_graph(40)
+    nd = minfill_nice(g)
+    want = _traced_run_all(g, nd)
+    forks = _record_forks(monkeypatch, 0)
+
+    # the child cannot send its result: the parent computes the family
+    def no_dumps(value):
+        raise ValueError("marshal refused")
+
+    monkeypatch.setattr(marshal, "dumps", no_dumps)
+    assert _traced_run_all(g, nd) == want
+    assert len(forks) == 1
+    _no_child_left()
+    monkeypatch.undo()
+
+    # a fault in the family itself fails the child, then the parent's own
+    # pass raises it
+    forks = _record_forks(monkeypatch, 0)
+    real_run = counting._run
+
+    def failing_run(plan, mode, stats, shift=0):
+        if mode == "ind":
+            raise RuntimeError("independence pass failed")
+        return real_run(plan, mode, stats, shift)
+
+    monkeypatch.setattr(counting, "_run", failing_run)
+    with pytest.raises(RuntimeError, match="independence pass failed"):
+        run_all(g, nd)
+    assert len(forks) == 1
+    _no_child_left()
+
+
 # ------------------------------------------------------------------- errors
 
 def test_mismatched_decomposition_rejected():
@@ -481,6 +653,14 @@ def test_mismatched_decomposition_rejected():
         NiceNode((0,), INTRODUCE, 0, (0.0,)),
         NiceNode((), FORGET, 0, (1,)),
     ])
+    # True once passed the grammar as vertex 1
+    bool_vertex = NiceDecomposition([
+        leaf,
+        NiceNode((0,), INTRODUCE, 0, (0,)),
+        NiceNode((0, True), INTRODUCE, True, (1,)),
+        NiceNode((True,), FORGET, 0, (2,)),
+        NiceNode((), FORGET, True, (3,)),
+    ])
     cases = ((path_graph(2), refound, "forgotten exactly once"),
              (Graph(1), open_root, "root bag"),
              (cycle_graph(4), shuffled, "bag equation"),
@@ -491,6 +671,7 @@ def test_mismatched_decomposition_rejected():
              (path_graph(2), shared, "unshared"),
              (Graph(1), full_leaf, "leaf 0 has bag"),
              (Graph(1), float_child, "child 0.0 that is not an earlier"),
+             (path_graph(2), bool_vertex, "vertex True is not a non-negative"),
              (Graph(1), foreign, "outside 0..0"))
     for graph, nd, message in cases:
         # one grammar check behind both entry points: every fault it finds

@@ -83,6 +83,18 @@ def test_constructor_rejects_negative_vertex_count():
     assert Graph(0).n == 0
 
 
+def test_constructor_rejects_non_int_input():
+    # a float endpoint once escaped as a TypeError from list indexing, and a
+    # bool endpoint was taken as vertex 0 or 1
+    with pytest.raises(ValueError, match="must be an int, got 2.0"):
+        Graph(2.0)
+    with pytest.raises(ValueError, match="must be an int, got True"):
+        Graph(True)
+    for edge in ((0, 1.0), (0, True), (False, 1), ("0", 1)):
+        with pytest.raises(ValueError, match="non-int endpoint"):
+            Graph(3, [edge])
+
+
 def test_generators():
     assert path_graph(4).m == 3
     assert complete_graph(4).m == 6
