@@ -45,7 +45,6 @@ from .decomposition import (
     min_fill_order,
     parse_td,
     path_decomposition_from_order,
-    validate,
 )
 from .errors import DecompositionMismatch, ParseError, SizeLimitError
 from .graph import (

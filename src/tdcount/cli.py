@@ -115,10 +115,12 @@ def _load_inputs(args):
         nd = None
         if args.td is not None:
             td = decomposition.parse_td(Path(args.td).read_text(encoding="utf-8"))
-            report = decomposition.validate(graph, td)
-            if not report.ok:
-                raise _InputError(f"supplied decomposition is invalid: {report}")
             nd = decomposition.make_nice(td)
+            # the counters reuse the plan this check keeps on nd
+            try:
+                counting._plan_for(graph, nd)
+            except DecompositionMismatch as exc:
+                raise _InputError(f"supplied decomposition is invalid: {exc}")
         items.append((args.id or Path(args.gr).stem, graph, nd))
     elif args.corpus is not None:
         corpus = load_corpus(args.corpus)

@@ -65,10 +65,11 @@ the integer for every slot.
 Before counting, ``_prepare`` checks the decomposition -- its grammar
 through ``decomposition._check_grammar``, which ``structure_violations``
 reports too, then what needs the graph -- and compiles it into a plan of
-per-node instructions. The plan is kept on the ``NiceDecomposition``, keyed
-by the graph object, so every counter called on the same (graph,
-decomposition) -- the three totals, both polynomials and ``run_all`` --
-checks and compiles it once. Nice nodes are immutable, so a kept plan cannot
+per-node instructions. It is the only check of a decomposition against a
+graph: ``make_nice`` and ``tdcount count --td`` leave it to this one. The
+plan is kept on the ``NiceDecomposition``, keyed by the graph object, so
+every counter called on the same (graph, decomposition) -- the three
+totals, both polynomials and ``run_all`` -- checks and compiles it once. Nice nodes are immutable, so a kept plan cannot
 go stale; another graph object is checked afresh and its plan replaces the
 kept one.
 

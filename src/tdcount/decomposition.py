@@ -6,6 +6,12 @@ introduce, forget or join node; the counting dynamic programs consume only
 the nice form. Construction is heuristic: ``decompose`` is the min-fill
 elimination tree in nice form. Externally produced decompositions can be
 loaded through the PACE-2017 ``.td`` format.
+
+Nothing here checks a decomposition against a graph. The counters do, once
+per decomposition, in ``counting._prepare``: it refuses an uncovered edge, a
+vertex in no bag or outside the graph, a bag past ``MAX_WIDTH`` + 1 vertices
+and, through ``_check_grammar``, a vertex whose bags are disconnected, all
+before any table is allocated.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import partial
 
-from .errors import DecompositionMismatch, ParseError, SizeLimitError
+from .errors import DecompositionMismatch, ParseError
 
 # Bag-subset state masks must fit comfortably in a machine word.
 MAX_WIDTH = 30
@@ -27,7 +33,12 @@ JOIN = "join"
 
 
 class TreeDecomposition:
-    """Rooted tree of bags: ``parent[i]`` is the parent index, -1 at the root."""
+    """Rooted tree of bags: ``parent[i]`` is the parent index, -1 at the root.
+
+    The tree shape is checked here (int indices, one root, every bag
+    reachable from it); the bags are checked against a graph only by the
+    counters, on the nice form.
+    """
 
     def __init__(self, bags, parent, root):
         bags = [frozenset(b) for b in bags]
@@ -35,13 +46,13 @@ class TreeDecomposition:
             raise ValueError("a decomposition needs at least one bag")
         if len(parent) != len(bags):
             raise ValueError("parent array must match bag count")
-        if not 0 <= root < len(bags):
-            raise ValueError("root index out of range")
+        if type(root) is not int or not 0 <= root < len(bags):
+            raise ValueError(f"root {root!r} is not a bag index")
+        for i, p in enumerate(parent):
+            if type(p) is not int or (i != root and not 0 <= p < len(bags)):
+                raise ValueError(f"bag {i} has invalid parent {p!r}")
         if parent[root] != -1:
             raise ValueError("root must have parent -1")
-        for i, p in enumerate(parent):
-            if i != root and not 0 <= p < len(bags):
-                raise ValueError(f"bag {i} has invalid parent {p}")
         # reachability from the root establishes tree-ness
         children = self._children_from(parent)
         reach = 0
@@ -79,85 +90,9 @@ class TreeDecomposition:
         return f"TreeDecomposition(bags={len(self.bags)}, width={self.width()})"
 
 
-class ValidationReport:
-    """Outcome of checking the two decomposition conditions against a graph."""
-
-    def __init__(self, uncovered_edges, missing_vertices, disconnected_vertices,
-                 foreign_vertices):
-        self.uncovered_edges = uncovered_edges
-        self.missing_vertices = missing_vertices
-        self.disconnected_vertices = disconnected_vertices
-        self.foreign_vertices = foreign_vertices
-
-    @property
-    def ok(self):
-        return not (self.uncovered_edges or self.missing_vertices
-                    or self.disconnected_vertices or self.foreign_vertices)
-
-    def __bool__(self):
-        return self.ok
-
-    def __str__(self):
-        if self.ok:
-            return "ok"
-        parts = []
-        if self.uncovered_edges:
-            parts.append(f"uncovered edges: {self.uncovered_edges}")
-        if self.missing_vertices:
-            parts.append(f"vertices in no bag: {self.missing_vertices}")
-        if self.disconnected_vertices:
-            parts.append(f"vertices with disconnected bag sets: "
-                         f"{self.disconnected_vertices}")
-        if self.foreign_vertices:
-            parts.append(f"bag vertices outside the graph: {self.foreign_vertices}")
-        return "; ".join(parts)
-
-
-def validate(g, td):
-    """Check edge coverage and bag-subtree connectivity; report, don't raise."""
-    holders = [[] for _ in range(g.n)]
-    foreign = set()
-    for i, bag in enumerate(td.bags):
-        for v in bag:
-            if 0 <= v < g.n:
-                holders[v].append(i)
-            else:
-                foreign.add(v)
-
-    uncovered = []
-    for u, v in sorted(tuple(sorted(e)) for e in g.edges):
-        small, big = ((u, v) if len(holders[u]) <= len(holders[v]) else (v, u))
-        candidate = set(holders[big])
-        if not any(i in candidate for i in holders[small]):
-            uncovered.append((u, v))
-
-    missing = [v for v in range(g.n) if not holders[v]]
-    disconnected = [v for v in _disconnected_vertices(td) if 0 <= v < g.n]
-    return ValidationReport(uncovered, missing, disconnected, sorted(foreign))
-
-
-def _disconnected_vertices(td):
-    """Sorted vertices whose bags do not form one connected subtree.
-
-    The bags holding v are connected iff exactly one of them has a parent
-    bag without v (the root has no parent), so one pass over the bags, at
-    O(sum of bag sizes), finds every vertex with a second such top.
-    """
-    bags = td.bags
-    parent = td.parent
-    seen = set()
-    bad = set()
-    for i, bag in enumerate(bags):
-        p = parent[i]
-        for v in bag - bags[p] if p >= 0 else bag:
-            if v in seen:
-                bad.add(v)
-            seen.add(v)
-    return sorted(bad)
-
-
 def check_order(g, order):
-    if sorted(order) != list(range(g.n)):
+    if any(type(v) is not int for v in order) or \
+            sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertex ids")
 
 
@@ -464,17 +399,11 @@ def make_nice(td):
     Adjacent bags are bridged by forget-then-introduce chains (so no
     intermediate bag exceeds the larger of the two); multi-child bags are
     binarized with join nodes. A path-shaped input yields no join nodes.
-    """
-    if td.width() > MAX_WIDTH:
-        raise SizeLimitError(
-            f"decomposition width {td.width()} exceeds the cap of {MAX_WIDTH}"
-        )
-    bad = _disconnected_vertices(td)
-    if bad:
-        raise ValueError(
-            f"invalid decomposition: bag sets of vertices {bad} are disconnected"
-        )
 
+    It builds the form and checks nothing; the counters do. A vertex whose
+    bags are disconnected is forgotten once per connected piece, so
+    ``structure_violations()`` reports it without a graph.
+    """
     nodes = []
     add = nodes.append
     bags = td.bags

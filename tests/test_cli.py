@@ -3,7 +3,9 @@ import io
 
 import pytest
 
-from tdcount import emit_gr, emit_td, ladder_graph, parse_smiles
+from tdcount import (
+    TreeDecomposition, emit_gr, emit_td, ladder_graph, parse_smiles,
+)
 from tdcount.cli import bundled_path, main
 from conftest import count_prepares
 
@@ -82,17 +84,38 @@ def test_count_gr_with_valid_td(tmp_path, capsys):
     assert "perfect_matchings = 3" in out  # 2x3 ladder has 3 perfect matchings
 
 
-def test_count_invalid_td_exits_2(tmp_path, capsys):
-    g = ladder_graph(3)
+def _path_td(bags):
+    return emit_td(TreeDecomposition(bags, list(range(1, len(bags))) + [-1],
+                                     len(bags) - 1))
+
+
+@pytest.mark.parametrize("rungs, td_text, message", [
+    # a single bag missing almost everything
+    (3, "s td 1 2 6\nb 1 1 2\n",
+     "invalid: vertices [2, 3, 4, 5] not forgotten exactly once"),
+    # every vertex alone in its bag: no edge is covered
+    (3, _path_td([{v} for v in range(6)]),
+     "invalid: edges [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)]"
+     " not covered by any bag"),
+    # vertex 0 leaves the middle bag and comes back
+    (3, _path_td([set(range(6)), set(range(1, 6)), set(range(6))]),
+     "invalid: vertex 0 not forgotten exactly once"),
+    # the header and the bag name a 7th vertex the graph does not have
+    (3, _path_td([set(range(7))]), "invalid: introduced vertex 6 outside 0..5"),
+    # one bag of all 32 vertices of the 2x16 ladder
+    (16, _path_td([set(range(32))]), "width 31 exceeds the cap of 30"),
+], ids=["missing-vertex", "uncovered-edge", "disconnected", "foreign-vertex",
+        "too-wide"])
+def test_count_invalid_td_exits_2(tmp_path, capsys, rungs, td_text, message):
     gr = tmp_path / "g.gr"
-    gr.write_text(emit_gr(g))
+    gr.write_text(emit_gr(ladder_graph(rungs)))
     tdf = tmp_path / "bad.td"
-    # single bag missing almost everything
-    tdf.write_text("s td 1 2 6\nb 1 1 2\n")
-    code, _, err = run(["count", "--gr", str(gr), "--td", str(tdf), "--pm"],
-                       capsys)
+    tdf.write_text(td_text)
+    code, out, err = run(["count", "--gr", str(gr), "--td", str(tdf), "--pm"],
+                         capsys)
     assert code == 2
-    assert "invalid" in err
+    assert out == ""
+    assert message in err
 
 
 def test_usage_errors_exit_1(capsys):

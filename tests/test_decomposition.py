@@ -19,13 +19,14 @@ from tdcount import (
     ladder_graph,
     make_nice,
     min_fill_order,
+    oracle_counts,
     parse_chain_file,
     parse_smiles,
     parse_td,
     path_decomposition_from_order,
     path_graph,
-    validate,
 )
+from tdcount import counting
 from tdcount.cli import bundled_path
 from tdcount.decomposition import (
     FORGET, INTRODUCE, JOIN, LEAF, NiceDecomposition, NiceNode,
@@ -61,14 +62,14 @@ def test_min_fill_tree_width_one():
     g = path_graph(4)
     td = decomposition_from_order(g, min_fill_order(g))
     assert td.width() == 1
-    assert validate(g, td).ok
+    counting._plan_for(g, make_nice(td))
 
 
 def test_min_fill_cycle_width_two():
     g = cycle_graph(6)
     td = decomposition_from_order(g, min_fill_order(g))
     assert td.width() == 2
-    assert validate(g, td).ok
+    counting._plan_for(g, make_nice(td))
 
 
 def test_min_fill_k4_width_three():
@@ -81,7 +82,7 @@ def test_min_fill_caffeine_width_two():
     g = parse_smiles(CAFFEINE_SMILES).graph
     td = decomposition_from_order(g, min_fill_order(g))
     assert td.width() == 2
-    assert validate(g, td).ok
+    counting._plan_for(g, make_nice(td))
 
 
 def _min_fill_order_by_scan(g):
@@ -190,37 +191,42 @@ def test_order_must_be_permutation():
         decomposition_from_order(g, [0, 1])
     with pytest.raises(ValueError):
         path_decomposition_from_order(g, [0, 0, 2])
+    # entries equal to the ids but not of type int
+    for build in (decomposition_from_order, path_decomposition_from_order):
+        for order in ([0.0, 1], [True, False]):
+            with pytest.raises(ValueError, match="permutation"):
+                build(path_graph(2), order)
 
 
 def test_single_edge_any_order():
     g = Graph(2, [(0, 1)])
     td = decomposition_from_order(g, [1, 0])
     assert td.width() == 1
-    assert validate(g, td).ok
+    counting._plan_for(g, make_nice(td))
 
 
 def test_edgeless_width_zero():
     g = Graph(3)
     td = decomposition_from_order(g, [2, 0, 1])
     assert td.width() == 0
-    assert validate(g, td).ok
+    counting._plan_for(g, make_nice(td))
 
 
 def test_path_decomposition_examples():
     p4 = path_graph(4)
     td = path_decomposition_from_order(p4, [0, 1, 2, 3])
     assert td.width() == 1
-    assert validate(p4, td).ok
+    counting._plan_for(p4, make_nice(td))
 
     c6 = cycle_graph(6)
     td = path_decomposition_from_order(c6, list(range(6)))
     assert td.width() == 2
-    assert validate(c6, td).ok
+    counting._plan_for(c6, make_nice(td))
 
     k4 = complete_graph(4)
     td = path_decomposition_from_order(k4, [0, 1, 2, 3])
     assert td.width() == 3
-    assert validate(k4, td).ok
+    counting._plan_for(k4, make_nice(td))
 
 
 def test_path_decomposition_interval_property():
@@ -230,7 +236,7 @@ def test_path_decomposition_interval_property():
         order = list(range(g.n))
         rng.shuffle(order)
         td = path_decomposition_from_order(g, order)
-        assert validate(g, td).ok
+        counting._plan_for(g, make_nice(td))
         for v in range(g.n):
             idx = [i for i, bag in enumerate(td.bags) if v in bag]
             assert idx == list(range(idx[0], idx[-1] + 1))
@@ -241,16 +247,16 @@ def test_path_decomposition_interval_property():
 def test_elimination_decomposition_always_valid(g):
     order = min_fill_order(g)
     td = decomposition_from_order(g, order)
-    assert validate(g, td).ok
+    counting._plan_for(g, make_nice(td))
     pd = path_decomposition_from_order(g, order)
-    assert validate(g, pd).ok
+    counting._plan_for(g, make_nice(pd))
 
 
 def test_disconnected_graph_decomposes():
     g = disjoint_union(cycle_graph(3), path_graph(4))
     td = decomposition_from_order(g, min_fill_order(g))
-    assert validate(g, td).ok
     nd = make_nice(td)
+    counting._plan_for(g, nd)
     assert nd.structure_violations() == []
 
 
@@ -337,38 +343,39 @@ def test_elimination_tree_matches_game_on_small_and_disconnected_graphs():
             _assert_same_tree(g, order)
 
 
-# ------------------------------------------------------------------ validate
+# ------------------------------------- faults the counters refuse (_prepare)
 
 def test_validate_uncovered_edge():
     g = cycle_graph(6)
     bags = [{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}]
     td = TreeDecomposition(bags, [1, 2, 3, 4, -1], 4)
-    report = validate(g, td)
-    assert not report.ok
-    assert report.uncovered_edges == [(0, 5)]
-    assert "uncovered" in str(report)
+    with pytest.raises(DecompositionMismatch,
+                       match=r"^edges \[\(0, 5\)\] not covered by any bag$"):
+        count_matchings(g, make_nice(td))
 
 
 def test_validate_disconnected_vertex():
     g = path_graph(3)
     td = TreeDecomposition([{0, 1}, {1, 2}, {0, 2}], [1, 2, -1], 2)
-    report = validate(g, td)
-    assert not report.ok
-    assert 0 in report.disconnected_vertices
+    with pytest.raises(DecompositionMismatch,
+                       match=r"^vertex 0 not forgotten exactly once \(again"):
+        count_matchings(g, make_nice(td))
 
 
 def test_validate_missing_vertex():
+    # edge (0, 1) is uncovered too; the missing vertex is the first fault
     g = path_graph(2)
     td = TreeDecomposition([{0}], [-1], 0)
-    report = validate(g, td)
-    assert report.missing_vertices == [1]
-    assert report.uncovered_edges == [(0, 1)]
+    with pytest.raises(DecompositionMismatch,
+                       match=r"^vertices \[1\] not forgotten exactly once$"):
+        count_matchings(g, make_nice(td))
 
 
 def test_validate_caffeine_figure(caffeine_figure):
     g, td = caffeine_figure
     assert td.width() == 2
-    assert validate(g, td).ok
+    _, mp, _ = oracle_counts(g)
+    assert count_matchings(g, make_nice(td)) == sum(mp)
 
 
 # ----------------------------------------------------------------- make_nice
@@ -406,16 +413,23 @@ def test_make_nice_caffeine_figure(caffeine_figure):
 
 
 def test_make_nice_rejects_wide_bags():
+    # make_nice builds the form; the counters refuse it before any table
     bag = frozenset(range(32))
-    td = TreeDecomposition([bag], [-1], 0)
-    with pytest.raises(SizeLimitError):
-        make_nice(td)
+    nd = make_nice(TreeDecomposition([bag], [-1], 0))
+    with pytest.raises(SizeLimitError, match="width 31 exceeds the cap of 30"):
+        count_matchings(Graph(32), nd)
 
 
 def test_make_nice_rejects_disconnected_vertex_sets():
+    # vertex 0 is in bags 0 and 2 but not in bag 1 between them, so
+    # make_nice forgets it twice: a grammar fault, found without a graph
     td = TreeDecomposition([{0, 1}, {1}, {0, 2}], [1, 2, -1], 2)
-    with pytest.raises(ValueError, match="disconnected"):
-        make_nice(td)
+    nd = make_nice(td)
+    fault = "vertex 0 not forgotten exactly once (again at forget 8)"
+    assert nd.structure_violations() == [fault]
+    with pytest.raises(DecompositionMismatch) as info:
+        count_matchings(Graph(3, [(0, 1), (0, 2)]), nd)
+    assert str(info.value) == fault
 
 
 @settings(max_examples=60, deadline=None)
@@ -530,36 +544,77 @@ def test_make_nice_matches_set_version_on_multi_child_trees(caffeine_figure):
     _assert_same_nice(star)
 
 
-def _disconnected_by_holders(g, td):
-    """Reference: validate's disconnected-vertex check as it was."""
-    holders = [set() for _ in range(g.n)]
+def _disconnected_by_holders(td, n):
+    """Reference: vertices of 0..n-1 whose bags have other than one top bag
+    (a bag whose parent does not hold the vertex), as validate checked it."""
+    holders = [set() for _ in range(n)]
     for i, bag in enumerate(td.bags):
         for v in bag:
-            if 0 <= v < g.n:
+            if 0 <= v < n:
                 holders[v].add(i)
-    return [v for v in range(g.n) if holders[v]
+    return [v for v in range(n) if holders[v]
             and sum(1 for i in holders[v] if td.parent[i] not in holders[v]) != 1]
 
 
+def _random_and_perturbed_decompositions(rng, count):
+    """(graph, decomposition) pairs: random bag trees on a random graph, and
+    min-fill or path decompositions with one bag vertex dropped or added
+    (vertex n is outside the graph) or one edge added to the graph."""
+    for i in range(count):
+        if i % 2 == 0:
+            n = rng.randint(1, 8)
+            k = rng.randint(1, 8)
+            bags = [rng.sample(range(n + 1), rng.randint(0, min(4, n + 1)))
+                    for _ in range(k)]
+            parent = [-1] + [rng.randrange(j) for j in range(1, k)]
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = Graph(n, rng.sample(pairs, rng.randint(0, min(len(pairs), 3))))
+            yield g, TreeDecomposition(bags, parent, 0)
+            continue
+        g = random_graph(rng, max_n=8, max_m=12)
+        n = g.n
+        order = list(range(n))
+        rng.shuffle(order)
+        build = rng.choice((decomposition_from_order,
+                            path_decomposition_from_order))
+        td = build(g, order if rng.random() < 0.5 else min_fill_order(g))
+        bags = [set(b) for b in td.bags]
+        change = rng.randrange(4)
+        if change == 1:
+            bag = rng.choice(bags)
+            bag.discard(rng.choice(sorted(bag)))
+        elif change == 2:
+            rng.choice(bags).add(rng.randrange(n + 1))
+        elif change == 3 and n > 1:
+            g = Graph(n, list(g.edges | {tuple(sorted(rng.sample(range(n), 2)))}))
+        yield g, TreeDecomposition(bags, td.parent, td.root)
+
+
 def test_disconnected_vertices_match_holder_count():
+    """A counter refuses the nice form of a decomposition exactly when a bag
+    set is disconnected, a vertex is in no bag or outside the graph, or an
+    edge is in no bag; otherwise it counts right. Only the first needs no
+    graph, and ``structure_violations()`` reports exactly it."""
     rng = random.Random(12)
-    seen_bad = 0
-    for _ in range(300):
-        n = rng.randint(1, 8)
-        k = rng.randint(1, 8)
-        # vertex n is outside the graph: validate reports it as foreign only
-        bags = [rng.sample(range(n + 1), rng.randint(0, min(4, n + 1)))
-                for _ in range(k)]
-        parent = [-1] + [rng.randrange(i) for i in range(1, k)]
-        td = TreeDecomposition(bags, parent, 0)
-        g = Graph(n)
-        want = _disconnected_by_holders(g, td)
-        assert validate(g, td).disconnected_vertices == want
-        if want:
+    seen_disconnected = seen_bad = seen_ok = 0
+    for g, td in _random_and_perturbed_decompositions(rng, 600):
+        n = g.n
+        nd = make_nice(td)
+        disconnected = _disconnected_by_holders(td, n + 1)
+        assert bool(nd.structure_violations()) == bool(disconnected)
+        held = set().union(*td.bags)
+        uncovered = [e for e in g.edges
+                     if not any(set(e) <= bag for bag in td.bags)]
+        if disconnected or held != set(range(n)) or uncovered:
+            seen_disconnected += bool(disconnected)
             seen_bad += 1
-            with pytest.raises(ValueError, match="disconnected"):
-                make_nice(td)
-    assert seen_bad > 50
+            with pytest.raises(DecompositionMismatch):
+                count_matchings(g, nd)
+        else:
+            seen_ok += 1
+            assert count_matchings(g, nd) == sum(oracle_counts(g)[1])
+    assert seen_disconnected > 50 and seen_bad - seen_disconnected > 50
+    assert seen_ok > 100
 
 
 def test_path_input_gives_no_joins():
@@ -637,6 +692,15 @@ def test_parse_td_errors():
         parse_td("s td 2 1 1\nb 1 1\n1 2\n")
     with pytest.raises(ParseError):
         parse_td("s td 2 1 1\nb 1 1\nb 2 1\n1 1\n")  # degenerate edge
+
+
+def test_tree_decomposition_refuses_non_int_indices():
+    for parent, root in (([1.0, -1], 1), ([1, -1], 1.0), ([True, -1], 1),
+                         ([-1, 0], False), ([-1, 0.0], 0)):
+        with pytest.raises(ValueError):
+            TreeDecomposition([{0}, {1}], parent, root)
+    td = TreeDecomposition([{0}, {1}], [1, -1], 1)
+    assert (td.parent, td.root) == ([1, -1], 1)
 
 
 def test_width_conventions():
