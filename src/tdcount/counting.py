@@ -69,9 +69,9 @@ per-node instructions. It is the only check of a decomposition against a
 graph: ``make_nice`` and ``tdcount count --td`` leave it to this one. The
 plan is kept on the ``NiceDecomposition``, keyed by the graph object, so
 every counter called on the same (graph, decomposition) -- the three
-totals, both polynomials and ``run_all`` -- checks and compiles it once. Nice nodes are immutable, so a kept plan cannot
-go stale; another graph object is checked afresh and its plan replaces the
-kept one.
+totals, both polynomials and ``run_all`` -- checks and compiles it once.
+Nice nodes are immutable, so a kept plan cannot go stale; another graph
+object is checked afresh and its plan replaces the kept one.
 
 ``run_all`` needs two families of passes that share only the read-only
 plan: Hosoya then the matching polynomial, Merrifield-Simmons then the

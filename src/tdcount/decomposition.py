@@ -11,7 +11,9 @@ Nothing here checks a decomposition against a graph. The counters do, once
 per decomposition, in ``counting._prepare``: it refuses an uncovered edge, a
 vertex in no bag or outside the graph, a bag past ``MAX_WIDTH`` + 1 vertices
 and, through ``_check_grammar``, a vertex whose bags are disconnected, all
-before any table is allocated.
+before any table is allocated. ``make_nice`` refuses a bag past the cap too,
+before it builds anything, since the nice form of a bag of w vertices holds
+O(w^2) vertex entries.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import partial
 
-from .errors import DecompositionMismatch, ParseError
+from .errors import DecompositionMismatch, ParseError, SizeLimitError
 
 # Bag-subset state masks must fit comfortably in a machine word.
 MAX_WIDTH = 30
@@ -400,10 +402,16 @@ def make_nice(td):
     intermediate bag exceeds the larger of the two); multi-child bags are
     binarized with join nodes. A path-shaped input yields no join nodes.
 
-    It builds the form and checks nothing; the counters do. A vertex whose
-    bags are disconnected is forgotten once per connected piece, so
-    ``structure_violations()`` reports it without a graph.
+    A bag of more than ``MAX_WIDTH`` + 1 vertices raises ``SizeLimitError``
+    in one pass over the bags, before any node is built. Everything else is
+    left to the counters: a vertex whose bags are disconnected is forgotten
+    once per connected piece, so ``structure_violations()`` reports it
+    without a graph.
     """
+    if td.width() > MAX_WIDTH:
+        raise SizeLimitError(
+            f"decomposition width {td.width()} exceeds the cap of {MAX_WIDTH}"
+        )
     nodes = []
     add = nodes.append
     bags = td.bags
