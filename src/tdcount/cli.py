@@ -13,7 +13,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from importlib import resources
 from pathlib import Path
 from random import Random
@@ -36,7 +36,6 @@ QUANTITIES = [
     "entropy_matchings",
     "entropy_independent_sets",
 ]
-BENCH_QUANTITIES = ["perfect_matchings", "matchings", "independent_sets"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,56 +97,40 @@ def _format_millis(ms, clock):
     return "0" if clock == "none" else f"{ms:.3f}"
 
 
+def _corpus(path):
+    """Load a SMILES corpus, reporting each rejected line on stderr."""
+    corpus = load_corpus(path)
+    for reject in corpus.rejects:
+        print(f"reject line {reject.line}: {reject.reason}", file=sys.stderr)
+    return corpus
+
+
 def _load_inputs(args):
     """Resolve the count inputs to a list of (id, graph, nice decomposition)."""
-    given = [x for x in (args.smiles, args.gr, args.corpus) if x is not None]
-    if len(given) != 1:
-        raise _UsageError("count needs exactly one of --smiles, --gr, --corpus")
     if args.td is not None and args.gr is None:
         raise _UsageError("--td only applies to --gr input")
-    items = []
     if args.smiles is not None:
-        mol = parse_smiles(args.smiles)
-        items.append((args.id or args.smiles, mol.graph, None))
-    elif args.gr is not None:
-        text = Path(args.gr).read_text(encoding="utf-8")
-        graph = parse_gr(text)
-        nd = None
-        if args.td is not None:
-            td = decomposition.parse_td(Path(args.td).read_text(encoding="utf-8"))
-            nd = decomposition.make_nice(td)
-            # the counters reuse the plan this check keeps on nd
-            try:
-                counting._plan_for(graph, nd)
-            except DecompositionMismatch as exc:
-                raise _InputError(f"supplied decomposition is invalid: {exc}")
-        items.append((args.id or Path(args.gr).stem, graph, nd))
-    elif args.corpus is not None:
-        corpus = load_corpus(args.corpus)
-        for reject in corpus.rejects:
-            print(f"reject line {reject.line}: {reject.reason}", file=sys.stderr)
-        for mol in corpus.molecules:
-            items.append((mol.name or mol.source, mol.graph, None))
-    return items
+        return [(args.id or args.smiles, parse_smiles(args.smiles).graph, None)]
+    if args.corpus is not None:
+        return [(mol.name or mol.source, mol.graph, None)
+                for mol in _corpus(args.corpus).molecules]
+    graph = parse_gr(Path(args.gr).read_text(encoding="utf-8"))
+    nd = None
+    if args.td is not None:
+        td = decomposition.parse_td(Path(args.td).read_text(encoding="utf-8"))
+        nd = decomposition.make_nice(td)
+        # the counters reuse the plan this check keeps on nd
+        try:
+            counting._plan_for(graph, nd)
+        except DecompositionMismatch as exc:
+            raise _InputError(f"supplied decomposition is invalid: {exc}")
+    return [(args.id or Path(args.gr).stem, graph, nd)]
 
 
 def _selected_quantities(args):
-    picked = []
-    if args.pm:
-        picked.append("perfect_matchings")
-    if args.hosoya:
-        picked.append("matchings")
-    if args.ms:
-        picked.append("independent_sets")
-    if args.mpoly:
-        picked.append("matching_polynomial")
-    if args.ipoly:
-        picked.append("independence_polynomial")
-    if args.entropy:
-        picked += ["entropy_matchings", "entropy_independent_sets"]
-    if args.all or not picked:
-        picked = list(QUANTITIES)
-    return picked
+    """The quantities the flags picked, all if none was, in QUANTITIES order."""
+    picked = {name for names in args.picked or [QUANTITIES] for name in names}
+    return [name for name in QUANTITIES if name in picked]
 
 
 _SINGLE_COUNTERS = {
@@ -157,6 +140,12 @@ _SINGLE_COUNTERS = {
     "matching_polynomial": counting.matching_polynomial,
     "independence_polynomial": counting.independence_polynomial,
 }
+_BASELINES = {
+    "perfect_matchings": baselines.baseline_pm,
+    "matchings": baselines.baseline_matchings,
+    "independent_sets": baselines.baseline_independent_sets,
+}
+BENCH_QUANTITIES = list(_BASELINES)
 _ENTROPY_OF = {
     "entropy_matchings": "matching_polynomial",
     "entropy_independent_sets": "independence_polynomial",
@@ -216,8 +205,7 @@ def cmd_count(args):
 
 
 def cmd_stats(args):
-    corpus_file = args.corpus or bundled_path("corpus100.smi")
-    corpus = load_corpus(corpus_file)
+    corpus = _corpus(args.corpus or bundled_path("corpus100.smi"))
     hist = {}
     for mol in corpus.molecules:
         order = decomposition.min_fill_order(mol.graph)
@@ -231,8 +219,6 @@ def cmd_stats(args):
         sys.stdout.write(text)
     print(f"accepted={len(corpus.molecules)} rejected={len(corpus.rejects)}",
           file=sys.stderr)
-    for reject in corpus.rejects:
-        print(f"reject line {reject.line}: {reject.reason}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -244,13 +230,8 @@ def _bench_instance(task):
     dp = _compute(graph, nd, BENCH_QUANTITIES) if "dp" in engines else {}
     rows = _dp_rows(mol_id, graph, nd, dp, clock)
     if "baseline" in engines:
-        fns = {
-            "perfect_matchings": baselines.baseline_pm,
-            "matchings": baselines.baseline_matchings,
-            "independent_sets": baselines.baseline_independent_sets,
-        }
-        for name in BENCH_QUANTITIES:
-            result = fns[name](graph, budget)
+        for name, baseline in _BASELINES.items():
+            result = baseline(graph, budget)
             status = "timeout" if result.timed_out else "ok"
             value = "" if result.timed_out else _format_value(result.value)
             rows.append([mol_id, graph.n, graph.m, width, name, value,
@@ -272,12 +253,11 @@ def cmd_bench(args):
     if not (math.isfinite(args.budget) and args.budget > 0):
         raise _UsageError("--budget must be a positive finite number of "
                           f"seconds, got {args.budget:g}")
-    corpus_file = args.corpus or bundled_path("corpus100.smi")
-    corpus = load_corpus(corpus_file)
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     for e in engines:
         if e not in ("dp", "baseline"):
             raise _UsageError(f"unknown engine {e!r}")
+    corpus = _corpus(args.corpus or bundled_path("corpus100.smi"))
 
     by_m = {}
     for idx, mol in enumerate(corpus.molecules):
@@ -339,12 +319,8 @@ def cmd_chain(args):
 def _write_csv(dest, rows):
     if dest is None:
         return
-    if dest == "-":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
-        return
-    with open(dest, "w", newline="", encoding="utf-8") as fh:
+    with (nullcontext(sys.stdout) if dest == "-" else
+          open(dest, "w", newline="", encoding="utf-8")) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows(rows)
@@ -356,18 +332,22 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count structures of one or more graphs")
-    p.add_argument("--smiles", help="SMILES string")
-    p.add_argument("--gr", help="PACE .gr graph file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--smiles", help="SMILES string")
+    source.add_argument("--gr", help="PACE .gr graph file")
+    source.add_argument("--corpus", help="SMILES corpus file")
     p.add_argument("--td", help="PACE .td decomposition to use (with --gr)")
-    p.add_argument("--corpus", help="SMILES corpus file")
     p.add_argument("--id", help="identifier for single-graph input")
-    p.add_argument("--pm", action="store_true", help="perfect matchings")
-    p.add_argument("--hosoya", action="store_true", help="matchings total")
-    p.add_argument("--ms", action="store_true", help="independent sets total")
-    p.add_argument("--mpoly", action="store_true", help="matching polynomial")
-    p.add_argument("--ipoly", action="store_true", help="independence polynomial")
-    p.add_argument("--entropy", action="store_true", help="both entropies")
-    p.add_argument("--all", action="store_true", help="all quantities (default)")
+    for flag, names, text in (
+            ("--pm", ["perfect_matchings"], "perfect matchings"),
+            ("--hosoya", ["matchings"], "matchings total"),
+            ("--ms", ["independent_sets"], "independent sets total"),
+            ("--mpoly", ["matching_polynomial"], "matching polynomial"),
+            ("--ipoly", ["independence_polynomial"], "independence polynomial"),
+            ("--entropy", list(_ENTROPY_OF), "both entropies"),
+            ("--all", QUANTITIES, "all quantities (default)")):
+        p.add_argument(flag, action="append_const", dest="picked", const=names,
+                       help=text)
     p.add_argument("--out", help="write CSV rows to this file ('-' for stdout)")
     p.add_argument("--clock", choices=["wall", "none"], default="wall")
     p.set_defaults(fn=cmd_count)

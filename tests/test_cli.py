@@ -6,7 +6,7 @@ import pytest
 from tdcount import (
     TreeDecomposition, emit_gr, emit_td, ladder_graph, parse_smiles,
 )
-from tdcount.cli import bundled_path, main
+from tdcount.cli import _BASELINES, bundled_path, main
 from conftest import count_prepares
 
 TINY_CORPUS = """\
@@ -164,7 +164,11 @@ def test_stats_small_corpus(tmp_path, capsys):
     assert lines[0] == "width,count"
     total = sum(int(line.split(",")[1]) for line in lines[1:])
     assert total == 2
-    assert "accepted=2 rejected=1" in err
+    assert err.splitlines() == [
+        "reject line 3: unsupported bracket atom [Qq] (only bare element"
+        " symbols are accepted) (offset 1)",
+        "accepted=2 rejected=1",
+    ]
 
 
 def test_stats_empty_corpus(tmp_path, capsys):
@@ -173,6 +177,33 @@ def test_stats_empty_corpus(tmp_path, capsys):
     code, out, _ = run(["stats", "--corpus", str(corpus)], capsys)
     assert code == 0
     assert out.strip() == "width,count"
+
+
+def test_count_corpus_rows_in_corpus_order(tmp_path, capsys):
+    corpus = tmp_path / "c.smi"
+    corpus.write_text("C1CCCCC1\tring\nC[Qq]C\nCC\n")
+    code, out, err = run(["count", "--corpus", str(corpus), "--pm", "--ms",
+                          "--clock", "none", "--out", "-"], capsys)
+    assert code == 0
+    assert err.startswith("reject line 2: unsupported bracket atom [Qq]")
+    assert len(err.splitlines()) == 1
+    assert out.splitlines() == [
+        "ring\tperfect_matchings = 2",
+        "ring\tindependent_sets = 18",
+        "CC\tperfect_matchings = 1",
+        "CC\tindependent_sets = 3",
+        "id,n,m,width,quantity,value,millis,engine,status",
+        "ring,6,6,2,perfect_matchings,2,0,dp,ok",
+        "ring,6,6,2,independent_sets,18,0,dp,ok",
+        "CC,2,1,1,perfect_matchings,1,0,dp,ok",
+        "CC,2,1,1,independent_sets,3,0,dp,ok",
+    ]
+
+
+def test_count_independence_polynomial_only(capsys):
+    code, out, _ = run(["count", "--smiles", "C1CCCCC1", "--ipoly"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["C1CCCCC1\tindependence_polynomial = 1;6;9;2"]
 
 
 def test_chain_command(capsys):
@@ -358,3 +389,48 @@ def test_bench_summary(tmp_path, capsys):
     lines = summary.read_text().strip().splitlines()
     assert lines[0] == "m,quantity,engine,runs,timeouts,mean_millis"
     assert len(lines) > 1
+
+
+def test_bench_reports_rejects(tmp_path, capsys):
+    clean = _bench(tmp_path, capsys, "clean.csv", [])
+    corpus = tmp_path / "bench.smi"
+    lines = TINY_CORPUS.splitlines(keepends=True)
+    corpus.write_text("".join(lines[:3] + ["C[Qq]C\tbad\n"] + lines[3:]))
+    out_file = tmp_path / "rejects.csv"
+    code, out, err = run(["bench", "--corpus", str(corpus), "--seed", "42",
+                          "--budget", "5", "--clock", "none",
+                          "--out", str(out_file)], capsys)
+    assert code == 0
+    assert out == ""
+    assert err.splitlines() == [
+        "reject line 4: unsupported bracket atom [Qq] (only bare element"
+        " symbols are accepted) (offset 1)"]
+    assert out_file.read_bytes() == clean
+
+
+def test_bench_unknown_engine_exits_1(capsys):
+    code, out, err = run(["bench", "--seed", "1", "--engines", "dp,foo"],
+                         capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: unknown engine 'foo'\n"
+
+
+def test_bench_baseline_disagreeing_with_dp_exits_3(tmp_path, capsys,
+                                                    monkeypatch):
+    real = _BASELINES["perfect_matchings"]
+
+    def off_by_one(graph, budget):
+        result = real(graph, budget)
+        result.value += 1
+        return result
+
+    monkeypatch.setitem(_BASELINES, "perfect_matchings", off_by_one)
+    corpus = tmp_path / "one.smi"
+    corpus.write_text("C1CCCCC1\tring\n")
+    code, out, err = run(["bench", "--corpus", str(corpus), "--seed", "1",
+                          "--jobs", "1", "--clock", "none"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == ("invariant violation: baseline disagrees with dp on "
+                   "ring/perfect_matchings: 3 != 2\n")

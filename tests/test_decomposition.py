@@ -665,6 +665,26 @@ def test_structure_violations_match_what_the_counters_reject():
             count_matchings(g, nd)
 
 
+@pytest.mark.parametrize("nodes, fault", [
+    ([NiceNode((0,), INTRODUCE, 0, ()), NiceNode((), FORGET, 0, (0,))],
+     "introduce node 0 has 0 children"),
+    ([NiceNode((), LEAF, None, ()), NiceNode((0,), INTRODUCE, 0, (0,)),
+      NiceNode((0,), FORGET, 1, (1,)), NiceNode((), FORGET, 0, (2,))],
+     "forget 2 bag equation violated"),
+    ([NiceNode((), LEAF, None, ()), NiceNode((), JOIN, None, (0,))],
+     "join node 1 has 1 children"),
+    ([NiceNode((), LEAF, None, ()), NiceNode((), "branch", None, (0,))],
+     "unknown node kind 'branch'"),
+], ids=["introduce-no-child", "forget-absent-vertex", "join-one-child",
+        "unknown-kind"])
+def test_grammar_faults_reported_and_refused(nodes, fault):
+    nd = NiceDecomposition(nodes)
+    assert nd.structure_violations() == [fault]
+    with pytest.raises(DecompositionMismatch) as err:
+        count_matchings(Graph(2), nd)
+    assert str(err.value) == fault
+
+
 # ------------------------------------------------------------------ td I/O
 
 def test_parse_td_minimal():
@@ -692,6 +712,45 @@ def test_parse_td_errors():
         parse_td("s td 2 1 1\nb 1 1\n1 2\n")
     with pytest.raises(ParseError):
         parse_td("s td 2 1 1\nb 1 1\nb 2 1\n1 1\n")  # degenerate edge
+    two_bags = "s td 2 1 1\nb 1 1\nb 2 1\n"
+    for text, message, line in [
+        ("s td 1 1 1\ns td 1 1 1\n", "duplicate 's td' header", 2),
+        ("s td 1 one 1\n", "non-integer header fields", 1),
+        ("s td 1 1\n", "malformed header", 1),
+        ("s td 0 0 0\n", "needs at least one bag", 1),
+        ("s td 1 1 1\nb\n", "bag line without id", 2),
+        ("s td 1 1 1\nb x 1\n", "non-integer bag line", 2),
+        ("s td 1 1 1\nb 1 y\n", "non-integer bag line", 2),
+        ("s td 1 1 1\nb 2 1\n", "bag id 2 out of range", 2),
+        ("s td 2 1 1\nb 1 1\nb 1 1\n", "duplicate bag id 1", 3),
+        (two_bags + "1 2 2\n", "malformed tree edge line", 4),
+        (two_bags + "1 two\n", "non-integer tree edge", 4),
+        ("", "missing 's td' header", 1),
+        ("c only a comment\n", "missing 's td' header", 1),
+        ("s td 3 1 1\nb 1 1\nb 2 1\nb 3 1\n1 2\n2 1\n",
+         "tree edges do not connect all bags", 1),
+    ]:
+        with pytest.raises(ParseError, match=message) as err:
+            parse_td(text)
+        assert err.value.line == line
+
+
+def test_parse_td_skips_comment_lines():
+    td = parse_td("c made by hand\ns td 2 2 2\nc bags\nb 1 1 2\nb 2 2\n1 2\n")
+    assert td.bags == [frozenset({0, 1}), frozenset({1})]
+    assert (td.parent, td.root) == ([-1, 0], 0)
+
+
+def test_tree_decomposition_refuses_malformed_trees():
+    for bags, parent, root, message in [
+        ([], [], 0, "at least one bag"),
+        ([{0}, {1}], [-1], 0, "parent array must match bag count"),
+        ([{0}, {1}], [1, 0], 0, "root must have parent -1"),
+        # bags 1 and 2 are each other's parent: unreachable from root 0
+        ([{0}, {1}, {2}], [-1, 2, 1], 0, "do not form a tree"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            TreeDecomposition(bags, parent, root)
 
 
 def test_tree_decomposition_refuses_non_int_indices():

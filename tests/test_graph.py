@@ -47,6 +47,19 @@ def test_header_required_and_wellformed():
         parse_gr("p tw 2\n")
     with pytest.raises(ParseError):
         parse_gr("p tw 2 2\n1 2")  # declared two edges, found one
+    for text, message, line in [
+        ("p tw 2 1\np tw 2 1\n1 2\n", "duplicate 'p' header", 2),
+        ("p tw two 1\n", "non-integer header fields", 1),
+        ("p tw -1 0\n", "negative counts in header", 1),
+        ("p tw 2 -1\n", "negative counts in header", 1),
+        ("p tw 3 1\n1 2 3\n", "malformed edge line", 2),
+        ("p tw 3 1\n1 x\n", "non-integer edge endpoints", 2),
+        ("", "missing 'p tw' header", 1),
+        ("c nothing but a comment\n", "missing 'p tw' header", 1),
+    ]:
+        with pytest.raises(ParseError, match=message) as err:
+            parse_gr(text)
+        assert err.value.line == line
 
 
 def test_gr_round_trip():

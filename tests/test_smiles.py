@@ -63,6 +63,7 @@ def test_two_letter_and_aromatic_atoms():
 def test_bracket_atoms():
     mol = parse_smiles("[Se]=[Cr]")
     assert mol.graph.labels == ("Se", "Cr")
+    assert parse_smiles("c1cc[se]c1").graph.labels == ("C", "C", "C", "Se", "C")
     with pytest.raises(ParseError, match="hydrogen"):
         parse_smiles("[H]C")
 
@@ -87,6 +88,19 @@ def test_structural_errors():
         parse_smiles("")
     with pytest.raises(ParseError, match="dangling bond"):
         parse_smiles("CC=")
+    for text, message, bad_offset in [
+        ("C=(C)C", "bond symbol before '\\('", 1),
+        ("(C)C", "branch opened before any atom", 0),
+        ("1CC1", "ring-closure digit before any atom", 0),
+        ("C%1C", "'%' needs two ring-closure digits", 1),
+        ("C%", "'%' needs two ring-closure digits", 1),
+        ("C[Se", "unmatched '\\['", 1),
+        ("C(C=)C", "dangling bond before '\\)'", 3),
+        ("C=.C", "bond symbol before '.'", 1),
+    ]:
+        with pytest.raises(ParseError, match=message) as err:
+            parse_smiles(text)
+        assert err.value.offset == bad_offset
     # an empty fragment fails at its second '.', as leading and trailing
     # dots (of the string or of a branch) fail at theirs
     for text, bad_offset in [("C..C", 2), ("CC...O", 3), (".C", 0),
