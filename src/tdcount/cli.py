@@ -254,6 +254,8 @@ def cmd_bench(args):
         raise _UsageError("--budget must be a positive finite number of "
                           f"seconds, got {args.budget:g}")
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
+    if not engines:
+        raise _UsageError(f"--engines names no engine: {args.engines!r}")
     for e in engines:
         if e not in ("dp", "baseline"):
             raise _UsageError(f"unknown engine {e!r}")

@@ -28,9 +28,9 @@ def count_prepares(monkeypatch):
     calls = []
     prepare = counting._prepare
 
-    def counted(g, nd):
+    def counted(g, nd, *budget):
         calls.append(g)
-        return prepare(g, nd)
+        return prepare(g, nd, *budget)
 
     monkeypatch.setattr(counting, "_prepare", counted)
     return calls

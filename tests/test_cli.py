@@ -416,6 +416,15 @@ def test_bench_unknown_engine_exits_1(capsys):
     assert err == "usage error: unknown engine 'foo'\n"
 
 
+@pytest.mark.parametrize("engines", [",", "", " , "])
+def test_bench_empty_engine_list_exits_1(engines, capsys):
+    code, out, err = run(["bench", "--seed", "1", "--engines", engines],
+                         capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: --engines names no engine: {engines!r}\n"
+
+
 def test_bench_baseline_disagreeing_with_dp_exits_3(tmp_path, capsys,
                                                     monkeypatch):
     real = _BASELINES["perfect_matchings"]

@@ -555,6 +555,238 @@ def test_failed_child_leaves_the_family_to_the_parent(monkeypatch):
     _no_child_left()
 
 
+# ------------------------------------------------------ inside-outside cuts
+
+def _children(op):
+    """Child indices of a plan op."""
+    if op[0] == counting._JOIN:
+        return op[1:3]
+    return () if op[0] == counting._LEAF else op[1:2]
+
+
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
+class _Kept(list):
+    """Tables for ``counting._inside`` that keep the tables of some nodes
+    (all by default) after their parents are built."""
+
+    def __init__(self, size, keep=None):
+        super().__init__([None] * size)
+        self.keep = range(size) if keep is None else keep
+
+    def __setitem__(self, i, table):
+        if table is not None or i not in self.keep:
+            super().__setitem__(i, table)
+
+
+def _relabel(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _atlas_graphs():
+    """The 996 connected graphs of 1..7 vertices, up to isomorphism."""
+    import networkx as nx
+    from networkx.generators.atlas import graph_atlas_g
+
+    return [Graph(g.number_of_nodes(), list(g.edges()))
+            for g in graph_atlas_g()
+            if g.number_of_nodes() >= 1 and nx.is_connected(g)]
+
+
+@pytest.mark.parametrize("mode", ["pm", "match", "ind"])
+def test_transposed_ops_are_adjoint(mode):
+    # <op(x), y> == <x, op^T(y)> for the op of every node and each child,
+    # with x the child's table from the forward pass and y random, in plain
+    # and shifted passes
+    from tdcount import parse_smiles
+    from conftest import CAFFEINE_SMILES
+
+    rng = random.Random(5)
+    k24 = Graph(6, [(u, v) for u in (0, 1) for v in range(2, 6)])
+    cases = [(k24, make_nice(TreeDecomposition(
+        [{0, 1}, {0, 1, 2, 3}, {0, 1, 4, 5}], [-1, 0, 0], 0)))]
+    cases += [(g, minfill_nice(g)) for g in (
+        grid_graph(3, 4), grid_graph(4, 5), cycle_graph(7),
+        parse_smiles(CAFFEINE_SMILES).graph,
+        _relabel(ladder_graph(8), 1))]
+    cases += [(g, minfill_nice(g))
+              for g in (random_graph(rng, max_n=10, max_m=18)
+                        for _ in range(20))]
+    seen = set()
+    for g, nd in cases:
+        plan = counting._plan_for(g, nd)
+        total = counting._run(plan, mode, None)
+        for shift in (0, total.bit_length()):
+            tables = counting._inside(plan, mode, None, shift, [],
+                                      _Kept(len(plan)))
+            for node, op in enumerate(plan):
+                for child in _children(op):
+                    y = [rng.choice((0, rng.randrange(1, 1 << 70)))
+                         for _ in tables[node]]
+                    yt = counting._transpose(plan, node, child, tables, y,
+                                             mode, None, shift)
+                    assert len(yt) == len(tables[child])
+                    assert _dot(tables[node], y) == _dot(tables[child], yt)
+                    seen.add(op[0])
+    assert seen == {counting._INTRO, counting._FORGET, counting._JOIN}
+
+
+def test_forced_cuts_agree_at_every_depth_on_the_oracle_graphs():
+    # every node of the heavy path as the cut, in every mode, plain and
+    # shifted: the same answer as the root, and each join listed once
+    graphs = _atlas_graphs()
+    assert len(graphs) == 996
+    for g in graphs:
+        nd = minfill_nice(g)
+        plan = counting._plan_for(g, nd)
+        path = counting._heavy_path(plan, counting._below(plan))
+        widths = [op[3] for op in plan if op[0] == counting._JOIN]
+        for mode in ("pm", "match", "ind"):
+            total = counting._run(plan, mode, None)
+            for shift in (0, total.bit_length()):
+                want = counting._run(plan, mode, None, shift, 0)
+                for depth in range(1, len(path)):
+                    stats = DpStats()
+                    assert counting._run(plan, mode, stats, shift,
+                                         depth) == want
+                    assert stats.join_nodes == len(widths)
+                    assert [w for w, _ in stats.join_bags] == widths
+
+
+def test_cut_sweep_on_wide_inputs():
+    # one inside pass keeps the tables the outside walk reads; from the
+    # root down, <inside, outside> at every node of the heavy path is the
+    # root's value. The relabelled 7x30 grid's shifted pass uses B = 16,
+    # which keeps its entries short; the value is still exact
+    g7 = _relabel(grid_graph(7, 30), 3)
+    for g in (g7, ladder_graph(30), _relabel(ladder_graph(60), 1)):
+        nd = minfill_nice(g)
+        plan = counting._plan_for(g, nd)
+        path = counting._heavy_path(plan, counting._below(plan))
+        keep = {c for node in path for c in _children(plan[node])}
+        for mode in ("pm", "match", "ind"):
+            bits = 16 if g is g7 else \
+                counting._run(plan, mode, None).bit_length()
+            for shift in (0, bits):
+                tables = counting._inside(plan, mode, None, shift, [],
+                                          _Kept(len(plan), keep))
+                want = tables[path[0]][0]
+                o = [1]
+                for node, child in zip(path, path[1:]):
+                    o = counting._transpose(plan, node, child, tables, o,
+                                            mode, None, shift)
+                    assert _dot(tables[child], o) == want
+    # the relabelled grid's heavy path runs through joins
+    plan = counting._plan_for(g7, minfill_nice(g7))
+    path = counting._heavy_path(plan, counting._below(plan))
+    assert sum(plan[node][0] == counting._JOIN for node in path) >= 10
+
+
+def test_cut_model_keeps_the_root_on_join_free_chains():
+    # a path decomposition has no join: no cut is priced, and the long
+    # inside entries are never multiplied short by short
+    from tdcount import build_chain, parse_chain_file
+
+    hexagons = build_chain(parse_chain_file(
+        bundled_path("hexagon.chain").read_text()), 60)
+    for g in (ladder_graph(200), hexagons, path_graph(2000)):
+        nd = minfill_nice(g)
+        assert nd.join_count() == 0
+        plan = counting._plan_for(g, nd)
+        for mode in ("match", "ind"):
+            bits = counting._run(plan, mode, None).bit_length()
+            assert counting._cut_path(plan, mode, bits) == [len(plan) - 1]
+    # wide min-fill trees take a cut in the matching-polynomial pass
+    for rows in (5, 6, 7):
+        g = grid_graph(rows, 30)
+        plan = counting._plan_for(g, minfill_nice(g))
+        bits = counting._run(plan, "match", None).bit_length()
+        path, work = counting._cut_work(plan, "match", bits)
+        assert work[0] == 0 and min(work) < 0
+        assert len(counting._cut_path(plan, "match", bits)) > 1
+
+
+def test_bit_work_bounds_the_bits_a_shifted_pass_writes():
+    # every cell of a pass cut at the root holds at most B × (f + 1) bits,
+    # f the vertices forgotten below its node, and _bit_work sums that
+    # bound
+    for g in ([ladder_graph(k) for k in (1, 2, 20, 200)]
+              + [grid_graph(r, c) for r, c in
+                 ((2, 2), (3, 10), (4, 4), (4, 30), (5, 30))]):
+        nd = minfill_nice(g)
+        plan = counting._plan_for(g, nd)
+        below = counting._below(plan)
+        for mode in ("match", "ind"):
+            bits = counting._run(plan, mode, None).bit_length()
+            tables = counting._inside(plan, mode, None, bits, [],
+                                      _Kept(len(plan)))
+            written = 0
+            for i, table in enumerate(tables):
+                assert len(table) == 1 << counting._width(plan[i])
+                longest = max(x.bit_length() for x in table)
+                assert longest <= bits * (below[i] + 1)
+                written += sum(x.bit_length() for x in table)
+            assert written <= counting._bit_work(plan, bits)
+
+
+@needs_fork
+def test_forced_cut_lists_every_join_once(monkeypatch):
+    # with cells priced free and no size gate, the matching-polynomial
+    # pass of these inputs is cut below the root. Each pass still lists
+    # every join once, in plan order: the joins above the cut with the
+    # products of their transposes, the others as in the plain pass
+    from tdcount import parse_smiles
+    from conftest import CAFFEINE_SMILES
+
+    inputs = [parse_smiles(CAFFEINE_SMILES).graph, grid_graph(4, 5),
+              grid_graph(3, 8)]
+    inputs = [(g, minfill_nice(g)) for g in inputs]
+    root = [_traced_run_all(g, nd) for g, nd in inputs]
+    monkeypatch.setattr(counting, "_CELL_WORK", 0)
+    monkeypatch.setattr(counting, "_CUT_MIN_WORK", 0)
+    forks = _record_forks(monkeypatch, 1 << 200)
+    serial = [_traced_run_all(g, nd) for g, nd in inputs]
+    monkeypatch.setattr(counting, "_FORK_WORK", 0)
+    forked = [_traced_run_all(g, nd) for g, nd in inputs]
+    assert len(forks) == len(inputs)
+    _no_child_left()
+
+    changed = []
+    for (g, nd), (want, root_stats), (answers, stats), (_, serial_stats) \
+            in zip(inputs, root, forked, serial):
+        assert answers == want
+        assert stats == serial_stats
+        plan = counting._plan_for(g, nd)
+        bits = want[1].bit_length()
+        path = counting._cut_path(plan, "match", bits)
+        assert len(path) > 1
+        joins = [i for i, op in enumerate(plan) if op[0] == counting._JOIN]
+        above = [k for k, i in enumerate(joins) if i in path[:-1]]
+        assert above
+        assert stats.join_nodes == len(stats.join_bags) == 4 * len(joins)
+        passes = [stats.join_bags[k * len(joins):(k + 1) * len(joins)]
+                  for k in range(4)]
+        roots = [root_stats.join_bags[k * len(joins):(k + 1) * len(joins)]
+                 for k in range(4)]
+        # the plain passes take the root; an independent-set join
+        # multiplies 2^|bag| pairs inside or outside
+        assert passes[:2] == roots[:2]
+        assert passes[3] == passes[1]
+        widths = [plan[i][3] for i in joins]
+        assert [w for w, _ in passes[2]] == widths
+        for k, (w, products) in enumerate(passes[2]):
+            if k not in above:
+                assert (w, products) == roots[2][k]
+            assert products <= 3 ** w
+        changed.append(passes[2] != roots[2])
+    # a transposed join can make other products than the forward one
+    assert any(changed)
+
+
 # ------------------------------------------------------------------- errors
 
 def test_mismatched_decomposition_rejected():
@@ -712,6 +944,53 @@ def test_counters_refuse_bags_past_the_width_cap():
     # a bag of MAX_WIDTH + 1 vertices is admitted (checked, not counted)
     at_cap = _one_bag_nice(MAX_WIDTH + 1)
     assert len(counting._prepare(Graph(MAX_WIDTH + 1), at_cap)) == len(at_cap)
+
+
+def test_counters_refuse_decompositions_over_the_cell_budget():
+    # the min-fill order of the 5x16 grid as a path decomposition: width
+    # 28, 2.78e9 cells per pass, refused before any table is built
+    import time
+
+    g = grid_graph(5, 16)
+    start = time.perf_counter()
+    nd = path_nice(g)
+    assert nd.width() == 28
+    cells = sum(1 << len(node.bag) for node in nd.nodes)
+    assert 2.77e9 < cells < 2.78e9
+    for counter in (count_perfect_matchings, count_matchings,
+                    count_independent_sets, matching_polynomial,
+                    independence_polynomial, run_all):
+        with pytest.raises(SizeLimitError) as err:
+            counter(g, nd)
+        assert str(err.value) == (
+            f"decomposition predicts {cells} table cells per pass, over the"
+            f" budget of {counting.MAX_CELLS}")
+    assert time.perf_counter() - start < 0.5
+    # one cell more than the budget is refused, the budget itself admitted
+    plan = counting._prepare(g, minfill_nice(g))
+    at = sum(1 << counting._width(op) for op in plan)
+    nd = minfill_nice(g)
+    with pytest.raises(SizeLimitError, match=f"predicts {at} table cells"):
+        counting._prepare(g, nd, at - 1)
+    assert len(counting._prepare(g, nd, at)) == len(plan)
+
+
+def test_cell_budget_admits_every_benchmark_request():
+    from tdcount import build_chain, parse_chain_file
+
+    hexagons = build_chain(parse_chain_file(
+        bundled_path("hexagon.chain").read_text()), 300)
+    inputs = [grid_graph(r, 30) for r in range(3, 8)]
+    inputs += [_relabel(g, seed) for g in inputs for seed in (1, 3)]
+    inputs += [ladder_graph(600), hexagons, path_graph(2000),
+               cycle_graph(2000)]
+    inputs += [mol.graph for mol in
+               load_corpus(bundled_path("corpus100.smi")).molecules]
+    for g in inputs:
+        nd = minfill_nice(g)
+        assert len(counting._plan_for(g, nd)) == len(nd)
+    assert len(counting._plan_for(path_graph(2000),
+                                  path_nice(path_graph(2000)))) > 0
 
 
 # ------------------------------------------------------------- shared plan

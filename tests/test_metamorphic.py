@@ -278,13 +278,22 @@ def test_split_joins_agree_with_path_decompositions(monkeypatch):
     assert (False, True, False, True) in calls
 
     # the split visits each combining pair once per slot but records it
-    # once: the shifted pass makes the same products as the plain one
+    # once: the shifted pass cut at the root makes the same products as
+    # the plain one. run_all's matching-polynomial pass on this grid is
+    # cut below the root, and records the products of the joins it
+    # transposes above the cut instead
+    from tdcount import counting
+
     g = grid_graph(5, 30)
     nd = minfill_nice(g)
     stats = DpStats()
-    run_all(g, nd, stats)
+    hosoya = run_all(g, nd, stats).matchings
     joins = nd.join_count()
     passes = [stats.join_bags[k * joins:(k + 1) * joins] for k in range(4)]
     assert [sum(p for _, p in bags) for bags in passes] == \
-        [5692, 3344, 5692, 3344]
-    assert passes[2] == passes[0] and passes[3] == passes[1]
+        [5692, 3344, 6430, 3344]
+    assert passes[3] == passes[1]
+    root = DpStats()
+    counting._run(counting._plan_for(g, nd), "match", root,
+                  hosoya.bit_length(), 0)
+    assert root.join_bags == passes[0]
