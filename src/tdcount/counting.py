@@ -62,29 +62,23 @@ adding it to 0. Coefficients are read back from the root by halving it at
 slot boundaries, since peeling one B-bit slot at a time copies the rest of
 the integer for every slot.
 
-A shifted pass is evaluated inside-outside. Its heavy path runs from the
-root, at each join to the child below which more vertices are forgotten.
-The forward (inside) pass stops below a cut node of that path; the
-transposes of the introduce, forget and join ops carry an outside table
-from the root, where it is [1], down to the cut, a path join multiplying
-its off-path child's inside entries into it; the answer is the dot product
-``Σ_s inside[s] · outside[s]`` at the cut. Outside entries hold only the
-graph above the cut, so a join near the root of a min-fill tree, long spine
-times short branch, becomes short times short, and the nodes above it work
-on short entries. ``_cut_work`` chooses the cut before any table is built,
-in ``_bit_work`` units: a cell written costs ``_CELL_WORK`` plus its length,
-a product ``_DIGIT_PRODUCT_WORK`` per digit product under CPython's
-schoolbook and Karatsuba rules, and entries are priced at half their bound,
-B × (f + 1) / 2 bits inside a node with f vertices forgotten below, B ×
-(n - f + 1) / 2 outside. The root is always a candidate, and cut there the
-pass is the plain forward pass. The other candidates lie below a join of
-the path and keep at least half the vertices below them. So a join-free
-chain keeps the root: moving the cut down k forgets saves additions on its
-long entries, but the dot product then multiplies them by outside entries
-of about k·B/2 bits; on the 2×600 ladder, B ≈ 1,000, that costs several
-times what it saves. Plain passes always take the root, and so does every
-pass with B × nodes below ``_CUT_MIN_WORK``, unpriced. ``DpStats`` lists
-each join once per pass, in plan order, with the products its pass
+A shifted pass may be evaluated inside-outside (module ``insideout``):
+the forward pass stops at a cut node on its heavy path, the path from the
+root that follows at each join the child below which more vertices are
+forgotten; the transposed ops carry an outside table from the root down to
+the cut, and the answer is the dot product of the two tables there. So a
+join near the root of a min-fill tree, long spine times short branch,
+becomes short times short. The cut is the argmin of a cost predicted from
+the plan and B alone, before any table is built: cells written and big-int
+products priced under CPython's schoolbook and Karatsuba rules, in
+``_bit_work`` units. The root is always a candidate, and cut there the pass
+is the forward pass. A join-free chain keeps the root: a cut there saves
+only additions on long entries, while the outside forgets write twice the
+cells and the dot product multiplies long inside entries by outside
+entries that grow as the cut goes down. The model prices every such cut
+above the root, so a pass over a plan without a join, like a plain pass
+and one with B × nodes below ``_CUT_MIN_WORK``, is not priced. ``DpStats``
+lists each join once per pass, in plan order, with the products its pass
 performed, inside or outside.
 
 Before counting, ``_prepare`` checks the decomposition -- its grammar
@@ -93,10 +87,12 @@ reports too, then what needs the graph -- and compiles it into a plan of
 per-node instructions. It is the only check of a decomposition against a
 graph: ``make_nice`` and ``tdcount count --td`` leave it to this one. It
 refuses a decomposition whose tables would take more than ``MAX_CELLS``
-cells in one pass (Σ 2^|bag|) before any table is built. The plan is kept
-on the ``NiceDecomposition``, keyed by the graph object, so
-every counter called on the same (graph, decomposition) -- the three
-totals, both polynomials and ``run_all`` -- checks and compiles it once.
+cells in one pass (Σ 2^|bag|) before any table is built; that is the
+counters' width cap too, since no decomposition of width 23 or more fits
+the budget. The plan is kept on the ``NiceDecomposition``, keyed by the
+graph object, so every counter called on the same (graph, decomposition)
+-- the three totals, both polynomials and ``run_all`` -- checks and
+compiles it once.
 Nice nodes are immutable, so a kept plan cannot go stale; another graph
 object is checked afresh and its plan replaces the kept one.
 
@@ -123,9 +119,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .decomposition import (
-    FORGET, INTRODUCE, JOIN, MAX_WIDTH, _check_grammar,
-)
+from .decomposition import FORGET, INTRODUCE, JOIN, _check_grammar
 from .errors import DecompositionMismatch, SizeLimitError
 
 _LEAF, _INTRO, _FORGET, _JOIN = 0, 1, 2, 3
@@ -139,17 +133,15 @@ _PEEL_BITS = 4096
 # family, on the 5x30 grid (1.05e8, no fork) 7 ms
 _FORK_WORK = 1 << 27
 # table cells (Σ 2^|bag| over the nodes) a decomposition may ask of one
-# pass. The min-fill 7x30 grid asks 1.1 × 10^5, the min-fill order of the
-# 5x16 grid taken as a path decomposition (width 28) 2.8 × 10^9
+# pass. A pass over a one-bag decomposition (no join, short entries) costs
+# 80-190 ns a cell and run_all 270 ns (CPython 3.11, x86-64), so a request
+# at the budget runs about 10 s, and its widest table, 2^23 cells, is a
+# 64 MiB list. A nice decomposition of width w asks at least
+# 3 × 2^(w+1) - 2 cells, so none of width 23 or more is admitted. The
+# min-fill 7x30 grid asks 1.1 × 10^5, the min-fill order of the 5x16 grid
+# taken as a path decomposition (width 28) 2.8 × 10^9: about 4 min of a
+# plain pass, with 4 GiB tables
 MAX_CELLS = 1 << 25
-# the cut's cost model in ``_bit_work`` units, the bits an addition writes:
-# one Python-level step on a cell, and one digit-by-digit product inside a
-# big-int multiplication (measured on CPython 3.11, x86-64)
-_CELL_WORK = 2000
-_DIGIT_PRODUCT_WORK = 40
-# CPython multiplies by schoolbook up to this many digits, then by Karatsuba
-_KARATSUBA_DIGITS = 70
-_KARATSUBA_EXPONENT = math.log2(3) - 1
 # B × plan nodes below which a shifted pass keeps the root cut unpriced:
 # pricing costs about 40 µs on a molecule. No corpus100 molecule reaches
 # 2,000, and none of them takes a cut when priced; the smallest 3 x c grid
@@ -211,22 +203,21 @@ class DpStats:
     join_bags: list = field(default_factory=list)
 
 
-def _prepare(g, nd, max_cells=None):
+def _prepare(g, nd):
     """Check that nd describes g and compile it into per-node instructions.
 
     ``_check_grammar`` checks nd alone and gives each v's bag position.
     Here every introduced vertex must be in 0..n-1 and every vertex of g
-    forgotten, which the grammar makes exactly once. No bag may hold more
-    than ``MAX_WIDTH`` + 1 vertices, whatever built nd, so no table
-    grows past 2^(MAX_WIDTH + 1) entries; only introduce nodes grow a bag.
-    With an empty root bag and no orphan node, an edge can then only be
-    seen as a pair at the forget of its earlier endpoint, at most once, so
-    counting pairs checks coverage.
+    forgotten, which the grammar makes exactly once. With an empty root
+    bag and no orphan node, an edge can then only be seen as a pair at the
+    forget of its earlier endpoint, at most once, so counting pairs checks
+    coverage.
 
-    The same loop sums the cells the tables of one pass take, Σ 2^|bag|.
-    Above max_cells (None: no budget) it raises ``SizeLimitError`` before
-    any table is built. The counters reach it through ``_plan_for``, once
-    per graph and decomposition, with the budget ``MAX_CELLS``.
+    The same loop sums the cells the tables of one pass take, Σ 2^|bag|,
+    and above ``MAX_CELLS`` it raises ``SizeLimitError`` before any table
+    is built, whatever built nd. That caps the width at 22: a bag of w + 1
+    vertices lies on a path of bags of every size from w + 1 down to the
+    empty leaf and root bags, 3 × 2^(w+1) - 2 cells at least.
     """
     n = g.n
     neighbors = g.neighbors
@@ -244,11 +235,6 @@ def _prepare(g, nd, max_cells=None):
             if v >= n:
                 raise DecompositionMismatch(
                     f"introduced vertex {v} outside 0..{n - 1}"
-                )
-            if w > MAX_WIDTH + 1:
-                raise SizeLimitError(
-                    f"decomposition width {w - 1} exceeds the cap"
-                    f" of {MAX_WIDTH}"
                 )
             nbrs = neighbors(v)
             nbr_mask = 0
@@ -287,10 +273,10 @@ def _prepare(g, nd, max_cells=None):
         }
         stray = sorted(g.edges - seen)
         raise DecompositionMismatch(f"edges {stray} not covered by any bag")
-    if max_cells is not None and cells > max_cells:
+    if cells > MAX_CELLS:
         raise SizeLimitError(
             f"decomposition predicts {cells} table cells per pass, over the"
-            f" budget of {max_cells}"
+            f" budget of {MAX_CELLS}"
         )
     return plan
 
@@ -329,153 +315,6 @@ def _bit_work(plan, bits):
                       for i, op in enumerate(plan))
 
 
-def _heavy_path(plan, below):
-    """Nodes from the root down to a leaf, at each join the child below
-    which more vertices are forgotten (the first child on a tie)."""
-    path = [len(plan) - 1]
-    op = plan[-1]
-    while op[0] != _LEAF:
-        c = op[1]
-        if op[0] == _JOIN and below[op[2]] > below[c]:
-            c = op[2]
-        path.append(c)
-        op = plan[c]
-    return path
-
-
-def _product_work(x, y):
-    """Predicted work of multiplying an x-bit int by a y-bit int.
-
-    Schoolbook multiplies every digit pair. Past CPython's Karatsuba
-    cutoff, the longer factor is cut into pieces as long as the shorter,
-    each piece multiplied in a^log2(3) digit products for a-digit
-    factors.
-    """
-    a = x // _DIGIT + 1
-    b = y // _DIGIT + 1
-    if a > b:
-        a, b = b, a
-    if a > _KARATSUBA_DIGITS:
-        a = _KARATSUBA_DIGITS * (a / _KARATSUBA_DIGITS) ** _KARATSUBA_EXPONENT
-    return _DIGIT_PRODUCT_WORK * a * b
-
-
-def _live(plan):
-    """Per node, the bag positions a matching below it can cover."""
-    live = [0] * len(plan)
-    for i, op in enumerate(plan):
-        code = op[0]
-        if code == _JOIN:
-            live[i] = live[op[1]] | live[op[2]]
-        elif code != _LEAF:
-            m = live[op[1]]
-            p = op[2]
-            low = m & ((1 << p) - 1)
-            if code == _INTRO:
-                live[i] = low | ((m >> p) << (p + 1))
-            else:
-                for pbit, _ in op[3]:
-                    low |= pbit
-                live[i] = low | ((m >> (p + 1)) << p)
-    return live
-
-
-def _cut_work(plan, mode, bits):
-    """Heavy path and predicted work of a shifted pass cut at each depth.
-
-    work[k] is the predicted work of the pass cut at path[k] less that of
-    the root pass, so work[0] is 0: the path nodes above the cut done
-    outside rather than inside, plus the dot product at the cut. It is
-    infinite above the path's first join, and work stops at the first node
-    below which fewer than half the vertices are forgotten: past it the
-    outside entries are the longer ones. A cell written costs
-    ``_CELL_WORK`` plus its length in bits, and a product
-    ``_product_work`` more. Entries are priced at half their bound:
-    B × (f + 1) / 2 bits inside a node below which f vertices are
-    forgotten, B × (n - f + 1) / 2 outside it.
-
-    A forget writes 2^|bag| cells inside, twice as many outside. An
-    introduce copies references, except that outside in ind mode it adds.
-    A join multiplies 2^|bag| pairs in ind mode. A matching join
-    multiplies 2^|l1 ^ l2| × 3^|l1 & l2| pairs inside, for l1 and l2 the
-    bag vertices its children can cover (``_live``), each pair the cheaper
-    of a whole product and the Horner slot split. Outside it multiplies
-    the off-path child's inside entries by its own outside entries and
-    takes every state of the path side as non-zero. The dot product
-    multiplies the cut's non-zero inside entries by its outside entries.
-    """
-    below = _below(plan)
-    path = _heavy_path(plan, below)
-    is_ind = mode == "ind"
-    live = None if is_ind else _live(plan)
-    half = bits / 2
-    n = below[-1]
-    work = [0]
-    above = 0
-    joined = False
-    for node, child in zip(path, path[1:]):
-        if 2 * below[child] < n:
-            break
-        op = plan[node]
-        code = op[0]
-        out_len = half * (n - below[node] + 1)
-        if code == _FORGET:
-            w = op[4]
-            above += ((_CELL_WORK + out_len + half) * (2 << w)
-                      - (_CELL_WORK + half * (below[node] + 1)) * (1 << w))
-        elif code == _INTRO and is_ind:
-            above += out_len * (1 << (op[4] - 1))
-        elif code == _JOIN:
-            joined = True
-            _, c1, c2, w, _ = op
-            x = half * (below[c1] + 1)
-            y = half * (below[c2] + 1)
-            sib = x if child == c2 else y
-            mul = _product_work(x, y)
-            if is_ind:
-                inside = outside = 1 << w
-            else:
-                l1, l2 = live[c1], live[c2]
-                both = (l1 & l2).bit_count()
-                inside = 2 ** ((l1 | l2).bit_count() - both) * 3 ** both
-                ls = (l1 if child == c2 else l2).bit_count()
-                outside = 2 ** (w - ls) * 3 ** ls
-                if bits >= 2 * _DIGIT:
-                    mul = min(mul, math.ceil(min(x, y) / bits)
-                              * (_product_work(_DIGIT, max(x, y)) + x + y))
-            above += (outside * (_CELL_WORK + _product_work(sib, out_len)
-                                 + sib + out_len)
-                      - inside * (_CELL_WORK + mul + x + y))
-        if not joined:
-            work.append(math.inf)
-            continue
-        x = half * (below[child] + 1)
-        y = half * (n - below[child] + 1)
-        cells = 2 ** (_width(plan[child]) if is_ind
-                      else live[child].bit_count())
-        work.append(above + cells * (_CELL_WORK + _product_work(x, y)
-                                     + x + y))
-    return path, work
-
-
-def _cut_path(plan, mode, bits, depth=None):
-    """Heavy path from the root down to the cut at depth.
-
-    depth None takes the cut of least predicted work, the root on a tie.
-    A pass with B × nodes below ``_CUT_MIN_WORK``, or over a plan without
-    a join, keeps the root unpriced.
-    """
-    if depth is None:
-        if bits * len(plan) < _CUT_MIN_WORK or all(
-                op[0] != _JOIN for op in plan):
-            return [len(plan) - 1]
-        path, work = _cut_work(plan, mode, bits)
-        depth = min(range(len(work)), key=work.__getitem__)
-    else:
-        path = _heavy_path(plan, _below(plan))
-    return path[:depth + 1]
-
-
 def _plan_for(g, nd):
     """The plan of ``_prepare(g, nd)``, checked once per decomposition.
 
@@ -488,7 +327,7 @@ def _plan_for(g, nd):
     memo = nd._plan
     if memo is not None and memo[0] is g:
         return memo[1]
-    plan = _prepare(g, nd, MAX_CELLS)
+    plan = _prepare(g, nd)
     nd._plan = (g, plan)
     return plan
 
@@ -531,35 +370,24 @@ def _join_slots(t1, nz1, t2, nz2, shift):
     return narrow_first, slots
 
 
-def _run(plan, mode, stats, shift=0, depth=None):
+def _run(plan, mode, stats, shift=0):
     """The one DP traversal behind all five counters.
 
     mode: 'pm' (perfect matchings), 'match' (all matchings), 'ind'
     (independent sets). With ``shift`` = B > 0 every table entry is its size
     polynomial evaluated at x = 2^B: forget nodes commit size by shifting.
 
-    The pass is cut at the node ``depth`` steps down the heavy path (see
-    ``_heavy_path``); None lets ``_cut_path`` choose in a shifted pass and
-    keeps the root in a plain one. The inside tables are built up to the
-    cut, the outside table of the cut down from the root, and the answer
-    is their dot product; at depth 0 it is the root's one entry.
+    A plain pass, one with B × nodes below ``_CUT_MIN_WORK`` and one over a
+    plan without a join run forward to the root. Any other pass is priced
+    and cut on its heavy path by ``insideout._run_cut``.
     """
-    if shift or depth:
-        path = _cut_path(plan, mode, shift, depth)
-    else:
-        path = [len(plan) - 1]
     joins = None if stats is None else {}
-    tables = _inside(plan, mode, joins, shift, path[:-1])
-    value = tables[path[-1]]
-    if len(path) == 1:
-        value = value[0]
+    if shift * len(plan) < _CUT_MIN_WORK or all(
+            op[0] != _JOIN for op in plan):
+        value = _inside(plan, mode, joins, shift, ())[-1][0]
     else:
-        # the outside table of each path node, from [1] at the root, so
-        # that <inside, outside> at any of them is the root's value
-        o = [1]
-        for node, child in zip(path, path[1:]):
-            o = _transpose(plan, node, child, tables, o, mode, joins, shift)
-        value = sum([x * y for x, y in zip(value, o) if x and y])
+        from .insideout import _run_cut
+        value = _run_cut(plan, mode, joins, shift)
     if joins is not None:
         stats.join_nodes += len(joins)
         stats.join_bags += [joins[i] for i in sorted(joins)]
@@ -699,101 +527,6 @@ def _inside(plan, mode, joins, shift, above, tables=None):
                 joins[i] = (w, products)
             tables[c1] = tables[c2] = None
     return tables
-
-
-def _transpose(plan, node, child, tables, o, mode, joins, shift):
-    """The transpose of node's op, as a map from child's table, applied to o.
-
-    At a join the op is linear in child, with the other child's inside
-    table in ``tables`` held fixed. Zero terms are skipped as in the
-    forward pass, and a join records its bag size and the products it
-    performs in joins, unless that is None.
-    """
-    is_ind = mode == "ind"
-    is_match = mode == "match"
-    op = plan[node]
-    code = op[0]
-    if code == _INTRO:
-        # forward: child state cm goes to base, and in ind mode to
-        # base | bit too where v has no chosen neighbour
-        _, _, p, nbr_mask, w = op
-        low = (1 << p) - 1
-        high = ~low
-        bit = 1 << p
-        out = [0] * (1 << (w - 1))
-        for cm in range(1 << (w - 1)):
-            base = (cm & low) | ((cm & high) << 1)
-            if is_ind:
-                val = o[base]
-                if not base & nbr_mask:
-                    y = o[base | bit]
-                    if y:
-                        val = val + y if val else y
-                out[cm] = val
-            else:
-                out[cm] = o[base | bit]
-    elif code == _FORGET:
-        # forward: out[m] sums the child states that forget v into m,
-        # shifted where v joins the structure
-        _, _, p, pairs, w = op
-        low = (1 << p) - 1
-        high = ~low
-        bit = 1 << p
-        out = [0] * (2 << w)
-        for m, val in enumerate(o):
-            if not val:
-                continue
-            base = (m & low) | ((m & high) << 1)
-            out[base] = val
-            if is_ind:
-                out[base | bit] = val << shift
-                continue
-            if is_match:
-                y = out[base | bit]
-                out[base | bit] = y + val if y else val
-            shifted = None
-            for pbit, cbit in pairs:
-                if not m & pbit:
-                    if shifted is None:
-                        shifted = val << shift
-                    k = base | bit | cbit
-                    y = out[k]
-                    out[k] = y + shifted if y else shifted
-    else:  # _JOIN
-        _, c1, c2, w, full = op
-        t = tables[c2 if child == c1 else c1]
-        if is_ind:
-            out = [x * y for x, y in zip(t, o)]
-            products = 1 << w
-        else:
-            # forward: out[a & b] += t1[a] * t2[b] where a | b == full;
-            # here a is the child's state and b the sibling's, so the
-            # child's a = (full ^ b) | h takes t[b] * o[h] for h within b
-            out = [0] * (1 << w)
-            live = 0  # states o can be non-zero in
-            for h, y in enumerate(o):
-                if y:
-                    live |= h
-            products = 0
-            for b, x in enumerate(t):
-                if not x:
-                    continue
-                var = b & live
-                forced = full ^ b
-                h = var
-                while True:
-                    y = o[h]
-                    if y:
-                        products += 1
-                        a = forced | h
-                        z = out[a]
-                        out[a] = z + x * y if z else x * y
-                    if h == 0:
-                        break
-                    h = (h - 1) & var
-        if joins is not None:
-            joins[node] = (w, products)
-    return out
 
 
 def _coefficients(value, bits):

@@ -9,11 +9,11 @@ loaded through the PACE-2017 ``.td`` format.
 
 Nothing here checks a decomposition against a graph. The counters do, once
 per decomposition, in ``counting._prepare``: it refuses an uncovered edge, a
-vertex in no bag or outside the graph, a bag past ``MAX_WIDTH`` + 1 vertices
-and, through ``_check_grammar``, a vertex whose bags are disconnected, all
-before any table is allocated. ``make_nice`` refuses a bag past the cap too,
-before it builds anything, since the nice form of a bag of w vertices holds
-O(w^2) vertex entries.
+vertex in no bag or outside the graph, tables over its cell budget and,
+through ``_check_grammar``, a vertex whose bags are disconnected, all before
+any table is allocated. ``make_nice`` refuses a bag past ``MAX_WIDTH`` + 1
+vertices before it builds anything, since the nice form of a bag of w
+vertices holds O(w^2) vertex entries.
 """
 
 from __future__ import annotations

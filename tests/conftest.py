@@ -28,9 +28,9 @@ def count_prepares(monkeypatch):
     calls = []
     prepare = counting._prepare
 
-    def counted(g, nd, *budget):
+    def counted(g, nd):
         calls.append(g)
-        return prepare(g, nd, *budget)
+        return prepare(g, nd)
 
     monkeypatch.setattr(counting, "_prepare", counted)
     return calls

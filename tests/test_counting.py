@@ -35,7 +35,7 @@ from tdcount import (
     path_graph,
     run_all,
 )
-from tdcount import counting
+from tdcount import counting, insideout
 from tdcount.cli import bundled_path
 from tdcount.decomposition import FORGET, INTRODUCE, JOIN, LEAF, NiceNode
 from conftest import (
@@ -627,8 +627,8 @@ def test_transposed_ops_are_adjoint(mode):
                 for child in _children(op):
                     y = [rng.choice((0, rng.randrange(1, 1 << 70)))
                          for _ in tables[node]]
-                    yt = counting._transpose(plan, node, child, tables, y,
-                                             mode, None, shift)
+                    yt = insideout._transpose(plan, node, child, tables, y,
+                                              mode, None, shift)
                     assert len(yt) == len(tables[child])
                     assert _dot(tables[node], y) == _dot(tables[child], yt)
                     seen.add(op[0])
@@ -643,18 +643,18 @@ def test_forced_cuts_agree_at_every_depth_on_the_oracle_graphs():
     for g in graphs:
         nd = minfill_nice(g)
         plan = counting._plan_for(g, nd)
-        path = counting._heavy_path(plan, counting._below(plan))
-        widths = [op[3] for op in plan if op[0] == counting._JOIN]
+        path = insideout._heavy_path(plan, counting._below(plan))
+        widths = {i: op[3] for i, op in enumerate(plan)
+                  if op[0] == counting._JOIN}
         for mode in ("pm", "match", "ind"):
             total = counting._run(plan, mode, None)
             for shift in (0, total.bit_length()):
-                want = counting._run(plan, mode, None, shift, 0)
+                want = counting._run(plan, mode, None, shift)
                 for depth in range(1, len(path)):
-                    stats = DpStats()
-                    assert counting._run(plan, mode, stats, shift,
-                                         depth) == want
-                    assert stats.join_nodes == len(widths)
-                    assert [w for w, _ in stats.join_bags] == widths
+                    joins = {}
+                    assert insideout._run_cut(plan, mode, joins, shift,
+                                              depth) == want
+                    assert {i: w for i, (w, _) in joins.items()} == widths
 
 
 def test_cut_sweep_on_wide_inputs():
@@ -666,7 +666,7 @@ def test_cut_sweep_on_wide_inputs():
     for g in (g7, ladder_graph(30), _relabel(ladder_graph(60), 1)):
         nd = minfill_nice(g)
         plan = counting._plan_for(g, nd)
-        path = counting._heavy_path(plan, counting._below(plan))
+        path = insideout._heavy_path(plan, counting._below(plan))
         keep = {c for node in path for c in _children(plan[node])}
         for mode in ("pm", "match", "ind"):
             bits = 16 if g is g7 else \
@@ -677,37 +677,46 @@ def test_cut_sweep_on_wide_inputs():
                 want = tables[path[0]][0]
                 o = [1]
                 for node, child in zip(path, path[1:]):
-                    o = counting._transpose(plan, node, child, tables, o,
-                                            mode, None, shift)
+                    o = insideout._transpose(plan, node, child, tables, o,
+                                             mode, None, shift)
                     assert _dot(tables[child], o) == want
     # the relabelled grid's heavy path runs through joins
     plan = counting._plan_for(g7, minfill_nice(g7))
-    path = counting._heavy_path(plan, counting._below(plan))
+    path = insideout._heavy_path(plan, counting._below(plan))
     assert sum(plan[node][0] == counting._JOIN for node in path) >= 10
 
 
-def test_cut_model_keeps_the_root_on_join_free_chains():
-    # a path decomposition has no join: no cut is priced, and the long
-    # inside entries are never multiplied short by short
+def test_cut_model_keeps_the_root_on_join_free_chains(monkeypatch):
+    # without a join, a cut moves forgets outside, where they write twice
+    # the cells, and adds a dot product of long inside entries: the model
+    # prices every such cut above the root
     from tdcount import build_chain, parse_chain_file
 
     hexagons = build_chain(parse_chain_file(
         bundled_path("hexagon.chain").read_text()), 60)
+    chains = []
     for g in (ladder_graph(200), hexagons, path_graph(2000)):
         nd = minfill_nice(g)
         assert nd.join_count() == 0
         plan = counting._plan_for(g, nd)
         for mode in ("match", "ind"):
             bits = counting._run(plan, mode, None).bit_length()
-            assert counting._cut_path(plan, mode, bits) == [len(plan) - 1]
+            path, work = insideout._cut_work(plan, mode, bits)
+            assert work[0] == 0 and len(work) > 1 and min(work[1:]) > 0
+            want = insideout._run_cut(plan, mode, None, bits, 0)
+            chains.append((plan, mode, bits, want))
+    # so a pass over a plan without a join is not priced
+    monkeypatch.setattr(insideout, "_run_cut", None)
+    for plan, mode, bits, want in chains:
+        assert counting._run(plan, mode, None, bits) == want
+    monkeypatch.undo()
     # wide min-fill trees take a cut in the matching-polynomial pass
     for rows in (5, 6, 7):
         g = grid_graph(rows, 30)
         plan = counting._plan_for(g, minfill_nice(g))
         bits = counting._run(plan, "match", None).bit_length()
-        path, work = counting._cut_work(plan, "match", bits)
+        path, work = insideout._cut_work(plan, "match", bits)
         assert work[0] == 0 and min(work) < 0
-        assert len(counting._cut_path(plan, "match", bits)) > 1
 
 
 def test_bit_work_bounds_the_bits_a_shifted_pass_writes():
@@ -746,7 +755,7 @@ def test_forced_cut_lists_every_join_once(monkeypatch):
               grid_graph(3, 8)]
     inputs = [(g, minfill_nice(g)) for g in inputs]
     root = [_traced_run_all(g, nd) for g, nd in inputs]
-    monkeypatch.setattr(counting, "_CELL_WORK", 0)
+    monkeypatch.setattr(insideout, "_CELL_WORK", 0)
     monkeypatch.setattr(counting, "_CUT_MIN_WORK", 0)
     forks = _record_forks(monkeypatch, 1 << 200)
     serial = [_traced_run_all(g, nd) for g, nd in inputs]
@@ -762,8 +771,10 @@ def test_forced_cut_lists_every_join_once(monkeypatch):
         assert stats == serial_stats
         plan = counting._plan_for(g, nd)
         bits = want[1].bit_length()
-        path = counting._cut_path(plan, "match", bits)
-        assert len(path) > 1
+        path, work = insideout._cut_work(plan, "match", bits)
+        depth = min(range(len(work)), key=work.__getitem__)
+        assert depth > 0
+        path = path[:depth + 1]
         joins = [i for i, op in enumerate(plan) if op[0] == counting._JOIN]
         above = [k for k, i in enumerate(joins) if i in path[:-1]]
         assert above
@@ -938,15 +949,23 @@ def test_counters_refuse_bags_past_the_width_cap():
     for counter in (count_perfect_matchings, count_matchings,
                     count_independent_sets, matching_polynomial,
                     independence_polynomial, run_all):
-        with pytest.raises(SizeLimitError,
-                           match=f"width {MAX_WIDTH + 1} exceeds the cap"):
+        with pytest.raises(SizeLimitError, match="over the budget"):
             counter(g, wide)
-    # a bag of MAX_WIDTH + 1 vertices is admitted (checked, not counted)
-    at_cap = _one_bag_nice(MAX_WIDTH + 1)
-    assert len(counting._prepare(Graph(MAX_WIDTH + 1), at_cap)) == len(at_cap)
+    # the cell budget caps the width at 22: a decomposition of width w
+    # asks at least 3 × 2^(w+1) - 2 cells, as the one-bag form does
+    for k in (23, 24):
+        nd = _one_bag_nice(k)
+        assert sum(1 << len(node.bag) for node in nd.nodes) == \
+            3 * 2 ** k - 2
+    assert 3 * 2 ** 23 - 2 <= counting.MAX_CELLS < 3 * 2 ** 24 - 2
+    at_cap = _one_bag_nice(23)
+    assert at_cap.width() == 22
+    assert len(counting._prepare(Graph(23), at_cap)) == len(at_cap)
+    with pytest.raises(SizeLimitError, match="over the budget"):
+        counting._prepare(Graph(24), _one_bag_nice(24))
 
 
-def test_counters_refuse_decompositions_over_the_cell_budget():
+def test_counters_refuse_decompositions_over_the_cell_budget(monkeypatch):
     # the min-fill order of the 5x16 grid as a path decomposition: width
     # 28, 2.78e9 cells per pass, refused before any table is built
     import time
@@ -967,12 +986,14 @@ def test_counters_refuse_decompositions_over_the_cell_budget():
             f" budget of {counting.MAX_CELLS}")
     assert time.perf_counter() - start < 0.5
     # one cell more than the budget is refused, the budget itself admitted
-    plan = counting._prepare(g, minfill_nice(g))
-    at = sum(1 << counting._width(op) for op in plan)
     nd = minfill_nice(g)
+    plan = counting._prepare(g, nd)
+    at = sum(1 << counting._width(op) for op in plan)
+    monkeypatch.setattr(counting, "MAX_CELLS", at - 1)
     with pytest.raises(SizeLimitError, match=f"predicts {at} table cells"):
-        counting._prepare(g, nd, at - 1)
-    assert len(counting._prepare(g, nd, at)) == len(plan)
+        counting._prepare(g, nd)
+    monkeypatch.setattr(counting, "MAX_CELLS", at)
+    assert len(counting._prepare(g, nd)) == len(plan)
 
 
 def test_cell_budget_admits_every_benchmark_request():

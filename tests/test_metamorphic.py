@@ -294,6 +294,7 @@ def test_split_joins_agree_with_path_decompositions(monkeypatch):
         [5692, 3344, 6430, 3344]
     assert passes[3] == passes[1]
     root = DpStats()
+    monkeypatch.setattr(counting, "_CUT_MIN_WORK", float("inf"))
     counting._run(counting._plan_for(g, nd), "match", root,
-                  hosoya.bit_length(), 0)
+                  hosoya.bit_length())
     assert root.join_bags == passes[0]
