@@ -155,10 +155,11 @@ _ENTROPY_OF = {
 def _compute(graph, nd, names):
     """Compute the requested quantities; returns {name: (value, millis)}.
 
-    Both polynomials or an entropy take one ``run_all`` (totals reused for
-    the polynomials); other selections call the single counters. Either way
-    the decomposition is checked once: the counters share the plan that the
-    first one's ``_prepare`` keeps on ``nd``.
+    Both polynomials or an entropy take one ``run_all``, which reads the
+    perfect matchings, and on small inputs the Hosoya and Merrifield-Simmons
+    totals, off the polynomials; other selections call the single counters.
+    Either way the decomposition is checked once: the counters share the
+    plan that the first one's ``_prepare`` keeps on ``nd``.
     """
     wanted = set(names)
 

@@ -30,9 +30,17 @@ independent sets, a pair edge formed at the forget for matchings. Joins then
 multiply polynomials and introduce nodes copy them. Substituting x = 2^B
 turns each polynomial into one integer and each factor x into a left shift
 by B bits, so the pass is the integer DP with a shift at forget nodes. The
-root holds P(2^B) exactly. Its coefficients are non-negative and sum to the
-total count, so taking B = bit length of the total makes every coefficient
-less than 2^B, and the B-bit slices of the root read them back uniquely.
+root holds P(2^B) exactly, and the B-bit slices of the root read the
+coefficients back uniquely once every one of them is below 2^B. A
+coefficient of the matching polynomial counts k-subsets of the m edges, one
+of the independence polynomial k-subsets of the n vertices, so B =
+max(m, 1) (max(n, 1)) always serves; the total is then the sum of the
+coefficients and the polynomial takes one pass. The coefficients are
+non-negative and sum to the total, so B = the total's bit length serves
+too and makes every entry shorter, at the price of a plain pass for the
+total first. One rule picks between them for ``run_all`` and both
+polynomial counters: the one pass at B = m (n) wherever ``_bit_work``
+predicts it below ``_FORK_WORK``, the two passes elsewhere.
 
 In such a pass a join entry is a string of B-bit slots, and the two
 children's entries can differ a lot in length: min-fill's caterpillar trees
@@ -97,15 +105,18 @@ Nice nodes are immutable, so a kept plan cannot go stale; another graph
 object is checked afresh and its plan replaces the kept one.
 
 ``run_all`` needs two families of passes that share only the read-only
-plan: Hosoya then the matching polynomial, Merrifield-Simmons then the
-independence polynomial. After the Hosoya pass it predicts the bit work of
-a shifted pass (``_bit_work``, B = the Hosoya total's bit length). Where
-that reaches ``_FORK_WORK``, ``os.fork`` exists, no second thread is alive
-and the CPU affinity holds two CPUs or more, one forked child computes the
-independence family while the parent computes the matching polynomial; the
-child marshals its answers, join bags and times back through a pipe. Else,
-or if the child fails, the parent computes the family itself. Answers and
-``DpStats`` are the same either way.
+plan: the matching polynomial, after a Hosoya pass where the rule above
+asks for one, and the independence polynomial, after a Merrifield-Simmons
+pass likewise. Where both families take two passes, it predicts after the
+Hosoya pass the bit work of a shifted pass (``_bit_work``, B = the Hosoya
+total's bit length). Where that reaches ``_FORK_WORK``, ``os.fork`` exists,
+no second thread is alive and the CPU affinity holds two CPUs or more, one
+forked child computes the independence family while the parent computes
+the matching polynomial; the child marshals its answers, join bags and
+times back through a pipe. Else, or if the child fails, the parent
+computes the family itself. Answers and ``DpStats`` are the same either
+way. ``_bit_work(plan, B)`` is B × ``_bit_work(plan, 1)``, so one walk of
+the plan, and none where an O(1) bound settles it, serves every gate.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -127,10 +138,14 @@ _DIGIT = sys.int_info.bits_per_digit
 # peeling B-bit slots off an int of up to this many bits costs less than
 # halving it first
 _PEEL_BITS = 4096
-# ``_bit_work`` at or above which ``run_all`` computes the independence
-# family in a forked child. Forking and reaping cost the parent about
-# 1.5 ms; min-fill on the 6x30 grid (3.3e8) spends about 18 ms in that
-# family, on the 5x30 grid (1.05e8, no fork) 7 ms
+# ``_bit_work`` below which a polynomial takes one shifted pass at B = m
+# (n) and no total pass, and at or above which ``run_all`` computes the
+# independence family in a forked child. Forking and reaping cost the
+# parent about 1.5 ms; min-fill on the 6x30 grid (3.3e8) spends about
+# 18 ms in that family, on the 5x30 grid (1.05e8, no fork) 7 ms. On the
+# min-fill k x 30 grids (CPython 3.11, x86-64) one pass at B = m beat the
+# two passes at 0.46 × this (4x30) and broke even at 1.5 × (5x30); at
+# B = n it beat them at 0.86 × (5x30) and broke even at 2.7 × (6x30)
 _FORK_WORK = 1 << 27
 # table cells (Σ 2^|bag| over the nodes) a decomposition may ask of one
 # pass. A pass over a one-bag decomposition (no join, short entries) costs
@@ -144,8 +159,8 @@ _FORK_WORK = 1 << 27
 MAX_CELLS = 1 << 25
 # B × plan nodes below which a shifted pass keeps the root cut unpriced:
 # pricing costs about 40 µs on a molecule. No corpus100 molecule reaches
-# 2,000, and none of them takes a cut when priced; the smallest 3 x c grid
-# that does, 3x17, has 5,324
+# 3,100 (B = m, one pass), and none of them takes a cut when priced; the
+# smallest 3 x c grid whose matching pass does at B = m, 3x13, has 6,014
 _CUT_MIN_WORK = 1 << 12
 
 
@@ -199,7 +214,10 @@ class DpStats:
     join_nodes: int = 0
     # (bag size, multiplications performed) per join node of each pass, in
     # plan order; a pass cut below the root lists the joins it did outside
-    # with the products of their transposes
+    # with the products of their transposes. A traced call lists the passes
+    # it ran: a polynomial its total pass, if any, then its shifted pass;
+    # run_all the Hosoya and Merrifield-Simmons passes that ran, then the
+    # matching and independence polynomials' shifted passes
     join_bags: list = field(default_factory=list)
 
 
@@ -313,6 +331,17 @@ def _bit_work(plan, bits):
     below = _below(plan)
     return bits * sum((below[i] + 1) << _width(op)
                       for i, op in enumerate(plan))
+
+
+def _unit_work(plan, n, width, bits):
+    """``_bit_work(plan, 1)``, walked only where bits needs it.
+
+    Where bits × the O(1) bound nodes × (n + 1) × 2^(width + 1) on it is
+    below ``_FORK_WORK``, the bound is returned instead: every gate at
+    bits or fewer then passes as it would on the walked value.
+    """
+    bound = (len(plan) * (n + 1)) << (width + 1)
+    return bound if bits * bound < _FORK_WORK else _bit_work(plan, 1)
 
 
 def _plan_for(g, nd):
@@ -551,10 +580,24 @@ def _coefficients(value, bits):
     return coeffs
 
 
-def _size_poly(plan, mode, total, stats):
-    """Size polynomial from one shifted pass; total is its exact value at x = 1."""
-    bits = total.bit_length()
+def _size_poly(plan, mode, bits, stats):
+    """Size polynomial from one shifted pass at B = bits, which must exceed
+    the bit length of every coefficient."""
     return SizePolynomial(_coefficients(_run(plan, mode, stats, bits), bits))
+
+
+def _polynomial(g, nd, mode, stats):
+    """mode's size polynomial, with the slot width rule of ``run_all``.
+
+    One shifted pass at B = m (matching) or B = n (independence) where it
+    predicts less than ``_FORK_WORK``; elsewhere a plain pass first, and B
+    = its total's bit length.
+    """
+    plan = _plan_for(g, nd)
+    bits = max(g.m if mode == "match" else g.n, 1)
+    if bits * _unit_work(plan, g.n, nd.width(), bits) >= _FORK_WORK:
+        bits = _run(plan, mode, stats).bit_length()
+    return _size_poly(plan, mode, bits, stats)
 
 
 def count_perfect_matchings(g, nd, stats=None):
@@ -575,14 +618,12 @@ def count_independent_sets(g, nd, stats=None):
 
 def matching_polynomial(g, nd, stats=None):
     """Matchings of g by size: coeffs[k] = matchings with k edges."""
-    plan = _plan_for(g, nd)
-    return _size_poly(plan, "match", _run(plan, "match", stats), stats)
+    return _polynomial(g, nd, "match", stats)
 
 
 def independence_polynomial(g, nd, stats=None):
     """Independent sets of g by size: coeffs[k] = sets of k vertices."""
-    plan = _plan_for(g, nd)
-    return _size_poly(plan, "ind", _run(plan, "ind", stats), stats)
+    return _polynomial(g, nd, "ind", stats)
 
 
 def entropy(poly):
@@ -608,7 +649,13 @@ def entropy(poly):
 
 @dataclass
 class RunReport:
-    """Everything the five counters say about one graph/decomposition pair."""
+    """Everything the five counters say about one graph/decomposition pair.
+
+    ``millis`` has an entry for each of the five counts: the elapsed
+    milliseconds of its pass, or of reading it off a polynomial where it
+    had none (the perfect matchings always, a total whose polynomial took
+    one pass).
+    """
 
     width: int
     node_count: int
@@ -634,16 +681,13 @@ class RunReport:
         }
 
 
-def _fork_pays(plan, n, width, bits):
+def _fork_pays(work):
     """Whether ``run_all`` computes the independence family in a child.
 
-    bits is the Hosoya total's bit length. The bound bits × nodes ×
-    (n + 1) × 2^(width + 1) on ``_bit_work`` is tested first, so small
-    inputs pay O(1).
+    work is the family's predicted ``_bit_work``, at B = the Hosoya
+    total's bit length.
     """
-    if (bits * len(plan) * (n + 1)) << (width + 1) < _FORK_WORK:
-        return False
-    if _bit_work(plan, bits) < _FORK_WORK:
+    if work < _FORK_WORK:
         return False
     # tdcount does not import threading, which would add to every start-up:
     # a process that never imported it started no thread through it
@@ -658,24 +702,44 @@ def _fork_pays(plan, n, width, bits):
     return cpus >= 2
 
 
-def _independence_family(plan, traced):
-    """The Merrifield-Simmons total, then its shifted pass.
-
-    Returns (total, coefficients, join bags, millis): the coefficients
-    lowest first, the join bags of each pass as a pair of lists (None
-    unless traced) and the two passes' elapsed milliseconds. All of it is
-    plain ints, floats, lists, tuples and dicts, which ``marshal`` carries.
-    """
-    passes = (DpStats(), DpStats()) if traced else (None, None)
+def _timed(millis, name, fn):
+    """fn(), with its elapsed milliseconds stored as millis[name]."""
     t0 = time.perf_counter()
-    total = _run(plan, "ind", passes[0])
-    t1 = time.perf_counter()
-    bits = total.bit_length()
-    coeffs = _coefficients(_run(plan, "ind", passes[1], bits), bits)
-    t2 = time.perf_counter()
-    bags = [s.join_bags for s in passes] if traced else None
-    millis = {"independent_sets": (t1 - t0) * 1000.0,
-              "independence_polynomial": (t2 - t1) * 1000.0}
+    value = fn()
+    millis[name] = (time.perf_counter() - t0) * 1000.0
+    return value
+
+
+def _independence_family(plan, traced, bits=None):
+    """The Merrifield-Simmons total and the independence polynomial.
+
+    Given bits, one shifted pass at B = bits gives the coefficients and
+    the total is read off as their sum; else the plain pass gives the
+    total and the shifted pass runs at B = its bit length. Returns (total,
+    coefficients, join bags, millis): the coefficients lowest first, the
+    join bags of each pass that ran, in order (None unless traced), and
+    the elapsed milliseconds of both entries, the read-off's own where it
+    had no pass. All of it is plain ints, floats, lists, tuples and dicts,
+    which ``marshal`` carries.
+    """
+    bags = [] if traced else None
+
+    def run(shift):
+        stats = None
+        if traced:
+            stats = DpStats()
+            bags.append(stats.join_bags)
+        return _run(plan, "ind", stats, shift)
+
+    millis = {}
+    total = None
+    if bits is None:
+        total = _timed(millis, "independent_sets", lambda: run(0))
+        bits = total.bit_length()
+    coeffs = _timed(millis, "independence_polynomial",
+                    lambda: _coefficients(run(bits), bits))
+    if total is None:
+        total = _timed(millis, "independent_sets", lambda: sum(coeffs))
     return total, coeffs, bags, millis
 
 
@@ -725,58 +789,68 @@ def _join_independence(pid, r):
 def run_all(g, nd, stats=None):
     """All five counts plus both entropies on one decomposition.
 
-    Four DP passes: Hosoya, Merrifield-Simmons and one shifted pass per
-    polynomial. The perfect matchings are read off the matching polynomial.
+    Each polynomial takes one shifted pass. Where that pass at B = m
+    (matching) or B = n (independence) predicts less than ``_FORK_WORK``,
+    it is the polynomial's only pass and its total, Hosoya or
+    Merrifield-Simmons, is the sum of its coefficients. Elsewhere a plain
+    pass computes the total first and the shifted pass runs at B = its bit
+    length. The perfect matchings are read off the matching polynomial.
 
-    The Hosoya pass runs first. When its bit length predicts enough work
-    (see ``_fork_pays``: ``_FORK_WORK``, POSIX fork, no second thread, two
-    CPUs or more), one forked child computes the independence family, the
-    Merrifield-Simmons total and then the independence polynomial, while
-    this process runs the matching-polynomial pass; the child sends its
-    answers back through a pipe and is always reaped before this returns.
-    Otherwise, or if the child fails, this process runs the family itself,
-    so an error in it is raised here. Answers and ``stats`` are the same
-    either way: the join bags of a traced call keep the pass order Hosoya,
-    Merrifield-Simmons, matching polynomial, independence polynomial.
+    Where the Hosoya pass ran and its bit length predicts enough work for
+    the independence family's two passes (see ``_fork_pays``:
+    ``_FORK_WORK``, POSIX fork, no second thread, two CPUs or more), one
+    forked child computes the Merrifield-Simmons total and then the
+    independence polynomial while this process runs the
+    matching-polynomial pass; the child sends its answers back through a
+    pipe and is always reaped before this returns. Otherwise, or if the
+    child fails, this process runs the family itself, so an error in it
+    is raised here. Answers and ``stats`` are the same either way: the
+    join bags of a traced call list the passes that ran in the order
+    Hosoya, Merrifield-Simmons, matching polynomial, independence
+    polynomial.
 
-    ``millis`` holds each pass's elapsed milliseconds. Entries the child
-    computed are its own elapsed times, so in a forked call they overlap
-    the matching-polynomial pass and the entries may add up to more than
-    the call took.
+    ``millis`` holds each of the five counts' elapsed milliseconds: a
+    pass's, or for a count read off a polynomial, the read-off's. Entries
+    the child computed are its own elapsed times, so in a forked call they
+    overlap the matching-polynomial pass and the entries may add up to
+    more than the call took.
     """
     plan = _plan_for(g, nd)
     width = nd.width()
+    n = g.n
     traced = stats is not None
     millis = {}
-
-    def timed(name, fn):
-        t0 = time.perf_counter()
-        value = fn()
-        millis[name] = (time.perf_counter() - t0) * 1000.0
-        return value
-
-    ma = timed("matchings", lambda: _run(plan, "match", stats))
-    child = None
-    if _fork_pays(plan, g.n, width, ma.bit_length()):
-        child = _fork_independence(plan, traced)
+    match_bits = max(g.m, 1)
+    ind_bits = max(n, 1)
+    unit = _unit_work(plan, n, width, max(match_bits, ind_bits))
+    if ind_bits * unit >= _FORK_WORK:
+        ind_bits = None  # the family's total pass sets B
+    ma = child = None
+    if match_bits * unit >= _FORK_WORK:
+        ma = _timed(millis, "matchings", lambda: _run(plan, "match", stats))
+        match_bits = ma.bit_length()
+        if ind_bits is None and _fork_pays(match_bits * unit):
+            child = _fork_independence(plan, traced)
     mp_stats = DpStats() if traced else None
     family = None
     try:
-        mp = timed("matching_polynomial",
-                   lambda: _size_poly(plan, "match", ma, mp_stats))
+        mp = _timed(millis, "matching_polynomial",
+                    lambda: _size_poly(plan, "match", match_bits, mp_stats))
     finally:
         if child is not None:
             family = _join_independence(*child)
+    if ma is None:
+        ma = _timed(millis, "matchings", mp.total)
     if family is None:
-        family = _independence_family(plan, traced)
+        family = _independence_family(plan, traced, ind_bits)
     ind, ip_coeffs, ind_bags, ind_millis = family
     ip = SizePolynomial(ip_coeffs)
     # a perfect matching is a matching of n/2 edges: no pass of its own
-    n = g.n
-    pm = timed("perfect_matchings", lambda: 0 if n % 2 else mp[n // 2])
+    pm = _timed(millis, "perfect_matchings",
+                lambda: 0 if n % 2 else mp[n // 2])
     millis.update(ind_millis)
     if traced:
-        for bags in (ind_bags[0], mp_stats.join_bags, ind_bags[1]):
+        for bags in (*ind_bags[:-1], mp_stats.join_bags, ind_bags[-1]):
             stats.join_nodes += len(bags)
             stats.join_bags += bags
     return RunReport(

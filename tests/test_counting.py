@@ -398,11 +398,16 @@ def _report_answers(report):
             report.node_count, report.join_count)
 
 
+def _set_cpus(monkeypatch, cpus):
+    """Give this process an affinity of ``cpus`` CPUs, as run_all sees it."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+
+
 def _record_forks(monkeypatch, fork_work):
     """Set ``_FORK_WORK`` and two CPUs of affinity; returns the pids forked."""
     monkeypatch.setattr(counting, "_FORK_WORK", fork_work)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
+    _set_cpus(monkeypatch, 2)
     forks = []
     real_fork = os.fork
 
@@ -452,10 +457,13 @@ def test_forked_run_all_matches_serial_and_oracle(monkeypatch):
     expected = [oracle_counts(g) for g, _ in small] + [
         (path_m[n // 2], path_m, path_i), (cycle[n // 2], cycle, cycle)]
 
-    forks = _record_forks(monkeypatch, 1 << 200)
+    # _FORK_WORK = 0 keeps every input on the plain path: a total pass,
+    # then its shifted pass. One CPU of affinity runs it serially
+    forks = _record_forks(monkeypatch, 0)
+    _set_cpus(monkeypatch, 1)
     serial = [_traced_run_all(g, nd) for g, nd in small + long_ones]
     assert forks == []
-    monkeypatch.setattr(counting, "_FORK_WORK", 0)
+    _set_cpus(monkeypatch, 2)
     forked = [_traced_run_all(g, nd) for g, nd in small + long_ones]
     assert len(forks) == len(serial)
     _no_child_left()
@@ -525,8 +533,12 @@ def test_run_all_forks_only_where_the_gate_allows(monkeypatch):
 def test_failed_child_leaves_the_family_to_the_parent(monkeypatch):
     g = ladder_graph(40)
     nd = minfill_nice(g)
-    want = _traced_run_all(g, nd)
+    # the plain path, run serially, as the forked call runs it
     forks = _record_forks(monkeypatch, 0)
+    _set_cpus(monkeypatch, 1)
+    want = _traced_run_all(g, nd)
+    assert forks == []
+    _set_cpus(monkeypatch, 2)
 
     # the child cannot send its result: the parent computes the family
     def no_dumps(value):
@@ -553,6 +565,160 @@ def test_failed_child_leaves_the_family_to_the_parent(monkeypatch):
         run_all(g, nd)
     assert len(forks) == 1
     _no_child_left()
+
+
+# --------------------------------------------------- one-pass polynomials
+
+def _record_shifts(monkeypatch):
+    """Record (mode, B) of every ``counting._run`` call from now on."""
+    calls = []
+    real_run = counting._run
+
+    def recorded(plan, mode, stats, shift=0):
+        calls.append((mode, shift))
+        return real_run(plan, mode, stats, shift)
+
+    monkeypatch.setattr(counting, "_run", recorded)
+    return calls
+
+
+def _both_paths(monkeypatch, g, nd):
+    """run_all, both polynomials and their traces on each path.
+
+    _FORK_WORK = 1 << 200 puts every polynomial on the one-pass path,
+    _FORK_WORK = 0 on the plain path; one CPU of affinity keeps run_all
+    in this process. Checks the passes each path runs and returns the
+    answers of the one-pass path.
+    """
+    slots = {"match": max(g.m, 1), "ind": max(g.n, 1)}
+    calls = _record_shifts(monkeypatch)
+    _set_cpus(monkeypatch, 1)
+    out = []
+    for fork_work in (1 << 200, 0):
+        monkeypatch.setattr(counting, "_FORK_WORK", fork_work)
+        stats = [DpStats() for _ in range(3)]
+        calls.clear()
+        report = run_all(g, nd, stats[0])
+        mp = matching_polynomial(g, nd, stats[1])
+        ip = independence_polynomial(g, nd, stats[2])
+        # run_all, then each polynomial alone
+        per_poly = 1 if fork_work else 2
+        assert [mode for mode, _ in calls] == \
+            (per_poly * ["match"] + per_poly * ["ind"]) * 2
+        plain = [shift for _, shift in calls if shift == 0]
+        if fork_work:
+            # one shifted pass per polynomial, at B = max(m, 1) or max(n, 1)
+            assert not plain
+            assert all(shift == slots[mode] for mode, shift in calls)
+        else:
+            assert len(plain) == 4
+        # a traced run_all lists the passes its polynomials ran, the total
+        # passes first
+        joins = nd.join_count()
+        mp_passes = [stats[1].join_bags[k * joins:(k + 1) * joins]
+                     for k in range(per_poly)]
+        ip_passes = [stats[2].join_bags[k * joins:(k + 1) * joins]
+                     for k in range(per_poly)]
+        assert stats[0].join_bags == sum(
+            (mp_passes[k] + ip_passes[k] for k in range(per_poly)), [])
+        assert stats[0].join_nodes == 2 * per_poly * joins
+        assert set(report.millis) == {
+            "perfect_matchings", "matchings", "independent_sets",
+            "matching_polynomial", "independence_polynomial"}
+        out.append((_report_answers(report), mp, ip))
+    monkeypatch.undo()
+    assert out[0] == out[1]
+    answers, mp, ip = out[0]
+    assert answers[3] == mp and answers[4] == ip
+    assert answers[1] == mp.total() and answers[2] == ip.total()
+    # a k-matching is a k-subset of the m edges, an independent set of
+    # size k a k-subset of the n vertices
+    assert all(c < 1 << slots["match"] for c in mp)
+    assert all(c < 1 << slots["ind"] for c in ip)
+    return out[0]
+
+
+def test_one_pass_and_plain_path_agree(monkeypatch):
+    from tdcount import parse_smiles
+    from conftest import CAFFEINE_SMILES
+
+    rng = random.Random(18)
+    graphs = (_atlas_graphs()
+              + [random_graph(rng) for _ in range(200)]
+              + [parse_smiles(CAFFEINE_SMILES).graph]
+              + [mol.graph for mol in
+                 load_corpus(bundled_path("corpus100.smi")).molecules]
+              + [grid_graph(3, 30), grid_graph(4, 30)])
+    assert len(graphs) == 996 + 200 + 1 + 100 + 2
+    for g in graphs:
+        _both_paths(monkeypatch, g, minfill_nice(g))
+    # a graph without edges: every matching coefficient is below 2^1
+    empty = Graph(3)
+    _, mp, ip = _both_paths(monkeypatch, empty, minfill_nice(empty))
+    assert mp == (1,) and ip == (1, 3, 3, 1)
+
+
+def _hexagon_chain(copies):
+    from tdcount import build_chain, parse_chain_file
+
+    text = bundled_path("hexagon.chain").read_text(encoding="utf-8")
+    return build_chain(parse_chain_file(text), copies)
+
+
+def test_slot_width_gate_on_the_benchmark_inputs(monkeypatch):
+    # corpus100 molecules and the 3x30 and 4x30 grids run one shifted pass
+    # per polynomial, no total pass, and never fork
+    def no_fork():
+        raise AssertionError("run_all forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    calls = _record_shifts(monkeypatch)
+    small = [mol.graph for mol in
+             load_corpus(bundled_path("corpus100.smi")).molecules]
+    for g in small + [grid_graph(3, 30), grid_graph(4, 30)]:
+        calls.clear()
+        run_all(g, minfill_nice(g))
+        assert calls == [("match", max(g.m, 1)), ("ind", max(g.n, 1))]
+    monkeypatch.undo()
+
+    # the 5-7x30 grids, the 2x600 ladder and the 300-hexagon chain keep
+    # the plain path for the matching polynomial, and all but the 5x30
+    # grid for the independence polynomial too: 150 × _bit_work(plan, 1)
+    # is below _FORK_WORK there
+    def one_pass(g, nd, bits):
+        plan = counting._plan_for(g, nd)
+        unit = counting._unit_work(plan, g.n, nd.width(), bits)
+        return bits * unit < counting._FORK_WORK
+
+    for g in (grid_graph(5, 30), grid_graph(6, 30), grid_graph(7, 30),
+              ladder_graph(600), _hexagon_chain(300)):
+        nd = minfill_nice(g)
+        assert not one_pass(g, nd, g.m)
+        assert one_pass(g, nd, g.n) == (g.n == 150)
+
+
+def test_corpus_run_all_does_not_import_insideout():
+    # no corpus100 pass is priced for a cut, so the process never compiles
+    # the inside-outside module; the child imports this test's tdcount
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tdcount
+
+    src = Path(tdcount.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from tdcount import decomposition_from_order, load_corpus, "
+        "make_nice, min_fill_order, run_all; "
+        "from tdcount.cli import bundled_path; "
+        "molecules = load_corpus(bundled_path('corpus100.smi')).molecules; "
+        "[run_all(m.graph, make_nice(decomposition_from_order("
+        "m.graph, min_fill_order(m.graph)))) for m in molecules]; "
+        "print(len(molecules), 'tdcount.insideout' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "100 False\n"
 
 
 # ------------------------------------------------------ inside-outside cuts
@@ -754,12 +920,16 @@ def test_forced_cut_lists_every_join_once(monkeypatch):
     inputs = [parse_smiles(CAFFEINE_SMILES).graph, grid_graph(4, 5),
               grid_graph(3, 8)]
     inputs = [(g, minfill_nice(g)) for g in inputs]
+    # _FORK_WORK = 0 keeps every input on the plain path, and one CPU of
+    # affinity runs it serially
+    forks = _record_forks(monkeypatch, 0)
+    _set_cpus(monkeypatch, 1)
     root = [_traced_run_all(g, nd) for g, nd in inputs]
     monkeypatch.setattr(insideout, "_CELL_WORK", 0)
     monkeypatch.setattr(counting, "_CUT_MIN_WORK", 0)
-    forks = _record_forks(monkeypatch, 1 << 200)
     serial = [_traced_run_all(g, nd) for g, nd in inputs]
-    monkeypatch.setattr(counting, "_FORK_WORK", 0)
+    assert forks == []
+    _set_cpus(monkeypatch, 2)
     forked = [_traced_run_all(g, nd) for g, nd in inputs]
     assert len(forks) == len(inputs)
     _no_child_left()

@@ -6,6 +6,7 @@ other instead: across decompositions with and without joins, across vertex
 relabellings, through the deletion recurrences and over disjoint unions.
 """
 
+import os
 import random
 import sys
 
@@ -252,16 +253,28 @@ def split_calls(monkeypatch):
 
 
 def test_split_joins_agree_with_path_decompositions(monkeypatch):
-    # min-fill joins on the 5x16, 5x30 and 6x12 grids split the shorter
-    # child into B-bit coefficients (B = 72, 136, 65); B = 45 on the 5x10
-    # grid is under two int digits, so its joins multiply whole entries.
-    # BFS path decompositions have no joins.
+    # min-fill joins on these grids split the shorter child into B-bit
+    # coefficients. run_all's matching-polynomial pass takes B = m on the
+    # 5x10, 5x16 and 6x12 grids (85, 139, 126) and the Hosoya total's bit
+    # length on the 5x30 grid (136). On the plain path, which _FORK_WORK =
+    # 0 forces, B = 45, 72, 136, 65: B = 45 on the 5x10 grid is under two
+    # int digits, so its joins multiply whole entries. BFS path
+    # decompositions have no joins. One CPU of affinity keeps every call
+    # in this process
+    from tdcount import counting
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
     calls = split_calls(monkeypatch)
     for g in (grid_graph(5, 10), grid_graph(5, 16), grid_graph(5, 30),
               relabel(grid_graph(6, 12), 7)):
         minfill = minfill_nice(g)
         assert minfill.join_count() >= 1
-        assert answers(run_all(g, minfill)) == answers(run_all(g, bfs_nice(g)))
+        want = answers(run_all(g, bfs_nice(g)))
+        assert answers(run_all(g, minfill)) == want
+        with monkeypatch.context() as plain:
+            plain.setattr(counting, "_FORK_WORK", 0)
+            assert answers(run_all(g, minfill)) == want
     assert any(split for split, _, _, _ in calls)
     # every join splits exactly where the cost rule allows, and splits the
     # child with the shorter entries
@@ -281,9 +294,9 @@ def test_split_joins_agree_with_path_decompositions(monkeypatch):
     # once: the shifted pass cut at the root makes the same products as
     # the plain one. run_all's matching-polynomial pass on this grid is
     # cut below the root, and records the products of the joins it
-    # transposes above the cut instead
-    from tdcount import counting
-
+    # transposes above the cut instead. _FORK_WORK = 0 keeps both families
+    # on the plain path, four passes
+    monkeypatch.setattr(counting, "_FORK_WORK", 0)
     g = grid_graph(5, 30)
     nd = minfill_nice(g)
     stats = DpStats()
