@@ -107,16 +107,26 @@ object is checked afresh and its plan replaces the kept one.
 ``run_all`` needs two families of passes that share only the read-only
 plan: the matching polynomial, after a Hosoya pass where the rule above
 asks for one, and the independence polynomial, after a Merrifield-Simmons
-pass likewise. Where both families take two passes, it predicts after the
-Hosoya pass the bit work of a shifted pass (``_bit_work``, B = the Hosoya
-total's bit length). Where that reaches ``_FORK_WORK``, ``os.fork`` exists,
-no second thread is alive and the CPU affinity holds two CPUs or more, one
-forked child computes the independence family while the parent computes
-the matching polynomial; the child marshals its answers, join bags and
-times back through a pipe. Else, or if the child fails, the parent
-computes the family itself. Answers and ``DpStats`` are the same either
-way. ``_bit_work(plan, B)`` is B × ``_bit_work(plan, 1)``, so one walk of
-the plan, and none where an O(1) bound settles it, serves every gate.
+pass likewise. Where both families take two passes, ``os.fork`` exists,
+no second thread is alive and the CPU affinity holds two CPUs or more, it
+forks one child before the Hosoya pass. The child computes the
+independence family while the parent runs the Hosoya pass. The parent then
+picks a cut on the matching-polynomial pass's heavy path
+(``insideout._split_depth``) and sends B and the cut through a second
+pipe. It builds the cut's subtree; the child builds the off-path subtrees
+above the cut and the outside walk down to it and marshals that outside
+table back with its answers, join bags and times. The parent takes the
+dot product. The in-process cut minimises the pass's own work, while this
+one balances the two processes' shares, so it may sit deeper: on the 7x30
+grid at depth 59 of 246, against 29. A plan without a join, or one below
+``_CUT_MIN_WORK``, keeps the root: the parent runs the pass whole and the
+child only the family. If the child fails at any stage, the parent
+computes the outside part and the family itself. Answers are the same
+either way, and ``DpStats`` equals an in-process call's with the
+matching-polynomial pass cut where the fork split it: each join carries
+the products of the process that ran it. ``_bit_work(plan, B)`` is B ×
+``_bit_work(plan, 1)``, so one walk of the plan, and none where an O(1)
+bound settles it, serves every gate.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -139,10 +149,11 @@ _DIGIT = sys.int_info.bits_per_digit
 # halving it first
 _PEEL_BITS = 4096
 # ``_bit_work`` below which a polynomial takes one shifted pass at B = m
-# (n) and no total pass, and at or above which ``run_all`` computes the
-# independence family in a forked child. Forking and reaping cost the
-# parent about 1.5 ms; min-fill on the 6x30 grid (3.3e8) spends about
-# 18 ms in that family, on the 5x30 grid (1.05e8, no fork) 7 ms. On the
+# (n) and no total pass. Where both polynomials take two passes,
+# ``run_all`` forks a child for the independence family and part of the
+# matching-polynomial pass. Forking and reaping cost the parent about
+# 1.5 ms; min-fill on the 6x30 grid (3.3e8) spends about 18 ms in that
+# family, on the 5x30 grid (1.05e8, no fork) 7 ms. On the
 # min-fill k x 30 grids (CPython 3.11, x86-64) one pass at B = m beat the
 # two passes at 0.46 × this (4x30) and broke even at 1.5 × (5x30); at
 # B = n it beat them at 0.86 × (5x30) and broke even at 2.7 × (6x30)
@@ -157,11 +168,14 @@ _FORK_WORK = 1 << 27
 # taken as a path decomposition (width 28) 2.8 × 10^9: about 4 min of a
 # plain pass, with 4 GiB tables
 MAX_CELLS = 1 << 25
-# B × plan nodes below which a shifted pass keeps the root cut unpriced:
-# pricing costs about 40 µs on a molecule. No corpus100 molecule reaches
-# 3,100 (B = m, one pass), and none of them takes a cut when priced; the
-# smallest 3 x c grid whose matching pass does at B = m, 3x13, has 6,014
-_CUT_MIN_WORK = 1 << 12
+# B × plan nodes below which a shifted pass keeps the root cut unpriced.
+# Pricing walks the heavy path at 2-3 µs a node (CPython 3.11, x86-64),
+# which the cut must win back. The min-fill 3x30 and 4x30 grids reach
+# 29,253 and 71,070 (matching, B = m); priced, their cuts saved nothing
+# and pricing took 0.2-0.35 ms a pass against 0.3-2.7 ms passes. The 5x30
+# grid's passes start at 98,328 (matching, B = the Hosoya bit length) and
+# their cuts saved 1.6 and 0.75 ms for 0.57 and 0.36 ms of pricing
+_CUT_MIN_WORK = 80_000
 
 
 class SizePolynomial:
@@ -399,6 +413,21 @@ def _join_slots(t1, nz1, t2, nz2, shift):
     return narrow_first, slots
 
 
+def _priced(plan, shift):
+    """Whether a pass at B = shift over plan is priced for a cut: B ×
+    nodes reaches ``_CUT_MIN_WORK``, so a plain pass (B = 0) is not, and
+    plan has a join."""
+    return shift * len(plan) >= _CUT_MIN_WORK and any(
+        op[0] == _JOIN for op in plan)
+
+
+def _record(stats, joins):
+    """Add a pass's joins, a map of node to (bag size, products), to
+    stats in plan order."""
+    stats.join_nodes += len(joins)
+    stats.join_bags += [joins[i] for i in sorted(joins)]
+
+
 def _run(plan, mode, stats, shift=0):
     """The one DP traversal behind all five counters.
 
@@ -406,37 +435,37 @@ def _run(plan, mode, stats, shift=0):
     (independent sets). With ``shift`` = B > 0 every table entry is its size
     polynomial evaluated at x = 2^B: forget nodes commit size by shifting.
 
-    A plain pass, one with B × nodes below ``_CUT_MIN_WORK`` and one over a
-    plan without a join run forward to the root. Any other pass is priced
-    and cut on its heavy path by ``insideout._run_cut``.
+    A pass that is not ``_priced`` runs forward to the root. Any other
+    pass is priced and cut on its heavy path by ``insideout._run_cut``.
     """
     joins = None if stats is None else {}
-    if shift * len(plan) < _CUT_MIN_WORK or all(
-            op[0] != _JOIN for op in plan):
-        value = _inside(plan, mode, joins, shift, ())[-1][0]
-    else:
+    if _priced(plan, shift):
         from .insideout import _run_cut
         value = _run_cut(plan, mode, joins, shift)
+    else:
+        value = _inside(plan, mode, joins, shift, ())[-1][0]
     if joins is not None:
-        stats.join_nodes += len(joins)
-        stats.join_bags += [joins[i] for i in sorted(joins)]
+        _record(stats, joins)
     return value
 
 
-def _inside(plan, mode, joins, shift, above, tables=None):
-    """Tables of the forward pass over every node not in ``above``.
+def _inside(plan, mode, joins, shift, skip, tables=None):
+    """Tables of the forward pass over every node not in ``skip``.
 
-    above lists the heavy-path nodes over the cut. tables is the list to
-    fill, one slot per node, a new one by default. A node's table is set
-    to None once its parent is built, so what is left is the root's (above
-    empty) or the cut's and those of the path's off-path join children.
-    joins, unless None, maps each join built to its (bag size, products).
+    skip holds nodes whose tables are built elsewhere or not at all: the
+    heavy-path nodes over a cut, and for one side of a split pass the
+    nodes of the other side. tables is the list to fill, one slot per
+    node, a new one by default. A node's table is set to None once its
+    parent is built, so what is left is the root's (skip empty) or the
+    tables the skipped nodes would read: the cut's and those of the path's
+    off-path join children. joins, unless None, maps each join built to
+    its (bag size, products).
     """
     if tables is None:
         tables = [None] * len(plan)
     nodes = enumerate(plan)
-    if above:
-        skip = set(above)
+    if skip:
+        skip = set(skip)
         nodes = [(i, op) for i, op in nodes if i not in skip]
     is_ind = mode == "ind"
     is_match = mode == "match"
@@ -654,7 +683,9 @@ class RunReport:
     ``millis`` has an entry for each of the five counts: the elapsed
     milliseconds of its pass, or of reading it off a polynomial where it
     had none (the perfect matchings always, a total whose polynomial took
-    one pass).
+    one pass). Where ``run_all`` split the matching-polynomial pass with
+    its child, that entry runs from sending the cut to reading the
+    coefficients, the wait for the child's outside table included.
     """
 
     width: int
@@ -681,14 +712,9 @@ class RunReport:
         }
 
 
-def _fork_pays(work):
-    """Whether ``run_all`` computes the independence family in a child.
-
-    work is the family's predicted ``_bit_work``, at B = the Hosoya
-    total's bit length.
-    """
-    if work < _FORK_WORK:
-        return False
+def _fork_pays():
+    """Whether this process may fork ``run_all``'s child and gain by it:
+    POSIX fork, no second thread alive, two CPUs of affinity or more."""
     # tdcount does not import threading, which would add to every start-up:
     # a process that never imported it started no thread through it
     threading = sys.modules.get("threading")
@@ -743,47 +769,124 @@ def _independence_family(plan, traced, bits=None):
     return total, coeffs, bags, millis
 
 
-def _fork_independence(plan, traced):
-    """Start ``_independence_family`` in a child: (pid, pipe read end).
+class _Child:
+    """A forked child: the independence family, then the outside part of
+    the matching-polynomial pass once the parent sends B and the cut.
 
-    None if the fork fails. The child writes the marshalled result to the
-    pipe and always leaves through ``os._exit``: 0 once the result is
-    written, 1 on any exception, which the parent meets again when it
-    computes the family itself.
+    Two pipes join it to the parent: the parent writes B and the depth to
+    one as two decimal numbers, the child its marshalled (family, outside
+    table, joins) to the other. The child always leaves through
+    ``os._exit``: 0 once its result is written, 1 on any exception, EOF on
+    the cut pipe included, which the parent meets again where it computes
+    the same parts itself.
     """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        code = 1
+
+    def __init__(self, plan, traced):
+        """Fork; raises OSError, with no pipe left open, if the pipes or
+        the fork fail."""
+        fds = []
         try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                pipe.write(marshal.dumps(_independence_family(plan, traced)))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        r, w, cut_r, cut_w = fds
+        if pid == 0:
+            code = 1
+            try:
+                os.close(r)
+                os.close(cut_w)
+                family = _independence_family(plan, traced)
+                with open(cut_r, "rb") as pipe:
+                    bits, depth = map(int, pipe.read().split())
+                joins = {} if traced else None
+                outside = None
+                if depth:
+                    from .insideout import _cut_path, _outside_part
+                    outside = _outside_part(plan, "match", joins, bits,
+                                            _cut_path(plan, depth))
+                with open(w, "wb") as pipe:
+                    pipe.write(marshal.dumps((family, outside, joins)))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        os.close(cut_r)
+        self.pid, self.r, self.cut_w = pid, r, cut_w
+        self.result = None
+
+    def send(self, bits, depth):
+        """Send B and the cut depth; a child that is gone reads nothing."""
+        try:
+            os.write(self.cut_w, b"%d %d" % (bits, depth))
+        except BrokenPipeError:
+            pass
+        self.close_cut()
+
+    def close_cut(self):
+        if self.cut_w is not None:
+            os.close(self.cut_w)
+            self.cut_w = None
+
+    def join(self):
+        """The child's (family, outside, joins), or None if it failed.
+
+        Closes the cut pipe, so a child still waiting for the cut fails,
+        and reads the result pipe to its end before reaping, since a child
+        with more to write than the pipe holds cannot exit; it is reaped
+        even if the read fails. Later calls return the first one's result.
+        """
+        if self.pid is not None:
+            self.close_cut()
+            try:
+                with open(self.r, "rb") as pipe:
+                    data = pipe.read()
+            finally:
+                _, status = os.waitpid(self.pid, 0)
+                self.pid = None
+            if status == 0:
+                self.result = marshal.loads(data)
+        return self.result
 
 
-def _join_independence(pid, r):
-    """The child's ``_independence_family`` result, or None if it failed.
+def _split_match(plan, bits, stats, child):
+    """The matching-polynomial pass at B = bits, split with child.
 
-    The pipe is read to its end before the child is reaped, since a child
-    with more to write than the pipe holds cannot exit; it is reaped even
-    if the read fails.
+    Sends B and the cut of ``insideout._split_depth`` to child, or depth
+    0 where the pass is not ``_priced``, then builds the cut's subtree and
+    takes the dot product with the child's outside table. At depth 0 this
+    process runs the whole pass. If the child failed, this process builds
+    the outside table too. stats gets the pass's joins as in ``_run``, each
+    with the products of the process that built it. Returns (value, the
+    child's ``_independence_family`` result or None).
     """
-    try:
-        with open(r, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    return marshal.loads(data) if status == 0 else None
+    depth = 0
+    if _priced(plan, bits):
+        from .insideout import _split_depth
+        depth = _split_depth(plan, bits)
+    child.send(bits, depth)
+    joins = None if stats is None else {}
+    if depth:
+        from .insideout import _cut_path, _dot, _inside_part, _outside_part
+        path = _cut_path(plan, depth)
+        inside = _inside_part(plan, "match", joins, bits, path)
+        result = child.join()
+        if result is None:
+            outside = _outside_part(plan, "match", joins, bits, path)
+        else:
+            outside = result[1]
+            if joins is not None:
+                joins.update(result[2])
+        value = _dot(inside, outside)
+    else:
+        value = _inside(plan, "match", joins, bits, ())[-1][0]
+        result = child.join()
+    if joins is not None:
+        _record(stats, joins)
+    return value, result and result[0]
 
 
 def run_all(g, nd, stats=None):
@@ -796,24 +899,31 @@ def run_all(g, nd, stats=None):
     pass computes the total first and the shifted pass runs at B = its bit
     length. The perfect matchings are read off the matching polynomial.
 
-    Where the Hosoya pass ran and its bit length predicts enough work for
-    the independence family's two passes (see ``_fork_pays``:
-    ``_FORK_WORK``, POSIX fork, no second thread, two CPUs or more), one
-    forked child computes the Merrifield-Simmons total and then the
-    independence polynomial while this process runs the
-    matching-polynomial pass; the child sends its answers back through a
-    pipe and is always reaped before this returns. Otherwise, or if the
-    child fails, this process runs the family itself, so an error in it
-    is raised here. Answers and ``stats`` are the same either way: the
-    join bags of a traced call list the passes that ran in the order
-    Hosoya, Merrifield-Simmons, matching polynomial, independence
-    polynomial.
+    Where both polynomials take two passes and ``_fork_pays`` (POSIX
+    fork, no second thread, two CPUs or more), one child is forked before
+    the Hosoya pass. It computes the Merrifield-Simmons total and the
+    independence polynomial while this process runs the Hosoya pass. The
+    matching-polynomial pass is then split at a cut of its heavy path: this
+    process builds the cut's subtree, the child the rest of the pass down
+    to the cut, and this process takes the dot product. A plan without a
+    join, or too small to price, is not split: this process runs the pass
+    whole. The child sends its results back through a pipe and is always
+    reaped before this returns. If the child fails, this process computes
+    what it would have, so an error in the family is raised here. Answers
+    are the same either way. The join bags of a traced call list the
+    passes that ran in the order Hosoya, Merrifield-Simmons, matching
+    polynomial, independence polynomial; each join of a split pass carries
+    the products of the process that ran it, so a forked call's bags are
+    an in-process call's with the matching-polynomial pass cut at the
+    split (``insideout._split_depth``) rather than at the in-process cut.
 
     ``millis`` holds each of the five counts' elapsed milliseconds: a
     pass's, or for a count read off a polynomial, the read-off's. Entries
     the child computed are its own elapsed times, so in a forked call they
-    overlap the matching-polynomial pass and the entries may add up to
-    more than the call took.
+    overlap the Hosoya and matching-polynomial passes and the entries may
+    add up to more than the call took. In a split call the
+    matching-polynomial entry includes the wait for the child's outside
+    table.
     """
     plan = _plan_for(g, nd)
     width = nd.width()
@@ -825,20 +935,33 @@ def run_all(g, nd, stats=None):
     unit = _unit_work(plan, n, width, max(match_bits, ind_bits))
     if ind_bits * unit >= _FORK_WORK:
         ind_bits = None  # the family's total pass sets B
-    ma = child = None
-    if match_bits * unit >= _FORK_WORK:
-        ma = _timed(millis, "matchings", lambda: _run(plan, "match", stats))
-        match_bits = ma.bit_length()
-        if ind_bits is None and _fork_pays(match_bits * unit):
-            child = _fork_independence(plan, traced)
+    hosoya = match_bits * unit >= _FORK_WORK
+    child = None
+    if hosoya and ind_bits is None and _fork_pays():
+        if any(op[0] == _JOIN for op in plan):
+            # imported before the fork, so both processes share it
+            from . import insideout  # noqa: F401
+        try:
+            child = _Child(plan, traced)
+        except OSError:
+            pass
+    ma = family = None
     mp_stats = DpStats() if traced else None
-    family = None
     try:
-        mp = _timed(millis, "matching_polynomial",
-                    lambda: _size_poly(plan, "match", match_bits, mp_stats))
+        if hosoya:
+            ma = _timed(millis, "matchings",
+                        lambda: _run(plan, "match", stats))
+            match_bits = ma.bit_length()
+        t0 = time.perf_counter()
+        if child is None:
+            value = _run(plan, "match", mp_stats, match_bits)
+        else:
+            value, family = _split_match(plan, match_bits, mp_stats, child)
+        mp = SizePolynomial(_coefficients(value, match_bits))
+        millis["matching_polynomial"] = (time.perf_counter() - t0) * 1000.0
     finally:
         if child is not None:
-            family = _join_independence(*child)
+            child.join()
     if ma is None:
         ma = _timed(millis, "matchings", mp.total)
     if family is None:

@@ -16,8 +16,15 @@ units: a cell written costs ``_CELL_WORK`` plus its length, a product
 Karatsuba rules, and entries are priced at half their bound. The root is
 always a candidate, and cut there the pass is the forward pass.
 
-``counting._run`` imports this module only for a pass it prices, so a run
-that never prices a cut never compiles it.
+The inside part (the cut's subtree) and the outside part (the off-path
+subtrees above the cut and the walk down to it) share nothing but the
+cut, so a forked ``counting.run_all`` builds them in two processes.
+``_split_depth`` picks that cut from the same prices, to balance the two
+processes rather than to minimise the pass's work.
+
+``counting._run`` imports this module only for a pass it prices, and a
+forking ``run_all`` only for a plan with a join, so a run that never
+prices a cut never compiles it.
 """
 
 from __future__ import annotations
@@ -88,26 +95,101 @@ def _live(plan):
     return live
 
 
+def _node_work(plan, i, below, live, bits):
+    """Predicted work of building node i's table in a pass at B = bits.
+
+    live is ``_live(plan)`` in match mode and None in ind mode. A forget
+    writes 2^|bag| cells and an introduce copies references. A join
+    multiplies 2^|bag| pairs in ind mode; a matching join multiplies
+    2^|l1 ^ l2| × 3^|l1 & l2| pairs, for l1 and l2 the bag vertices its
+    children can cover, each pair the cheaper of a whole product and the
+    Horner slot split.
+    """
+    op = plan[i]
+    code = op[0]
+    half = bits / 2
+    if code == _FORGET:
+        return (_CELL_WORK + half * (below[i] + 1)) * (1 << op[4])
+    if code != _JOIN:
+        return 0
+    _, c1, c2, w, _ = op
+    x = half * (below[c1] + 1)
+    y = half * (below[c2] + 1)
+    mul = _product_work(x, y)
+    if live is None:
+        pairs = 1 << w
+    else:
+        l1, l2 = live[c1], live[c2]
+        both = (l1 & l2).bit_count()
+        pairs = 2 ** ((l1 | l2).bit_count() - both) * 3 ** both
+        if bits >= 2 * _DIGIT:
+            mul = min(mul, math.ceil(min(x, y) / bits)
+                      * (_product_work(_DIGIT, max(x, y)) + x + y))
+    return pairs * (_CELL_WORK + mul + x + y)
+
+
+def _cut_terms(plan, bits, below, live):
+    """Heavy path and, per cut depth k, the predicted work that moves.
+
+    inside[k] is that of building the tables of path[:k] inside
+    (``_node_work``), outside[k] that of their transposes, and dot[k]
+    that of the dot product at path[k] (0 at the root). live is as in
+    ``_node_work``. A cell written costs ``_CELL_WORK`` plus its length in
+    bits, and a product ``_product_work`` more. Entries are priced at half
+    their bound: B × (f + 1) / 2 bits inside a node below which f vertices
+    are forgotten, B × (n - f + 1) / 2 outside it.
+
+    Outside, a forget writes twice the cells it writes inside, and an
+    introduce in ind mode adds. A join multiplies the off-path child's
+    inside entries by its own outside entries and takes every state of the
+    path side as non-zero. The dot product multiplies the cut's non-zero
+    inside entries by its outside entries.
+    """
+    path = _heavy_path(plan, below)
+    is_ind = live is None
+    half = bits / 2
+    n = below[-1]
+    inside = [0]
+    outside = [0]
+    dot = [0]
+    ins = outs = 0
+    for node, child in zip(path, path[1:]):
+        op = plan[node]
+        code = op[0]
+        out_len = half * (n - below[node] + 1)
+        ins += _node_work(plan, node, below, live, bits)
+        if code == _FORGET:
+            outs += (_CELL_WORK + out_len + half) * (2 << op[4])
+        elif code == _INTRO and is_ind:
+            outs += out_len * (1 << (op[4] - 1))
+        elif code == _JOIN:
+            _, c1, c2, w, _ = op
+            sib = c1 if child == c2 else c2
+            if is_ind:
+                pairs = 1 << w
+            else:
+                ls = live[sib].bit_count()
+                pairs = 2 ** (w - ls) * 3 ** ls
+            x = half * (below[sib] + 1)
+            outs += pairs * (_CELL_WORK + _product_work(x, out_len)
+                             + x + out_len)
+        x = half * (below[child] + 1)
+        y = half * (n - below[child] + 1)
+        cells = 2 ** (_width(plan[child]) if is_ind
+                      else live[child].bit_count())
+        inside.append(ins)
+        outside.append(outs)
+        dot.append(cells * (_CELL_WORK + _product_work(x, y) + x + y))
+    return path, inside, outside, dot
+
+
 def _cut_work(plan, mode, bits):
     """Heavy path and predicted work of a shifted pass cut at each depth.
 
     work[k] is the predicted work of the pass cut at path[k] less that of
     the root pass, so work[0] is 0: the path nodes above the cut done
-    outside rather than inside, plus the dot product at the cut. A cell
-    written costs ``_CELL_WORK`` plus its length in bits, and a product
-    ``_product_work`` more. Entries are priced at half their bound:
-    B × (f + 1) / 2 bits inside a node below which f vertices are
-    forgotten, B × (n - f + 1) / 2 outside it.
-
-    A forget writes 2^|bag| cells inside, twice as many outside. An
-    introduce copies references, except that outside in ind mode it adds.
-    A join multiplies 2^|bag| pairs in ind mode. A matching join
-    multiplies 2^|l1 ^ l2| × 3^|l1 & l2| pairs inside, for l1 and l2 the
-    bag vertices its children can cover (``_live``), each pair the cheaper
-    of a whole product and the Horner slot split. Outside it multiplies
-    the off-path child's inside entries by its own outside entries and
-    takes every state of the path side as non-zero. The dot product
-    multiplies the cut's non-zero inside entries by its outside entries.
+    outside rather than inside, plus the dot product at the cut
+    (``_cut_terms``).
 
     On a join-free chain this keeps the root: moving the cut down k
     forgets saves additions on long inside entries, but the outside
@@ -115,50 +197,95 @@ def _cut_work(plan, mode, bits):
     long entry by an outside entry of about k·B/2 bits.
     """
     below = _below(plan)
-    path = _heavy_path(plan, below)
-    is_ind = mode == "ind"
-    live = None if is_ind else _live(plan)
-    half = bits / 2
-    n = below[-1]
-    work = [0]
-    above = 0
-    for node, child in zip(path, path[1:]):
-        op = plan[node]
+    live = None if mode == "ind" else _live(plan)
+    path, inside, outside, dot = _cut_terms(plan, bits, below, live)
+    return path, [o - i + d for i, o, d in zip(inside, outside, dot)]
+
+
+def _split_depth(plan, bits):
+    """Depth of the cut at which ``run_all`` splits its matching-polynomial
+    pass at B = bits between this process and its forked child.
+
+    The parent runs the Hosoya pass and then the cut's subtree; the child
+    runs the independence family and then, from the B the parent sends,
+    the off-path subtrees above the cut and the outside walk down to it.
+    The dot product waits for both. The depth minimises, in ``_cut_terms``
+    units, max(H + inside, F + outside) + dot, with the Hosoya pass H and
+    the family F taken as equal. They run at once, before the split, and
+    are not priced: this model prices a cell at ``_CELL_WORK`` whatever
+    it does, which puts a plain pass at a fifth of its cost relative to a
+    shifted one. At depth 0 the parent runs the whole pass.
+    """
+    below = _below(plan)
+    live = _live(plan)
+    path, inside, outside, dot = _cut_terms(plan, bits, below, live)
+    # the pass's inside work below each node, the node included
+    sub = [0] * len(plan)
+    for i, op in enumerate(plan):
         code = op[0]
-        out_len = half * (n - below[node] + 1)
-        if code == _FORGET:
-            w = op[4]
-            above += ((_CELL_WORK + out_len + half) * (2 << w)
-                      - (_CELL_WORK + half * (below[node] + 1)) * (1 << w))
-        elif code == _INTRO and is_ind:
-            above += out_len * (1 << (op[4] - 1))
-        elif code == _JOIN:
-            _, c1, c2, w, _ = op
-            x = half * (below[c1] + 1)
-            y = half * (below[c2] + 1)
-            sib = x if child == c2 else y
-            mul = _product_work(x, y)
-            if is_ind:
-                inside = outside = 1 << w
-            else:
-                l1, l2 = live[c1], live[c2]
-                both = (l1 & l2).bit_count()
-                inside = 2 ** ((l1 | l2).bit_count() - both) * 3 ** both
-                ls = (l1 if child == c2 else l2).bit_count()
-                outside = 2 ** (w - ls) * 3 ** ls
-                if bits >= 2 * _DIGIT:
-                    mul = min(mul, math.ceil(min(x, y) / bits)
-                              * (_product_work(_DIGIT, max(x, y)) + x + y))
-            above += (outside * (_CELL_WORK + _product_work(sib, out_len)
-                                 + sib + out_len)
-                      - inside * (_CELL_WORK + mul + x + y))
-        x = half * (below[child] + 1)
-        y = half * (n - below[child] + 1)
-        cells = 2 ** (_width(plan[child]) if is_ind
-                      else live[child].bit_count())
-        work.append(above + cells * (_CELL_WORK + _product_work(x, y)
-                                     + x + y))
-    return path, work
+        if code == _INTRO:
+            sub[i] = sub[op[1]]
+        elif code != _LEAF:
+            sub[i] = _node_work(plan, i, below, live, bits) + sub[op[1]] + (
+                sub[op[2]] if code == _JOIN else 0)
+    total = sub[-1]
+
+    def cost(k):
+        cut = sub[path[k]]
+        return max(cut, total - cut - inside[k] + outside[k]) + dot[k]
+
+    return min(range(len(path)), key=cost)
+
+
+def _cut_path(plan, depth):
+    """The heavy path from the root down to the cut ``depth`` steps down."""
+    return _heavy_path(plan, _below(plan))[:depth + 1]
+
+
+def _subtree(plan, node):
+    """The nodes of node's subtree."""
+    nodes = []
+    stack = [node]
+    while stack:
+        i = stack.pop()
+        nodes.append(i)
+        op = plan[i]
+        if op[0] == _JOIN:
+            stack += op[1:3]
+        elif op[0] != _LEAF:
+            stack.append(op[1])
+    return nodes
+
+
+def _inside_part(plan, mode, joins, shift, path):
+    """The inside table of the cut path[-1]: its subtree's forward pass."""
+    keep = set(_subtree(plan, path[-1]))
+    skip = [i for i in range(len(plan)) if i not in keep]
+    return _inside(plan, mode, joins, shift, skip)[path[-1]]
+
+
+def _outside_part(plan, mode, joins, shift, path):
+    """The outside table of the cut path[-1]: the forward pass of the
+    off-path subtrees above it, then the walk down from the root."""
+    skip = set(_subtree(plan, path[-1]))
+    skip.update(path[:-1])
+    return _walk_down(plan, path, _inside(plan, mode, joins, shift, skip),
+                      mode, joins, shift)
+
+
+def _walk_down(plan, path, tables, mode, joins, shift):
+    """The outside table of path[-1], carried from [1] at the root through
+    the transposes of the path ops; at every path node <inside, outside>
+    is the root's value."""
+    o = [1]
+    for node, child in zip(path, path[1:]):
+        o = _transpose(plan, node, child, tables, o, mode, joins, shift)
+    return o
+
+
+def _dot(inside, outside):
+    """The value of a pass cut where inside and outside are the tables."""
+    return sum([x * y for x, y in zip(inside, outside) if x and y])
 
 
 def _run_cut(plan, mode, joins, shift, depth=None):
@@ -171,20 +298,14 @@ def _run_cut(plan, mode, joins, shift, depth=None):
     """
     if depth is None:
         path, work = _cut_work(plan, mode, shift)
-        depth = min(range(len(work)), key=work.__getitem__)
+        path = path[:min(range(len(work)), key=work.__getitem__) + 1]
     else:
-        path = _heavy_path(plan, _below(plan))
-    path = path[:depth + 1]
+        path = _cut_path(plan, depth)
     tables = _inside(plan, mode, joins, shift, path[:-1])
     value = tables[path[-1]]
     if len(path) == 1:
         return value[0]
-    # the outside table of each path node, from [1] at the root, so that
-    # <inside, outside> at any of them is the root's value
-    o = [1]
-    for node, child in zip(path, path[1:]):
-        o = _transpose(plan, node, child, tables, o, mode, joins, shift)
-    return sum([x * y for x, y in zip(value, o) if x and y])
+    return _dot(value, _walk_down(plan, path, tables, mode, joins, shift))
 
 
 def _transpose(plan, node, child, tables, o, mode, joins, shift):

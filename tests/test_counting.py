@@ -435,6 +435,22 @@ def _traced_run_all(g, nd):
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 
+def _split_reference(g, nd, serial_stats, bits):
+    """(depth, DpStats) a forked traced run_all must give, from a serial
+    call's stats: its matching-polynomial pass is the in-process pass cut
+    where the fork splits it, at B = bits."""
+    plan = counting._plan_for(g, nd)
+    depth = 0
+    if counting._priced(plan, bits):
+        depth = insideout._split_depth(plan, bits)
+    joins = {}
+    insideout._run_cut(plan, "match", joins, bits, depth)
+    k = nd.join_count()
+    bags = serial_stats.join_bags
+    want = bags[:2 * k] + [joins[i] for i in sorted(joins)] + bags[3 * k:]
+    return depth, DpStats(len(want), want)
+
+
 @needs_fork
 def test_forked_run_all_matches_serial_and_oracle(monkeypatch):
     from tdcount import parse_smiles
@@ -456,46 +472,85 @@ def test_forked_run_all_matches_serial_and_oracle(monkeypatch):
     cycle = [n * math.comb(n - k, k) // (n - k) for k in range(n // 2 + 1)]
     expected = [oracle_counts(g) for g, _ in small] + [
         (path_m[n // 2], path_m, path_i), (cycle[n // 2], cycle, cycle)]
+    # a grid whose matching-polynomial pass the fork splits below the root
+    split = [(grid_graph(5, 30), minfill_nice(grid_graph(5, 30)))]
+    inputs = small + long_ones + split
 
     # _FORK_WORK = 0 keeps every input on the plain path: a total pass,
     # then its shifted pass. One CPU of affinity runs it serially
     forks = _record_forks(monkeypatch, 0)
     _set_cpus(monkeypatch, 1)
-    serial = [_traced_run_all(g, nd) for g, nd in small + long_ones]
+    serial = [_traced_run_all(g, nd) for g, nd in inputs]
     assert forks == []
     _set_cpus(monkeypatch, 2)
-    forked = [_traced_run_all(g, nd) for g, nd in small + long_ones]
+    forked = [_traced_run_all(g, nd) for g, nd in inputs]
     assert len(forks) == len(serial)
     _no_child_left()
 
-    for (g, nd), want, (answers, stats), (serial_answers, serial_stats) in \
-            zip(small + long_ones, expected, forked, serial):
+    for k, ((g, nd), (answers, stats), (serial_answers, serial_stats)) in \
+            enumerate(zip(inputs, forked, serial)):
         assert answers == serial_answers
-        assert answers[0] == want[0]
-        assert answers[3] == want[1] and answers[4] == want[2]
+        if k < len(expected):
+            want = expected[k]
+            assert answers[0] == want[0]
+            assert answers[3] == want[1] and answers[4] == want[2]
         # Hosoya, Merrifield-Simmons, match-poly, ind-poly: each pass
-        # visits every join once, and a shifted pass multiplies the pairs
-        # its plain pass does
-        assert stats == serial_stats
+        # visits every join once; the match-poly pass is the one cut where
+        # the fork split it, and uncut it multiplies the pairs its plain
+        # pass does
+        depth, want_stats = _split_reference(g, nd, serial_stats,
+                                             answers[1].bit_length())
+        assert stats == want_stats
+        assert (depth > 0) == (k >= len(small + long_ones))
+        if not depth:
+            assert stats == serial_stats
         joins = nd.join_count()
         assert stats.join_nodes == len(stats.join_bags) == 4 * joins
         passes = [stats.join_bags[k * joins:(k + 1) * joins]
                   for k in range(4)]
-        assert passes[2] == passes[0] and passes[3] == passes[1]
+        if not depth:
+            assert passes[2] == passes[0]
+        assert passes[3] == passes[1]
         assert [p for _, p in passes[1]] == [1 << w for w, _ in passes[1]]
     # K_{2,4}: Hosoya multiplies 9 pairs at its join, Merrifield-Simmons 4
     assert forked[len(small) - 1][1].join_bags == \
         [(2, 9), (2, 4), (2, 9), (2, 4)]
 
 
+def _record_calls(monkeypatch):
+    """Record every fork and the (mode, B) of every ``counting._run`` call
+    this process makes from now on, in order."""
+    calls = []
+    real_fork = os.fork
+    real_run = counting._run
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            calls.append("fork")
+        return pid
+
+    def run(plan, mode, stats, shift=0):
+        calls.append((mode, shift))
+        return real_run(plan, mode, stats, shift)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(counting, "_run", run)
+    return calls
+
+
 @needs_fork
 def test_run_all_forks_only_where_the_gate_allows(monkeypatch):
     g = ladder_graph(40)
     nd = minfill_nice(g)
+    plan = counting._plan_for(g, nd)
     fork_work = counting._FORK_WORK
     forks = _record_forks(monkeypatch, 0)
+    # the gate is decided before the Hosoya pass, so the fork comes first
+    calls = _record_calls(monkeypatch)
     want = _report_answers(run_all(g, nd))
     assert len(forks) == 1
+    assert calls[:2] == ["fork", ("match", 0)]
 
     def no_fork():
         raise AssertionError("run_all forked")
@@ -517,11 +572,22 @@ def test_run_all_forks_only_where_the_gate_allows(monkeypatch):
         release.set()
         thread.join(timeout=30)
     assert not thread.is_alive()
-    # predicted work below the constant
-    monkeypatch.setattr(counting, "_FORK_WORK",
-                        counting._bit_work(counting._plan_for(g, nd),
-                                           want[1].bit_length()) + 1)
+    # the independence family takes one pass: n × _bit_work(plan, 1) is
+    # below the constant, while the matching polynomial still takes two
+    unit = counting._bit_work(plan, 1)
+    monkeypatch.setattr(counting, "_FORK_WORK", g.n * unit + 1)
+    assert g.m * unit >= counting._FORK_WORK
     assert _report_answers(run_all(g, nd)) == want
+    # the matching polynomial takes one pass, the family two: a tree has
+    # m = n - 1
+    tree = path_graph(200)
+    tree_nd = path_nice(tree)
+    unit = counting._bit_work(counting._plan_for(tree, tree_nd), 1)
+    ms_bits = count_independent_sets(tree, tree_nd).bit_length()
+    monkeypatch.setattr(counting, "_FORK_WORK", tree.n * unit)
+    calls.clear()
+    run_all(tree, tree_nd)
+    assert calls == [("match", tree.m), ("ind", 0), ("ind", ms_bits)]
     monkeypatch.setattr(counting, "_FORK_WORK", fork_work)
     # no molecule of the bundled corpus predicts that much work
     for mol in load_corpus(bundled_path("corpus100.smi")).molecules:
@@ -530,41 +596,102 @@ def test_run_all_forks_only_where_the_gate_allows(monkeypatch):
 
 
 @needs_fork
+def test_fork_pays_without_an_affinity_call(monkeypatch):
+    # a platform without os.sched_getaffinity counts os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus, pays in ((None, False), (1, False), (2, True), (8, True)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert counting._fork_pays() is pays
+
+
+def _fork_cases():
+    """(graph, nice decomposition, _FORK_WORK) of forked run_all calls: the
+    ladder on the plain path, whose plan has no join, and the 6x30 grid,
+    whose matching-polynomial pass the fork splits below the root."""
+    grid = grid_graph(6, 30)
+    return [(ladder_graph(40), minfill_nice(ladder_graph(40)), 0),
+            (grid, minfill_nice(grid), counting._FORK_WORK)]
+
+
+@needs_fork
 def test_failed_child_leaves_the_family_to_the_parent(monkeypatch):
-    g = ladder_graph(40)
-    nd = minfill_nice(g)
-    # the plain path, run serially, as the forked call runs it
-    forks = _record_forks(monkeypatch, 0)
-    _set_cpus(monkeypatch, 1)
-    want = _traced_run_all(g, nd)
-    assert forks == []
-    _set_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    for g, nd, fork_work in _fork_cases():
+        # serially, then forked, as the failed forked calls must answer
+        forks = _record_forks(monkeypatch, fork_work)
+        _set_cpus(monkeypatch, 1)
+        serial = _traced_run_all(g, nd)
+        assert forks == []
+        _set_cpus(monkeypatch, 2)
+        want = _traced_run_all(g, nd)
+        assert len(forks) == 1
+        assert want[0] == serial[0]
+        depth, want_stats = _split_reference(g, nd, serial[1],
+                                             want[0][1].bit_length())
+        assert want[1] == want_stats
+        assert (depth > 0) == (nd.join_count() > 0)
 
-    # the child cannot send its result: the parent computes the family
-    def no_dumps(value):
-        raise ValueError("marshal refused")
+        # the child cannot send its result: the parent computes the family
+        # and the outside part
+        def no_dumps(value):
+            raise ValueError("marshal refused")
 
-    monkeypatch.setattr(marshal, "dumps", no_dumps)
-    assert _traced_run_all(g, nd) == want
-    assert len(forks) == 1
-    _no_child_left()
-    monkeypatch.undo()
+        monkeypatch.setattr(marshal, "dumps", no_dumps)
+        assert _traced_run_all(g, nd) == want
+        assert len(forks) == 2
+        _no_child_left()
+        monkeypatch.undo()
 
-    # a fault in the family itself fails the child, then the parent's own
-    # pass raises it
-    forks = _record_forks(monkeypatch, 0)
-    real_run = counting._run
+        # the child's outside part raises, or it reads EOF where B and the
+        # cut should be: the parent computes both parts
+        forks = _record_forks(monkeypatch, fork_work)
+        real_outside = insideout._outside_part
 
-    def failing_run(plan, mode, stats, shift=0):
-        if mode == "ind":
-            raise RuntimeError("independence pass failed")
-        return real_run(plan, mode, stats, shift)
+        def outside_fails_in_the_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("outside part failed")
+            return real_outside(*args)
 
-    monkeypatch.setattr(counting, "_run", failing_run)
-    with pytest.raises(RuntimeError, match="independence pass failed"):
-        run_all(g, nd)
-    assert len(forks) == 1
-    _no_child_left()
+        monkeypatch.setattr(insideout, "_outside_part",
+                            outside_fails_in_the_child)
+        assert _traced_run_all(g, nd) == want
+        monkeypatch.setattr(insideout, "_outside_part", real_outside)
+        monkeypatch.setattr(counting._Child, "send",
+                            lambda self, bits, depth: self.close_cut())
+        assert _traced_run_all(g, nd) == want
+        assert len(forks) == 2
+        _no_child_left()
+        monkeypatch.undo()
+
+        # a fault in the family itself fails the child, then the parent's
+        # own pass raises it
+        forks = _record_forks(monkeypatch, fork_work)
+        real_run = counting._run
+
+        def failing_run(plan, mode, stats, shift=0):
+            if mode == "ind":
+                raise RuntimeError("independence pass failed")
+            return real_run(plan, mode, stats, shift)
+
+        monkeypatch.setattr(counting, "_run", failing_run)
+        with pytest.raises(RuntimeError, match="independence pass failed"):
+            run_all(g, nd)
+        assert len(forks) == 1
+        _no_child_left()
+
+        # the parent's Hosoya pass raises: the child reads EOF on the cut
+        # pipe and is reaped before the error reaches the caller
+        def failing_hosoya(plan, mode, stats, shift=0):
+            if mode == "match" and not shift:
+                raise RuntimeError("Hosoya pass failed")
+            return real_run(plan, mode, stats, shift)
+
+        monkeypatch.setattr(counting, "_run", failing_hosoya)
+        with pytest.raises(RuntimeError, match="Hosoya pass failed"):
+            run_all(g, nd)
+        assert len(forks) == 2
+        _no_child_left()
+        monkeypatch.undo()
 
 
 # --------------------------------------------------- one-pass polynomials
@@ -911,9 +1038,10 @@ def test_bit_work_bounds_the_bits_a_shifted_pass_writes():
 @needs_fork
 def test_forced_cut_lists_every_join_once(monkeypatch):
     # with cells priced free and no size gate, the matching-polynomial
-    # pass of these inputs is cut below the root. Each pass still lists
-    # every join once, in plan order: the joins above the cut with the
-    # products of their transposes, the others as in the plain pass
+    # pass of these inputs is cut below the root, in process and where a
+    # forked call splits it. Each pass still lists every join once, in
+    # plan order: the joins above the cut with the products of their
+    # transposes, the others as in the plain pass
     from tdcount import parse_smiles
     from conftest import CAFFEINE_SMILES
 
@@ -938,34 +1066,39 @@ def test_forced_cut_lists_every_join_once(monkeypatch):
     for (g, nd), (want, root_stats), (answers, stats), (_, serial_stats) \
             in zip(inputs, root, forked, serial):
         assert answers == want
-        assert stats == serial_stats
         plan = counting._plan_for(g, nd)
         bits = want[1].bit_length()
         path, work = insideout._cut_work(plan, "match", bits)
         depth = min(range(len(work)), key=work.__getitem__)
         assert depth > 0
-        path = path[:depth + 1]
+        # the forked call's pass is the in-process pass cut at its split
+        split, split_stats = _split_reference(g, nd, serial_stats, bits)
+        assert stats == split_stats
         joins = [i for i, op in enumerate(plan) if op[0] == counting._JOIN]
-        above = [k for k, i in enumerate(joins) if i in path[:-1]]
-        assert above
-        assert stats.join_nodes == len(stats.join_bags) == 4 * len(joins)
-        passes = [stats.join_bags[k * len(joins):(k + 1) * len(joins)]
-                  for k in range(4)]
         roots = [root_stats.join_bags[k * len(joins):(k + 1) * len(joins)]
                  for k in range(4)]
-        # the plain passes take the root; an independent-set join
-        # multiplies 2^|bag| pairs inside or outside
-        assert passes[:2] == roots[:2]
-        assert passes[3] == passes[1]
         widths = [plan[i][3] for i in joins]
-        assert [w for w, _ in passes[2]] == widths
-        for k, (w, products) in enumerate(passes[2]):
-            if k not in above:
-                assert (w, products) == roots[2][k]
-            assert products <= 3 ** w
-        changed.append(passes[2] != roots[2])
+        for cut_stats, cut in ((serial_stats, depth), (stats, split)):
+            above = [k for k, i in enumerate(joins) if i in path[:cut]]
+            assert above
+            assert cut_stats.join_nodes == len(cut_stats.join_bags) == \
+                4 * len(joins)
+            passes = [cut_stats.join_bags[k * len(joins):
+                                          (k + 1) * len(joins)]
+                      for k in range(4)]
+            # the plain passes take the root; an independent-set join
+            # multiplies 2^|bag| pairs inside or outside
+            assert passes[:2] == roots[:2]
+            assert passes[3] == passes[1]
+            assert [w for w, _ in passes[2]] == widths
+            for k, (w, products) in enumerate(passes[2]):
+                if k not in above:
+                    assert (w, products) == roots[2][k]
+                assert products <= 3 ** w
+            changed.append(passes[2] != roots[2])
     # a transposed join can make other products than the forward one
     assert any(changed)
+
 
 
 # ------------------------------------------------------------------- errors
