@@ -40,7 +40,8 @@ non-negative and sum to the total, so B = the total's bit length serves
 too and makes every entry shorter, at the price of a plain pass for the
 total first. One rule picks between them for ``run_all`` and both
 polynomial counters: the one pass at B = m (n) wherever ``_bit_work``
-predicts it below ``_FORK_WORK``, the two passes elsewhere.
+predicts it below ``_FORK_WORK``, the two passes elsewhere. ``_family``
+runs the passes the rule picks, for every caller.
 
 In such a pass a join entry is a string of B-bit slots, and the two
 children's entries can differ a lot in length: min-fill's caterpillar trees
@@ -70,24 +71,26 @@ adding it to 0. Coefficients are read back from the root by halving it at
 slot boundaries, since peeling one B-bit slot at a time copies the rest of
 the integer for every slot.
 
-A shifted pass may be evaluated inside-outside (module ``insideout``):
-the forward pass stops at a cut node on its heavy path, the path from the
-root that follows at each join the child below which more vertices are
-forgotten; the transposed ops carry an outside table from the root down to
-the cut, and the answer is the dot product of the two tables there. So a
-join near the root of a min-fill tree, long spine times short branch,
-becomes short times short. The cut is the argmin of a cost predicted from
-the plan and B alone, before any table is built: cells written and big-int
-products priced under CPython's schoolbook and Karatsuba rules, in
-``_bit_work`` units. The root is always a candidate, and cut there the pass
-is the forward pass. A join-free chain keeps the root: a cut there saves
-only additions on long entries, while the outside forgets write twice the
-cells and the dot product multiplies long inside entries by outside
-entries that grow as the cut goes down. The model prices every such cut
-above the root, so a pass over a plan without a join, like a plain pass
-and one with B × nodes below ``_CUT_MIN_WORK``, is not priced. ``DpStats``
-lists each join once per pass, in plan order, with the products its pass
-performed, inside or outside.
+A shifted pass may be evaluated inside-outside (module ``insideout``), cut
+at a node on its heavy path, the path from the root that follows at each
+join the child below which more vertices are forgotten: the forward pass
+builds the cut's subtree, the transposed ops carry an outside table from
+the root down to the cut, and the answer is the dot product of the two
+tables there. ``insideout._run_cut`` evaluates every pass cut below the
+root, and takes the outside table from ``run_all``'s child where it has
+one (below). So a join near the root of a min-fill tree, long spine times
+short branch, becomes short times short. The cut is the argmin of a cost
+predicted from the plan and B alone, before any table is built: cells
+written and big-int products priced under CPython's schoolbook and
+Karatsuba rules, in ``_bit_work`` units. The root is always a candidate,
+and cut there the pass is the forward pass. A join-free chain keeps the
+root: a cut there saves only additions on long entries, while the outside
+forgets write twice the cells and the dot product multiplies long inside
+entries by outside entries that grow as the cut goes down. The model
+prices every such cut above the root, so a pass over a plan without a
+join, like a plain pass and one with B × nodes below ``_CUT_MIN_WORK``, is
+not priced. ``DpStats`` lists each join once per pass, in plan order, with
+the products its pass performed, inside or outside.
 
 Before counting, ``_prepare`` checks the decomposition -- its grammar
 through ``decomposition._check_grammar``, which ``structure_violations``
@@ -107,26 +110,27 @@ object is checked afresh and its plan replaces the kept one.
 ``run_all`` needs two families of passes that share only the read-only
 plan: the matching polynomial, after a Hosoya pass where the rule above
 asks for one, and the independence polynomial, after a Merrifield-Simmons
-pass likewise. Where both families take two passes, ``os.fork`` exists,
-no second thread is alive and the CPU affinity holds two CPUs or more, it
+pass likewise. Where both families take two passes, ``os.fork`` exists, no
+second thread is alive and the CPU affinity holds two CPUs or more, it
 forks one child before the Hosoya pass. The child computes the
-independence family while the parent runs the Hosoya pass. The parent then
-picks a cut on the matching-polynomial pass's heavy path
-(``insideout._split_depth``) and sends B and the cut through a second
-pipe. It builds the cut's subtree; the child builds the off-path subtrees
+independence family while the parent runs the Hosoya pass. The
+matching-polynomial pass is then the one cut pass of an in-process call,
+given the child: the parent picks a cut on its heavy path
+(``insideout._split_depth``), sends B and the cut through a second pipe
+and builds the cut's subtree, while the child builds the off-path subtrees
 above the cut and the outside walk down to it and marshals that outside
-table back with its answers, join bags and times. The parent takes the
-dot product. The in-process cut minimises the pass's own work, while this
-one balances the two processes' shares, so it may sit deeper: on the 7x30
-grid at depth 59 of 246, against 29. A plan without a join, or one below
+table back with its answers, join bags and times. The parent takes the dot
+product. The in-process cut minimises the pass's own work, while this one
+balances the two processes' shares, so it may sit deeper: on the 7x30 grid
+at depth 59 of 246, against 29. A plan without a join, or one below
 ``_CUT_MIN_WORK``, keeps the root: the parent runs the pass whole and the
-child only the family. If the child fails at any stage, the parent
-computes the outside part and the family itself. Answers are the same
-either way, and ``DpStats`` equals an in-process call's with the
-matching-polynomial pass cut where the fork split it: each join carries
-the products of the process that ran it. ``_bit_work(plan, B)`` is B ×
-``_bit_work(plan, 1)``, so one walk of the plan, and none where an O(1)
-bound settles it, serves every gate.
+child only the family. If the child fails at any stage, the parent builds
+the outside table and runs the family itself, as a call without a child
+does. Answers are the same either way, and ``DpStats`` equals an
+in-process call's with the matching-polynomial pass cut where the fork
+split it: each join carries the products of the process that ran it.
+``_bit_work(plan, B)`` is B × ``_bit_work(plan, 1)``, so one walk of the
+plan, and none where an O(1) bound settles it, serves every gate.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -428,20 +432,40 @@ def _record(stats, joins):
     stats.join_bags += [joins[i] for i in sorted(joins)]
 
 
-def _run(plan, mode, stats, shift=0):
+def _add_passes(stats, passes):
+    """Add the join bags of each of passes, in order, to stats."""
+    for bags in passes:
+        stats.join_nodes += len(bags)
+        stats.join_bags += bags
+
+
+def _run(plan, mode, stats, shift=0, child=None):
     """The one DP traversal behind all five counters.
 
     mode: 'pm' (perfect matchings), 'match' (all matchings), 'ind'
     (independent sets). With ``shift`` = B > 0 every table entry is its size
     polynomial evaluated at x = 2^B: forget nodes commit size by shifting.
 
-    A pass that is not ``_priced`` runs forward to the root. Any other
-    pass is priced and cut on its heavy path by ``insideout._run_cut``.
+    A pass that is not ``_priced`` runs forward to the root. Any other is
+    cut on its heavy path at the least predicted work
+    (``insideout._cut_work``), or given a forked ``_Child``, where the two
+    processes' shares balance (``insideout._split_depth``). A child is
+    sent B and the depth, 0 included. ``insideout._run_cut`` evaluates a
+    pass cut below the root.
     """
-    joins = None if stats is None else {}
+    depth = 0
     if _priced(plan, shift):
-        from .insideout import _run_cut
-        value = _run_cut(plan, mode, joins, shift)
+        from . import insideout
+        if child is None:
+            _, work = insideout._cut_work(plan, mode, shift)
+            depth = min(range(len(work)), key=work.__getitem__)
+        else:
+            depth = insideout._split_depth(plan, shift)
+    if child is not None:
+        child.send(shift, depth)
+    joins = None if stats is None else {}
+    if depth:
+        value = insideout._run_cut(plan, mode, joins, shift, depth, child)
     else:
         value = _inside(plan, mode, joins, shift, ())[-1][0]
     if joins is not None:
@@ -609,24 +633,21 @@ def _coefficients(value, bits):
     return coeffs
 
 
-def _size_poly(plan, mode, bits, stats):
-    """Size polynomial from one shifted pass at B = bits, which must exceed
-    the bit length of every coefficient."""
-    return SizePolynomial(_coefficients(_run(plan, mode, stats, bits), bits))
-
-
 def _polynomial(g, nd, mode, stats):
     """mode's size polynomial, with the slot width rule of ``run_all``.
 
     One shifted pass at B = m (matching) or B = n (independence) where it
     predicts less than ``_FORK_WORK``; elsewhere a plain pass first, and B
-    = its total's bit length.
+    = its total's bit length (``_family``).
     """
     plan = _plan_for(g, nd)
     bits = max(g.m if mode == "match" else g.n, 1)
     if bits * _unit_work(plan, g.n, nd.width(), bits) >= _FORK_WORK:
-        bits = _run(plan, mode, stats).bit_length()
-    return _size_poly(plan, mode, bits, stats)
+        bits = None
+    _, coeffs, bags, _ = _family(plan, mode, stats is not None, bits)
+    if stats is not None:
+        _add_passes(stats, bags)
+    return SizePolynomial(coeffs)
 
 
 def count_perfect_matchings(g, nd, stats=None):
@@ -736,49 +757,54 @@ def _timed(millis, name, fn):
     return value
 
 
-def _independence_family(plan, traced, bits=None):
-    """The Merrifield-Simmons total and the independence polynomial.
+def _family(plan, mode, traced, bits=None, child=None):
+    """mode's total and size polynomial: Hosoya and the matching
+    polynomial ('match'), or Merrifield-Simmons and the independence one.
 
     Given bits, one shifted pass at B = bits gives the coefficients and
     the total is read off as their sum; else the plain pass gives the
-    total and the shifted pass runs at B = its bit length. Returns (total,
-    coefficients, join bags, millis): the coefficients lowest first, the
-    join bags of each pass that ran, in order (None unless traced), and
-    the elapsed milliseconds of both entries, the read-off's own where it
-    had no pass. All of it is plain ints, floats, lists, tuples and dicts,
-    which ``marshal`` carries.
+    total and the shifted pass runs at B = its bit length, given child
+    (``_run``). Returns (total, coefficients lowest first, the join bags
+    of each pass in order or None unless traced, millis): both entries'
+    elapsed milliseconds under ``RunReport.millis`` names, the read-off's
+    where it had no pass. ``marshal`` carries all of it.
     """
+    total_name, poly_name = (
+        ("matchings", "matching_polynomial") if mode == "match"
+        else ("independent_sets", "independence_polynomial"))
     bags = [] if traced else None
 
-    def run(shift):
+    def run(shift, child=None):
         stats = None
         if traced:
             stats = DpStats()
             bags.append(stats.join_bags)
-        return _run(plan, "ind", stats, shift)
+        return _run(plan, mode, stats, shift, child)
 
     millis = {}
     total = None
     if bits is None:
-        total = _timed(millis, "independent_sets", lambda: run(0))
+        total = _timed(millis, total_name, lambda: run(0))
         bits = total.bit_length()
-    coeffs = _timed(millis, "independence_polynomial",
-                    lambda: _coefficients(run(bits), bits))
+    coeffs = _timed(millis, poly_name,
+                    lambda: _coefficients(run(bits, child), bits))
     if total is None:
-        total = _timed(millis, "independent_sets", lambda: sum(coeffs))
+        total = _timed(millis, total_name, lambda: sum(coeffs))
     return total, coeffs, bags, millis
 
 
 class _Child:
-    """A forked child: the independence family, then the outside part of
-    the matching-polynomial pass once the parent sends B and the cut.
+    """A forked child: the independence family (``_family``), then the
+    outside table of the matching-polynomial pass once the parent's
+    ``_run`` sends B and the cut, none at depth 0.
 
     Two pipes join it to the parent: the parent writes B and the depth to
     one as two decimal numbers, the child its marshalled (family, outside
-    table, joins) to the other. The child always leaves through
-    ``os._exit``: 0 once its result is written, 1 on any exception, EOF on
-    the cut pipe included, which the parent meets again where it computes
-    the same parts itself.
+    table, joins) to the other; ``insideout._run_cut`` reads the outside
+    table and joins, ``run_all`` the family. The child always leaves
+    through ``os._exit``: 0 once its result is written, 1 on any
+    exception, EOF on the cut pipe included, which the parent meets again
+    where it computes the same parts itself.
     """
 
     def __init__(self, plan, traced):
@@ -799,15 +825,14 @@ class _Child:
             try:
                 os.close(r)
                 os.close(cut_w)
-                family = _independence_family(plan, traced)
+                family = _family(plan, "ind", traced)
                 with open(cut_r, "rb") as pipe:
                     bits, depth = map(int, pipe.read().split())
                 joins = {} if traced else None
                 outside = None
                 if depth:
-                    from .insideout import _cut_path, _outside_part
-                    outside = _outside_part(plan, "match", joins, bits,
-                                            _cut_path(plan, depth))
+                    from .insideout import _outside_part
+                    outside = _outside_part(plan, "match", joins, bits, depth)
                 with open(w, "wb") as pipe:
                     pipe.write(marshal.dumps((family, outside, joins)))
                 code = 0
@@ -852,43 +877,6 @@ class _Child:
         return self.result
 
 
-def _split_match(plan, bits, stats, child):
-    """The matching-polynomial pass at B = bits, split with child.
-
-    Sends B and the cut of ``insideout._split_depth`` to child, or depth
-    0 where the pass is not ``_priced``, then builds the cut's subtree and
-    takes the dot product with the child's outside table. At depth 0 this
-    process runs the whole pass. If the child failed, this process builds
-    the outside table too. stats gets the pass's joins as in ``_run``, each
-    with the products of the process that built it. Returns (value, the
-    child's ``_independence_family`` result or None).
-    """
-    depth = 0
-    if _priced(plan, bits):
-        from .insideout import _split_depth
-        depth = _split_depth(plan, bits)
-    child.send(bits, depth)
-    joins = None if stats is None else {}
-    if depth:
-        from .insideout import _cut_path, _dot, _inside_part, _outside_part
-        path = _cut_path(plan, depth)
-        inside = _inside_part(plan, "match", joins, bits, path)
-        result = child.join()
-        if result is None:
-            outside = _outside_part(plan, "match", joins, bits, path)
-        else:
-            outside = result[1]
-            if joins is not None:
-                joins.update(result[2])
-        value = _dot(inside, outside)
-    else:
-        value = _inside(plan, "match", joins, bits, ())[-1][0]
-        result = child.join()
-    if joins is not None:
-        _record(stats, joins)
-    return value, result and result[0]
-
-
 def run_all(g, nd, stats=None):
     """All five counts plus both entropies on one decomposition.
 
@@ -907,15 +895,17 @@ def run_all(g, nd, stats=None):
     process builds the cut's subtree, the child the rest of the pass down
     to the cut, and this process takes the dot product. A plan without a
     join, or too small to price, is not split: this process runs the pass
-    whole. The child sends its results back through a pipe and is always
-    reaped before this returns. If the child fails, this process computes
-    what it would have, so an error in the family is raised here. Answers
-    are the same either way. The join bags of a traced call list the
-    passes that ran in the order Hosoya, Merrifield-Simmons, matching
-    polynomial, independence polynomial; each join of a split pass carries
-    the products of the process that ran it, so a forked call's bags are
-    an in-process call's with the matching-polynomial pass cut at the
-    split (``insideout._split_depth``) rather than at the in-process cut.
+    whole. Split or not, the pass is the one ``_run`` of an in-process
+    call, given the child. The child sends its results back through a pipe
+    and is always reaped before this returns. If the child fails, this
+    process builds the outside table and runs the family as a call without
+    a child does, so an error in the family is raised here. Answers are
+    the same either way. The join bags of a traced call list the passes
+    that ran in the order Hosoya, Merrifield-Simmons, matching polynomial,
+    independence polynomial; each join of a split pass carries the
+    products of the process that ran it, so a forked call's bags are an
+    in-process call's with the matching-polynomial pass cut at the split
+    (``insideout._split_depth``) rather than at the in-process cut.
 
     ``millis`` holds each of the five counts' elapsed milliseconds: a
     pass's, or for a count read off a polynomial, the read-off's. Entries
@@ -929,15 +919,16 @@ def run_all(g, nd, stats=None):
     width = nd.width()
     n = g.n
     traced = stats is not None
-    millis = {}
     match_bits = max(g.m, 1)
     ind_bits = max(n, 1)
     unit = _unit_work(plan, n, width, max(match_bits, ind_bits))
+    # None: the family's total pass sets B
+    if match_bits * unit >= _FORK_WORK:
+        match_bits = None
     if ind_bits * unit >= _FORK_WORK:
-        ind_bits = None  # the family's total pass sets B
-    hosoya = match_bits * unit >= _FORK_WORK
+        ind_bits = None
     child = None
-    if hosoya and ind_bits is None and _fork_pays():
+    if match_bits is None and ind_bits is None and _fork_pays():
         if any(op[0] == _JOIN for op in plan):
             # imported before the fork, so both processes share it
             from . import insideout  # noqa: F401
@@ -945,37 +936,22 @@ def run_all(g, nd, stats=None):
             child = _Child(plan, traced)
         except OSError:
             pass
-    ma = family = None
-    mp_stats = DpStats() if traced else None
     try:
-        if hosoya:
-            ma = _timed(millis, "matchings",
-                        lambda: _run(plan, "match", stats))
-            match_bits = ma.bit_length()
-        t0 = time.perf_counter()
-        if child is None:
-            value = _run(plan, "match", mp_stats, match_bits)
-        else:
-            value, family = _split_match(plan, match_bits, mp_stats, child)
-        mp = SizePolynomial(_coefficients(value, match_bits))
-        millis["matching_polynomial"] = (time.perf_counter() - t0) * 1000.0
+        ma, mp_coeffs, match_bags, millis = _family(
+            plan, "match", traced, match_bits, child)
     finally:
-        if child is not None:
-            child.join()
-    if ma is None:
-        ma = _timed(millis, "matchings", mp.total)
-    if family is None:
-        family = _independence_family(plan, traced, ind_bits)
-    ind, ip_coeffs, ind_bags, ind_millis = family
+        result = None if child is None else child.join()
+    ind, ip_coeffs, ind_bags, ind_millis = (
+        result[0] if result else _family(plan, "ind", traced, ind_bits))
+    mp = SizePolynomial(mp_coeffs)
     ip = SizePolynomial(ip_coeffs)
     # a perfect matching is a matching of n/2 edges: no pass of its own
     pm = _timed(millis, "perfect_matchings",
                 lambda: 0 if n % 2 else mp[n // 2])
     millis.update(ind_millis)
     if traced:
-        for bags in (*ind_bags[:-1], mp_stats.join_bags, ind_bags[-1]):
-            stats.join_nodes += len(bags)
-            stats.join_bags += bags
+        _add_passes(stats, (*match_bags[:-1], *ind_bags[:-1],
+                            match_bags[-1], ind_bags[-1]))
     return RunReport(
         width=width,
         node_count=len(nd),

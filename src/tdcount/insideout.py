@@ -18,9 +18,12 @@ always a candidate, and cut there the pass is the forward pass.
 
 The inside part (the cut's subtree) and the outside part (the off-path
 subtrees above the cut and the walk down to it) share nothing but the
-cut, so a forked ``counting.run_all`` builds them in two processes.
-``_split_depth`` picks that cut from the same prices, to balance the two
-processes rather than to minimise the pass's work.
+cut. ``_run_cut`` evaluates every pass cut below the root: it builds the
+inside part, takes the outside part from a forked ``counting._Child``
+that was sent the cut, or builds it with ``_outside_part`` where there is
+none or it failed, and returns the dot product. ``_split_depth`` picks
+the cut of a pass split with a child from the same prices, to balance the
+two processes rather than to minimise the pass's work.
 
 ``counting._run`` imports this module only for a pass it prices, and a
 forking ``run_all`` only for a plan with a join, so a run that never
@@ -237,11 +240,6 @@ def _split_depth(plan, bits):
     return min(range(len(path)), key=cost)
 
 
-def _cut_path(plan, depth):
-    """The heavy path from the root down to the cut ``depth`` steps down."""
-    return _heavy_path(plan, _below(plan))[:depth + 1]
-
-
 def _subtree(plan, node):
     """The nodes of node's subtree."""
     nodes = []
@@ -257,55 +255,45 @@ def _subtree(plan, node):
     return nodes
 
 
-def _inside_part(plan, mode, joins, shift, path):
-    """The inside table of the cut path[-1]: its subtree's forward pass."""
-    keep = set(_subtree(plan, path[-1]))
-    skip = [i for i in range(len(plan)) if i not in keep]
-    return _inside(plan, mode, joins, shift, skip)[path[-1]]
+def _outside_part(plan, mode, joins, shift, depth):
+    """The outside table of the cut ``depth`` steps down the heavy path.
 
-
-def _outside_part(plan, mode, joins, shift, path):
-    """The outside table of the cut path[-1]: the forward pass of the
-    off-path subtrees above it, then the walk down from the root."""
+    The forward pass builds the off-path subtrees above the cut, then the
+    transposes of the path ops carry [1] from the root down to the cut; at
+    every path node <inside, outside> is the root's value. joins is as in
+    ``_inside``.
+    """
+    path = _heavy_path(plan, _below(plan))[:depth + 1]
     skip = set(_subtree(plan, path[-1]))
     skip.update(path[:-1])
-    return _walk_down(plan, path, _inside(plan, mode, joins, shift, skip),
-                      mode, joins, shift)
-
-
-def _walk_down(plan, path, tables, mode, joins, shift):
-    """The outside table of path[-1], carried from [1] at the root through
-    the transposes of the path ops; at every path node <inside, outside>
-    is the root's value."""
+    tables = _inside(plan, mode, joins, shift, skip)
     o = [1]
     for node, child in zip(path, path[1:]):
         o = _transpose(plan, node, child, tables, o, mode, joins, shift)
     return o
 
 
-def _dot(inside, outside):
-    """The value of a pass cut where inside and outside are the tables."""
-    return sum([x * y for x, y in zip(inside, outside) if x and y])
-
-
-def _run_cut(plan, mode, joins, shift, depth=None):
+def _run_cut(plan, mode, joins, shift, depth, child=None):
     """Value of a pass cut ``depth`` steps down its heavy path.
 
-    depth None takes the cut of least predicted work, the root on a tie.
-    The inside tables are built up to the cut, the outside table of the
-    cut down from the root, and the answer is their dot product; at the
-    root it is the root's one entry. joins is as in ``_inside``.
+    This process builds the cut's subtree. The outside table of the cut
+    comes from child, ``counting._Child``, whose joins are merged into
+    joins; with no child, or a failed one, this process builds it too
+    (``_outside_part``). The answer is the dot product of the two tables.
+    At depth 0 the subtree is the whole plan and the outside table [1], so
+    this is the forward pass. joins is as in ``_inside``.
     """
-    if depth is None:
-        path, work = _cut_work(plan, mode, shift)
-        path = path[:min(range(len(work)), key=work.__getitem__) + 1]
+    cut = _heavy_path(plan, _below(plan))[depth]
+    skip = set(range(len(plan))).difference(_subtree(plan, cut))
+    inside = _inside(plan, mode, joins, shift, skip)[cut]
+    result = None if child is None else child.join()
+    if result is None:
+        outside = _outside_part(plan, mode, joins, shift, depth)
     else:
-        path = _cut_path(plan, depth)
-    tables = _inside(plan, mode, joins, shift, path[:-1])
-    value = tables[path[-1]]
-    if len(path) == 1:
-        return value[0]
-    return _dot(value, _walk_down(plan, path, tables, mode, joins, shift))
+        _, outside, child_joins = result
+        if joins is not None:
+            joins.update(child_joins)
+    return sum([x * y for x, y in zip(inside, outside) if x and y])
 
 
 def _transpose(plan, node, child, tables, o, mode, joins, shift):

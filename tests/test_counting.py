@@ -530,9 +530,9 @@ def _record_calls(monkeypatch):
             calls.append("fork")
         return pid
 
-    def run(plan, mode, stats, shift=0):
+    def run(plan, mode, stats, shift=0, child=None):
         calls.append((mode, shift))
-        return real_run(plan, mode, stats, shift)
+        return real_run(plan, mode, stats, shift, child)
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(counting, "_run", run)
@@ -647,10 +647,10 @@ def test_failed_child_leaves_the_family_to_the_parent(monkeypatch):
         forks = _record_forks(monkeypatch, fork_work)
         real_outside = insideout._outside_part
 
-        def outside_fails_in_the_child(*args):
+        def outside_fails_in_the_child(plan, mode, joins, shift, depth):
             if os.getpid() != parent:
                 raise RuntimeError("outside part failed")
-            return real_outside(*args)
+            return real_outside(plan, mode, joins, shift, depth)
 
         monkeypatch.setattr(insideout, "_outside_part",
                             outside_fails_in_the_child)
@@ -668,10 +668,10 @@ def test_failed_child_leaves_the_family_to_the_parent(monkeypatch):
         forks = _record_forks(monkeypatch, fork_work)
         real_run = counting._run
 
-        def failing_run(plan, mode, stats, shift=0):
+        def failing_run(plan, mode, stats, shift=0, child=None):
             if mode == "ind":
                 raise RuntimeError("independence pass failed")
-            return real_run(plan, mode, stats, shift)
+            return real_run(plan, mode, stats, shift, child)
 
         monkeypatch.setattr(counting, "_run", failing_run)
         with pytest.raises(RuntimeError, match="independence pass failed"):
@@ -681,10 +681,10 @@ def test_failed_child_leaves_the_family_to_the_parent(monkeypatch):
 
         # the parent's Hosoya pass raises: the child reads EOF on the cut
         # pipe and is reaped before the error reaches the caller
-        def failing_hosoya(plan, mode, stats, shift=0):
+        def failing_hosoya(plan, mode, stats, shift=0, child=None):
             if mode == "match" and not shift:
                 raise RuntimeError("Hosoya pass failed")
-            return real_run(plan, mode, stats, shift)
+            return real_run(plan, mode, stats, shift, child)
 
         monkeypatch.setattr(counting, "_run", failing_hosoya)
         with pytest.raises(RuntimeError, match="Hosoya pass failed"):
@@ -701,9 +701,9 @@ def _record_shifts(monkeypatch):
     calls = []
     real_run = counting._run
 
-    def recorded(plan, mode, stats, shift=0):
+    def recorded(plan, mode, stats, shift=0, child=None):
         calls.append((mode, shift))
-        return real_run(plan, mode, stats, shift)
+        return real_run(plan, mode, stats, shift, child)
 
     monkeypatch.setattr(counting, "_run", recorded)
     return calls
@@ -769,14 +769,16 @@ def test_one_pass_and_plain_path_agree(monkeypatch):
     from tdcount import parse_smiles
     from conftest import CAFFEINE_SMILES
 
+    # the 5x30 grid's shifted passes are priced and cut below the root, so
+    # run_all and each polynomial alone list the joins of a cut pass
     rng = random.Random(18)
     graphs = (_atlas_graphs()
               + [random_graph(rng) for _ in range(200)]
               + [parse_smiles(CAFFEINE_SMILES).graph]
               + [mol.graph for mol in
                  load_corpus(bundled_path("corpus100.smi")).molecules]
-              + [grid_graph(3, 30), grid_graph(4, 30)])
-    assert len(graphs) == 996 + 200 + 1 + 100 + 2
+              + [grid_graph(3, 30), grid_graph(4, 30), grid_graph(5, 30)])
+    assert len(graphs) == 996 + 200 + 1 + 100 + 3
     for g in graphs:
         _both_paths(monkeypatch, g, minfill_nice(g))
     # a graph without edges: every matching coefficient is below 2^1
