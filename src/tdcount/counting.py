@@ -110,10 +110,11 @@ object is checked afresh and its plan replaces the kept one.
 ``run_all`` needs two families of passes that share only the read-only
 plan: the matching polynomial, after a Hosoya pass where the rule above
 asks for one, and the independence polynomial, after a Merrifield-Simmons
-pass likewise. Where both families take two passes, ``os.fork`` exists, no
-second thread is alive and the CPU affinity holds two CPUs or more, it
-forks one child before the Hosoya pass. The child computes the
-independence family while the parent runs the Hosoya pass. The
+pass likewise. Where the matching family takes two passes, ``os.fork``
+exists, no second thread is alive and the CPU affinity holds two CPUs or
+more, it forks one child before the Hosoya pass. The child computes the
+independence family, in one pass or two, while the parent runs the Hosoya
+pass. The
 matching-polynomial pass is then the one cut pass of an in-process call,
 given the child: the parent picks a cut on its heavy path
 (``insideout._split_depth``), sends B and the cut through a second pipe
@@ -153,11 +154,11 @@ _DIGIT = sys.int_info.bits_per_digit
 # halving it first
 _PEEL_BITS = 4096
 # ``_bit_work`` below which a polynomial takes one shifted pass at B = m
-# (n) and no total pass. Where both polynomials take two passes,
+# (n) and no total pass. Where the matching polynomial takes two passes,
 # ``run_all`` forks a child for the independence family and part of the
 # matching-polynomial pass. Forking and reaping cost the parent about
-# 1.5 ms; min-fill on the 6x30 grid (3.3e8) spends about 18 ms in that
-# family, on the 5x30 grid (1.05e8, no fork) 7 ms. On the
+# 1.5 ms; min-fill on the 6x30 grid (3.3e8) spends about 18 ms in the
+# independence family, on the 5x30 grid (1.05e8, one pass) 7 ms. On the
 # min-fill k x 30 grids (CPython 3.11, x86-64) one pass at B = m beat the
 # two passes at 0.46 × this (4x30) and broke even at 1.5 × (5x30); at
 # B = n it beat them at 0.86 × (5x30) and broke even at 2.7 × (6x30)
@@ -256,8 +257,8 @@ def _prepare(g, nd):
     empty leaf and root bags, 3 × 2^(w+1) - 2 cells at least.
     """
     n = g.n
-    neighbors = g.neighbors
-    nodes = nd.nodes
+    adj = g._adj
+    nodes = nd._nodes
     pos = _check_grammar(nodes)
     plan = [None] * len(nodes)
     forgets = 0
@@ -272,7 +273,7 @@ def _prepare(g, nd):
                 raise DecompositionMismatch(
                     f"introduced vertex {v} outside 0..{n - 1}"
                 )
-            nbrs = neighbors(v)
+            nbrs = adj[v]
             nbr_mask = 0
             for q, u in enumerate(bag):
                 if u in nbrs:
@@ -281,7 +282,7 @@ def _prepare(g, nd):
         elif kind == FORGET:
             p = pos[i]
             forgets += 1
-            nbrs = neighbors(v)
+            nbrs = adj[v]
             pairs = tuple([
                 (1 << q, 1 << (q if q < p else q + 1))
                 for q, u in enumerate(bag)
@@ -296,7 +297,7 @@ def _prepare(g, nd):
             plan[i] = (_LEAF,)
 
     if forgets != n:
-        forgotten = {node.v for node in nodes if node.kind == FORGET}
+        forgotten = {node.v for node in nd.nodes if node.kind == FORGET}
         missing = [v for v in range(n) if v not in forgotten]
         raise DecompositionMismatch(
             f"vertices {missing} not forgotten exactly once"
@@ -304,7 +305,7 @@ def _prepare(g, nd):
     if pair_count != g.m:
         seen = {
             (min(node.v, u), max(node.v, u))
-            for node in nodes if node.kind == FORGET
+            for node in nd.nodes if node.kind == FORGET
             for u in node.bag if u in g.neighbors(node.v)
         }
         stray = sorted(g.edges - seen)
@@ -501,41 +502,41 @@ def _inside(plan, mode, joins, shift, skip, tables=None):
             _, c, p, nbr_mask, w = op
             child = tables[c]
             out = [0] * (1 << w)
-            low = (1 << p) - 1
-            high = ~low
+            # the child state cm is base = cm + (cm & high) here: its bits
+            # from position p up move up one, which leaves bit p clear
             bit = 1 << p
+            high = -bit
             if is_ind:
                 for cm, val in enumerate(child):
                     if val:
-                        base = (cm & low) | ((cm & high) << 1)
+                        base = cm + (cm & high)
                         out[base] = val
                         if not base & nbr_mask:
                             out[base | bit] = val
             else:
                 for cm, val in enumerate(child):
                     if val:
-                        out[((cm & low) | ((cm & high) << 1)) | bit] = val
+                        out[(cm + (cm & high)) | bit] = val
             tables[i] = out
             tables[c] = None
         elif code == _FORGET:
             _, c, p, pairs, w = op
             child = tables[c]
             out = [0] * (1 << w)
-            low = (1 << p) - 1
-            high = ~low
             bit = 1 << p
+            high = -bit
             if is_ind:
                 # forgetting a chosen vertex commits it: one factor of x.
                 # A set stays independent without v, so val is non-zero
                 # wherever y is.
                 for m in range(1 << w):
-                    base = (m & low) | ((m & high) << 1)
+                    base = m + (m & high)
                     val = child[base]
                     y = child[base | bit]
                     out[m] = val + (y << shift) if y else val
             else:
                 for m in range(1 << w):
-                    base = (m & low) | ((m & high) << 1)
+                    base = m + (m & high)
                     val = child[base]
                     if is_match:
                         y = child[base | bit]
@@ -807,9 +808,10 @@ class _Child:
     where it computes the same parts itself.
     """
 
-    def __init__(self, plan, traced):
+    def __init__(self, plan, traced, ind_bits):
         """Fork; raises OSError, with no pipe left open, if the pipes or
-        the fork fail."""
+        the fork fail. ind_bits is the independence family's B, as
+        ``_family`` takes it."""
         fds = []
         try:
             fds += os.pipe()
@@ -825,14 +827,15 @@ class _Child:
             try:
                 os.close(r)
                 os.close(cut_w)
-                family = _family(plan, "ind", traced)
+                family = _family(plan, "ind", traced, ind_bits)
                 with open(cut_r, "rb") as pipe:
                     bits, depth = map(int, pipe.read().split())
                 joins = {} if traced else None
                 outside = None
                 if depth:
-                    from .insideout import _outside_part
-                    outside = _outside_part(plan, "match", joins, bits, depth)
+                    from .insideout import _cut, _outside_part
+                    outside = _outside_part(plan, "match", joins, bits,
+                                            *_cut(plan, depth))
                 with open(w, "wb") as pipe:
                     pipe.write(marshal.dumps((family, outside, joins)))
                 code = 0
@@ -887,10 +890,11 @@ def run_all(g, nd, stats=None):
     pass computes the total first and the shifted pass runs at B = its bit
     length. The perfect matchings are read off the matching polynomial.
 
-    Where both polynomials take two passes and ``_fork_pays`` (POSIX
-    fork, no second thread, two CPUs or more), one child is forked before
-    the Hosoya pass. It computes the Merrifield-Simmons total and the
-    independence polynomial while this process runs the Hosoya pass. The
+    Where the matching polynomial takes two passes and ``_fork_pays``
+    (POSIX fork, no second thread, two CPUs or more), one child is forked
+    before the Hosoya pass. It computes the Merrifield-Simmons total and
+    the independence polynomial, in one pass or two, while this process
+    runs the Hosoya pass. The
     matching-polynomial pass is then split at a cut of its heavy path: this
     process builds the cut's subtree, the child the rest of the pass down
     to the cut, and this process takes the dot product. A plan without a
@@ -928,12 +932,12 @@ def run_all(g, nd, stats=None):
     if ind_bits * unit >= _FORK_WORK:
         ind_bits = None
     child = None
-    if match_bits is None and ind_bits is None and _fork_pays():
+    if match_bits is None and _fork_pays():
         if any(op[0] == _JOIN for op in plan):
             # imported before the fork, so both processes share it
             from . import insideout  # noqa: F401
         try:
-            child = _Child(plan, traced)
+            child = _Child(plan, traced, ind_bits)
         except OSError:
             pass
     try:

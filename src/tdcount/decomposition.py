@@ -22,6 +22,7 @@ import heapq
 from bisect import bisect_left
 from collections import namedtuple
 from functools import partial
+from operator import itemgetter
 
 from .errors import DecompositionMismatch, ParseError, SizeLimitError
 
@@ -39,49 +40,50 @@ class TreeDecomposition:
 
     The tree shape is checked here (int indices, one root, every bag
     reachable from it); the bags are checked against a graph only by the
-    counters, on the nice form.
+    counters, on the nice form. ``make_nice`` walks the tree through the
+    children lists and root-first order built for that check, so a changed
+    shape needs a new ``TreeDecomposition``, not an edited ``parent``.
     """
 
     def __init__(self, bags, parent, root):
-        bags = [frozenset(b) for b in bags]
+        bags = list(map(frozenset, bags))
+        count = len(bags)
         if not bags:
             raise ValueError("a decomposition needs at least one bag")
-        if len(parent) != len(bags):
+        if len(parent) != count:
             raise ValueError("parent array must match bag count")
-        if type(root) is not int or not 0 <= root < len(bags):
+        if type(root) is not int or not 0 <= root < count:
             raise ValueError(f"root {root!r} is not a bag index")
+        children = [[] for _ in range(count)]
         for i, p in enumerate(parent):
-            if type(p) is not int or (i != root and not 0 <= p < len(bags)):
+            if type(p) is not int or (i != root and not 0 <= p < count):
                 raise ValueError(f"bag {i} has invalid parent {p!r}")
+            if i != root:
+                children[p].append(i)
         if parent[root] != -1:
             raise ValueError("root must have parent -1")
-        # reachability from the root establishes tree-ness
-        children = self._children_from(parent)
-        reach = 0
+        # reachability from the root establishes tree-ness; the order
+        # reached, each bag before its subtree and the first child's
+        # subtree first, is the one make_nice builds in reverse
+        preorder = []
         stack = [root]
         while stack:
             b = stack.pop()
-            reach += 1
-            stack.extend(children[b])
-        if reach != len(bags):
+            preorder.append(b)
+            stack.extend(reversed(children[b]))
+        if len(preorder) != count:
             raise ValueError("parent links do not form a tree rooted at root")
         self.bags = bags
         self.parent = list(parent)
         self.root = root
-
-    @staticmethod
-    def _children_from(parent):
-        children = [[] for _ in parent]
-        for i, p in enumerate(parent):
-            if p >= 0:
-                children[p].append(i)
-        return children
+        self._children = children
+        self._preorder = preorder
 
     def children(self):
-        return self._children_from(self.parent)
+        return [list(kids) for kids in self._children]
 
     def width(self):
-        return max(len(b) for b in self.bags) - 1
+        return max(map(len, self.bags)) - 1
 
     def tree_edges(self):
         return sorted(
@@ -120,12 +122,13 @@ def min_fill_order(g):
     width. The order is the one a scan of every alive vertex would pick.
     """
     n = g.n
-    adj = [set(g.neighbors(v)) for v in range(n)]
-    fill = []
-    for nv in adj:
-        d = len(nv)
-        linked = sum(len(adj[a] & nv) for a in nv)  # twice the edges in N(v)
-        fill.append((d * (d - 1) - linked) // 2)
+    adj = list(map(set, g._adj))
+    # an edge {u, w} lies in N(c) for each common neighbour c: one
+    # intersection per edge counts the adjacent pairs of every N(c)
+    fill = [len(nv) * (len(nv) - 1) // 2 for nv in adj]
+    for u, w in g.edges:
+        for c in adj[u] & adj[w]:
+            fill[c] -= 1
     heap = [f * n + v for v, f in enumerate(fill)]
     heapq.heapify(heap)
     heappop = heapq.heappop
@@ -145,22 +148,23 @@ def min_fill_order(g):
             adj_a.discard(v)
             f = before[a] = fill[a]
             fill[a] = f - len(adj_a) + len(adj_a & nv)
-        nbrs = list(nv)
-        for i, a in enumerate(nbrs):
-            adj_a = adj[a]
-            for b in nbrs[i + 1:]:
-                if b not in adj_a:
-                    adj_b = adj[b]
-                    common = adj_a & adj_b
-                    for c in common:
-                        if c not in before:
-                            before[c] = fill[c]
-                        fill[c] -= 1
-                    k = len(common)
-                    fill[a] += len(adj_a) - k
-                    fill[b] += len(adj_b) - k
-                    adj_a.add(b)
-                    adj_b.add(a)
+        if len(nv) > 1:  # a single neighbour adds no fill edge
+            nbrs = list(nv)
+            for i, a in enumerate(nbrs):
+                adj_a = adj[a]
+                for b in nbrs[i + 1:]:
+                    if b not in adj_a:
+                        adj_b = adj[b]
+                        common = adj_a & adj_b
+                        for c in common:
+                            if c not in before:
+                                before[c] = fill[c]
+                            fill[c] -= 1
+                        k = len(common)
+                        fill[a] += len(adj_a) - k
+                        fill[b] += len(adj_b) - k
+                        adj_a.add(b)
+                        adj_b.add(a)
         for u, f in before.items():
             if fill[u] != f:
                 heappush(heap, fill[u] * n + u)
@@ -186,15 +190,23 @@ def decomposition_from_order(g, order):
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    higher = [{u for u in g.neighbors(v) if pos[u] > pos[v]} for v in range(n)]
+    higher = [set() for _ in range(n)]
+    for u, v in g.edges:
+        if pos[u] < pos[v]:
+            higher[u].add(v)
+        else:
+            higher[v].add(u)
     root = n - 1
     bags = []
     parent = []
+    at = pos.__getitem__
     for i, v in enumerate(order):
         rest = higher[v]
-        bags.append(frozenset(rest | {v}))
+        rest.add(v)
+        bags.append(frozenset(rest))
+        rest.discard(v)
         if rest:
-            p = min(rest, key=pos.__getitem__)
+            p = min(rest, key=at)
             rest.discard(p)
             higher[p] |= rest
             parent.append(pos[p])
@@ -255,7 +267,7 @@ class NiceNode(namedtuple("NiceNode", "bag kind v children")):
         return f"<{self.kind}{extra} bag={self.bag}>"
 
 
-# NiceNode without the constructor's copies, for make_nice, whose bags and
+# NiceNode without the constructor's copies, for nodes whose bags and
 # children are tuples already
 _node = partial(tuple.__new__, NiceNode)
 
@@ -265,21 +277,29 @@ class NiceDecomposition:
 
     ``nodes[root]`` is the last entry and has an empty bag, as do all leaves.
     ``is_path`` is true iff there are no join nodes. ``nodes`` is a read-only
-    tuple of immutable nodes; the counters keep the plan they checked it
-    with in ``_plan``.
+    tuple of immutable ``NiceNode``s; the counters keep the plan they
+    checked it with in ``_plan``.
+
+    The counters and the grammar check read ``_nodes``, the nodes as given,
+    by index. ``make_nice`` gives them as plain (bag, kind, v, children)
+    tuples: a ``NiceNode`` costs several times as much to build, so
+    ``nodes`` wraps each one only on first use.
     """
 
-    __slots__ = ("_nodes", "_plan")
+    __slots__ = ("_nodes", "_view", "_plan")
 
     def __init__(self, nodes):
         if not nodes:
             raise ValueError("empty nice decomposition")
         self._nodes = tuple(nodes)
+        self._view = None
         self._plan = None
 
     @property
     def nodes(self):
-        return self._nodes
+        if self._view is None:
+            self._view = tuple(map(_node, self._nodes))
+        return self._view
 
     @property
     def root(self):
@@ -290,10 +310,10 @@ class NiceDecomposition:
         return self.join_count() == 0
 
     def width(self):
-        return max(len(nd.bag) for nd in self._nodes) - 1
+        return max(map(len, map(itemgetter(0), self._nodes))) - 1
 
     def join_count(self):
-        return sum(1 for nd in self._nodes if nd.kind == JOIN)
+        return list(map(itemgetter(1), self._nodes)).count(JOIN)
 
     def __len__(self):
         return len(self._nodes)
@@ -345,14 +365,14 @@ def _check_grammar(nodes):
         if kind == INTRODUCE:
             if len(children) != 1:
                 raise _arity_error(i, kind, children)
-            child_bag = nodes[children[0]].bag
+            child_bag = nodes[children[0]][0]
             if type(v) is not int or v < 0:
                 raise DecompositionMismatch(
                     f"introduced vertex {v!r} is not a non-negative int"
                 )
             p = bisect_left(child_bag, v)
-            if child_bag[p:p + 1] == (v,) or \
-                    bag != child_bag[:p] + (v,) + child_bag[p:]:
+            if (p < len(child_bag) and child_bag[p] == v) or \
+                    bag != (*child_bag[:p], v, *child_bag[p:]):
                 raise DecompositionMismatch(
                     f"introduce {i} bag equation violated"
                 )
@@ -360,10 +380,12 @@ def _check_grammar(nodes):
         elif kind == FORGET:
             if len(children) != 1:
                 raise _arity_error(i, kind, children)
-            child_bag = nodes[children[0]].bag
-            if v not in child_bag:
-                raise DecompositionMismatch(f"forget {i} bag equation violated")
-            p = child_bag.index(v)
+            child_bag = nodes[children[0]][0]
+            try:
+                p = child_bag.index(v)
+            except ValueError:
+                raise DecompositionMismatch(
+                    f"forget {i} bag equation violated") from None
             if bag != child_bag[:p] + child_bag[p + 1:]:
                 raise DecompositionMismatch(f"forget {i} bag equation violated")
             if v in forgotten:
@@ -376,7 +398,7 @@ def _check_grammar(nodes):
             if len(children) != 2:
                 raise _arity_error(i, kind, children)
             c1, c2 = children
-            if not bag == nodes[c1].bag == nodes[c2].bag:
+            if not bag == nodes[c1][0] == nodes[c2][0]:
                 raise DecompositionMismatch(f"join {i} bags differ")
         elif kind == LEAF:
             if children:
@@ -387,8 +409,8 @@ def _check_grammar(nodes):
             raise DecompositionMismatch(f"unknown node kind {kind!r}")
 
     root = len(nodes) - 1
-    if nodes[root].bag:
-        raise DecompositionMismatch(f"root bag {nodes[root].bag} not empty")
+    if nodes[root][0]:
+        raise DecompositionMismatch(f"root bag {nodes[root][0]} not empty")
     orphans = [i for i in range(root) if not has_parent[i]]
     if orphans:
         raise DecompositionMismatch(f"nodes {orphans} not below the root")
@@ -408,61 +430,62 @@ def make_nice(td):
     once per connected piece, so ``structure_violations()`` reports it
     without a graph.
     """
-    if td.width() > MAX_WIDTH:
+    width = td.width()
+    if width > MAX_WIDTH:
         raise SizeLimitError(
-            f"decomposition width {td.width()} exceeds the cap of {MAX_WIDTH}"
+            f"decomposition width {width} exceeds the cap of {MAX_WIDTH}"
         )
     nodes = []
     add = nodes.append
+    last = -1  # index of the last node added
     bags = td.bags
     ordered = [tuple(sorted(b)) for b in bags]
-
-    def grow(cur, bag, have, target, want):
-        """Forget have\\want (descending), then introduce want\\have
-        (ascending), from node cur with sorted bag ``bag`` = ``have``."""
-        # forgetting the largest first leaves each smaller vertex in place
-        for p in range(len(bag) - 1, -1, -1):
-            v = bag[p]
-            if v not in want:
-                bag = bag[:p] + bag[p + 1:]
-                add(_node((bag, FORGET, v, (cur,))))
-                cur = len(nodes) - 1
-        # introducing the smallest first puts each vertex where target has it
-        for p, v in enumerate(target):
-            if v not in have:
-                bag = bag[:p] + (v,) + bag[p:]
-                add(_node((bag, INTRODUCE, v, (cur,))))
-                cur = len(nodes) - 1
-        return cur
-
-    # postorder that builds the subtree of the last child first
-    children_of = td.children()
-    post = []
-    stack = [td.root]
-    while stack:
-        b = stack.pop()
-        post.append(b)
-        stack.extend(reversed(children_of[b]))
+    children_of = td._children
     top = [0] * len(bags)
     empty = frozenset()
-    for b in reversed(post):
+    # postorder that builds the subtree of the last child first
+    for b in reversed(td._preorder):
         target = ordered[b]
         want = bags[b]
-        kids = children_of[b]
-        if not kids:
-            add(_node(((), LEAF, None, ())))
-            top[b] = grow(len(nodes) - 1, (), empty, target, want)
-        else:
-            branches = [grow(top[c], ordered[c], bags[c], target, want)
-                        for c in kids]
-            cur = branches[0]
-            for other in branches[1:]:
-                add(_node((target, JOIN, None, (cur, other))))
-                cur = len(nodes) - 1
-            top[b] = cur
+        branches = []
+        # each child's top node, or for a leaf bag a new empty leaf, grows
+        # to target: forget have\want, then introduce want\have
+        for c in children_of[b] or (None,):
+            if c is None:
+                add(((), LEAF, None, ()))
+                last += 1
+                cur, bag, have = last, (), empty
+            else:
+                cur, bag, have = top[c], ordered[c], bags[c]
+            # forgetting the largest first leaves each smaller vertex in place
+            for p in range(len(bag) - 1, -1, -1):
+                v = bag[p]
+                if v not in want:
+                    bag = bag[:p] + bag[p + 1:]
+                    add((bag, FORGET, v, (cur,)))
+                    last += 1
+                    cur = last
+            # introducing the smallest first puts each vertex where target
+            # has it, so bag[:p] is target[:p] at every step
+            for p, v in enumerate(target):
+                if v not in have:
+                    bag = target[:p + 1] + bag[p:]
+                    add((bag, INTRODUCE, v, (cur,)))
+                    last += 1
+                    cur = last
+            branches.append(cur)
+        cur = branches[0]
+        for other in branches[1:]:
+            add((target, JOIN, None, (cur, other)))
+            last += 1
+            cur = last
+        top[b] = cur
 
-    root = td.root
-    grow(top[root], ordered[root], bags[root], (), empty)
+    # the root bag is forgotten down to the empty bag, largest first
+    bag = ordered[td.root]
+    for p in range(len(bag) - 1, -1, -1):
+        add((bag[:p], FORGET, bag[p], (last,)))
+        last += 1
     return NiceDecomposition(nodes)
 
 

@@ -26,7 +26,9 @@ class Graph:
             raise ValueError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
+        # one walk of the edges checks them and builds the adjacency
         seen = set()
+        adj = [set() for _ in range(n)]
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge ({u!r},{v!r}) has a non-int endpoint")
@@ -35,18 +37,15 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             seen.add((u, v) if u < v else (v, u))
-        if labels is not None and len(labels) != n:
-            raise ValueError("labels must have one entry per vertex")
-        edges = frozenset(seen)
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
             adj[u].add(v)
             adj[v].add(u)
+        if labels is not None and len(labels) != n:
+            raise ValueError("labels must have one entry per vertex")
         init = object.__setattr__
         init(self, "n", n)
-        init(self, "edges", edges)
+        init(self, "edges", frozenset(seen))
         init(self, "labels", tuple(labels) if labels is not None else None)
-        init(self, "_adj", tuple(frozenset(s) for s in adj))
+        init(self, "_adj", tuple(map(frozenset, adj)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Graph is immutable: cannot set {name!r}")

@@ -18,7 +18,8 @@ always a candidate, and cut there the pass is the forward pass.
 
 The inside part (the cut's subtree) and the outside part (the off-path
 subtrees above the cut and the walk down to it) share nothing but the
-cut. ``_run_cut`` evaluates every pass cut below the root: it builds the
+cut. ``_run_cut`` evaluates every pass cut below the root: it finds the
+path down to the cut and the cut's subtree once (``_cut``), builds the
 inside part, takes the outside part from a forked ``counting._Child``
 that was sent the cut, or builds it with ``_outside_part`` where there is
 none or it failed, and returns the dot product. ``_split_depth`` picks
@@ -255,16 +256,23 @@ def _subtree(plan, node):
     return nodes
 
 
-def _outside_part(plan, mode, joins, shift, depth):
-    """The outside table of the cut ``depth`` steps down the heavy path.
+def _cut(plan, depth):
+    """The heavy path from the root down to the cut ``depth`` steps down
+    it, and the nodes of the cut's subtree."""
+    path = _heavy_path(plan, _below(plan))[:depth + 1]
+    return path, _subtree(plan, path[-1])
+
+
+def _outside_part(plan, mode, joins, shift, path, inner):
+    """The outside table of the cut at the end of path, from ``_cut``
+    with the cut's subtree inner.
 
     The forward pass builds the off-path subtrees above the cut, then the
     transposes of the path ops carry [1] from the root down to the cut; at
     every path node <inside, outside> is the root's value. joins is as in
     ``_inside``.
     """
-    path = _heavy_path(plan, _below(plan))[:depth + 1]
-    skip = set(_subtree(plan, path[-1]))
+    skip = set(inner)
     skip.update(path[:-1])
     tables = _inside(plan, mode, joins, shift, skip)
     o = [1]
@@ -279,16 +287,17 @@ def _run_cut(plan, mode, joins, shift, depth, child=None):
     This process builds the cut's subtree. The outside table of the cut
     comes from child, ``counting._Child``, whose joins are merged into
     joins; with no child, or a failed one, this process builds it too
-    (``_outside_part``). The answer is the dot product of the two tables.
-    At depth 0 the subtree is the whole plan and the outside table [1], so
-    this is the forward pass. joins is as in ``_inside``.
+    (``_outside_part``, from the same ``_cut``). The answer is the dot
+    product of the two tables. At depth 0 the subtree is the whole plan
+    and the outside table [1], so this is the forward pass. joins is as in
+    ``_inside``.
     """
-    cut = _heavy_path(plan, _below(plan))[depth]
-    skip = set(range(len(plan))).difference(_subtree(plan, cut))
-    inside = _inside(plan, mode, joins, shift, skip)[cut]
+    path, inner = _cut(plan, depth)
+    skip = set(range(len(plan))).difference(inner)
+    inside = _inside(plan, mode, joins, shift, skip)[path[-1]]
     result = None if child is None else child.join()
     if result is None:
-        outside = _outside_part(plan, mode, joins, shift, depth)
+        outside = _outside_part(plan, mode, joins, shift, path, inner)
     else:
         _, outside, child_joins = result
         if joins is not None:
@@ -312,12 +321,11 @@ def _transpose(plan, node, child, tables, o, mode, joins, shift):
         # forward: child state cm goes to base, and in ind mode to
         # base | bit too where v has no chosen neighbour
         _, _, p, nbr_mask, w = op
-        low = (1 << p) - 1
-        high = ~low
         bit = 1 << p
+        high = -bit
         out = [0] * (1 << (w - 1))
         for cm in range(1 << (w - 1)):
-            base = (cm & low) | ((cm & high) << 1)
+            base = cm + (cm & high)  # as in counting._inside
             if is_ind:
                 val = o[base]
                 if not base & nbr_mask:
@@ -331,14 +339,13 @@ def _transpose(plan, node, child, tables, o, mode, joins, shift):
         # forward: out[m] sums the child states that forget v into m,
         # shifted where v joins the structure
         _, _, p, pairs, w = op
-        low = (1 << p) - 1
-        high = ~low
         bit = 1 << p
+        high = -bit
         out = [0] * (2 << w)
         for m, val in enumerate(o):
             if not val:
                 continue
-            base = (m & low) | ((m & high) << 1)
+            base = m + (m & high)
             out[base] = val
             if is_ind:
                 out[base | bit] = val << shift

@@ -24,8 +24,8 @@ _ELEMENTS = frozenset(
 )
 
 _ORGANIC_TWO = ("Cl", "Br")
-_ORGANIC_ONE = frozenset("BCNOPSFI")
-_AROMATIC_ONE = frozenset("bcnops")
+# one-character organic-subset atoms, aromatic ones read as the element
+_ORGANIC = {ch: ch.upper() for ch in "BCNOPSFIbcnops"}
 _AROMATIC_BRACKET = frozenset(["b", "c", "n", "o", "p", "s", "as", "se"])
 _BOND_CHARS = frozenset("-=#:")
 
@@ -62,108 +62,101 @@ def parse_smiles(s, name=None):
     graph and a logged warning; the counters are multiplicative over
     components, so this is safe. An empty fragment is a ``ParseError``.
     """
-    if s is None or not s.strip():
+    if s is not None:
+        s = s.strip()
+    if not s:
         raise ParseError("empty SMILES string", offset=0)
-    s = s.strip()
 
     labels = []
     edges = set()
+    atoms = 0
     prev = None
     branch_stack = []
     open_rings = {}
     bond_pending_at = None
 
-    def new_atom(symbol):
-        nonlocal prev, bond_pending_at
-        labels.append(symbol)
-        idx = len(labels) - 1
-        if prev is not None:
-            add_edge(prev, idx)
-        prev = idx
-        bond_pending_at = None
-
-    def add_edge(u, v):
-        if u == v:
-            raise ParseError(f"bond from atom to itself at atom {u}", offset=i)
-        edges.add((u, v) if u < v else (v, u))  # duplicates collapse
-
-    def close_or_open_ring(num):
-        nonlocal bond_pending_at
-        if prev is None:
-            raise ParseError("ring-closure digit before any atom", offset=i)
-        if num in open_rings:
-            partner, _ = open_rings.pop(num)
-            add_edge(partner, prev)
-        else:
-            open_rings[num] = (prev, i)
-        bond_pending_at = None
-
+    # atoms, the most frequent tokens, are recognised first. The chain bond
+    # from prev goes to the new atom, always a later one, so unlike a ring
+    # bond it needs no self-bond check
     i = 0
     n = len(s)
     while i < n:
         ch = s[i]
-        if ch in _BOND_CHARS:
-            bond_pending_at = i
+        symbol = _ORGANIC.get(ch)
+        if symbol is not None:
+            if ch in "CB" and s[i:i + 2] in _ORGANIC_TWO:
+                symbol = s[i:i + 2]
+                i += 1
             i += 1
-            continue
-        if ch == "(":
-            if bond_pending_at is not None:
-                raise ParseError("bond symbol before '('", offset=bond_pending_at)
-            if prev is None:
-                raise ParseError("branch opened before any atom", offset=i)
-            branch_stack.append(prev)
-            i += 1
-            continue
-        if ch == ")":
-            if bond_pending_at is not None:
-                raise ParseError("dangling bond before ')'", offset=bond_pending_at)
-            if not branch_stack:
-                raise ParseError("unmatched ')'", offset=i)
-            if prev is None:
-                raise ParseError("trailing '.' in branch", offset=i - 1)
-            prev = branch_stack.pop()
-            i += 1
-            continue
-        if ch == ".":
-            if bond_pending_at is not None:
-                raise ParseError("bond symbol before '.'", offset=bond_pending_at)
-            if prev is None:
-                raise ParseError("leading '.'" if not labels
-                                 else "empty fragment between '.'", offset=i)
-            prev = None
-            i += 1
-            continue
-        if ch == "%":
-            digits = s[i + 1 : i + 3]
-            if len(digits) != 2 or not digits.isdigit():
-                raise ParseError("'%' needs two ring-closure digits", offset=i)
-            close_or_open_ring(int(s[i + 1 : i + 3]))
-            i += 3
-            continue
-        if ch.isdigit():
-            close_or_open_ring(int(ch))
-            i += 1
-            continue
-        if ch == "[":
+        elif ch == "[":
             end = s.find("]", i)
             if end < 0:
                 raise ParseError("unmatched '['", offset=i)
-            new_atom(_bracket_atom(s[i + 1 : end], i))
+            symbol = _bracket_atom(s[i + 1 : end], i)
             i = end + 1
+        else:
+            if ch in _BOND_CHARS:
+                bond_pending_at = i
+                i += 1
+                continue
+            if ch == "(":
+                if bond_pending_at is not None:
+                    raise ParseError("bond symbol before '('", offset=bond_pending_at)
+                if prev is None:
+                    raise ParseError("branch opened before any atom", offset=i)
+                branch_stack.append(prev)
+                i += 1
+                continue
+            if ch == ")":
+                if bond_pending_at is not None:
+                    raise ParseError("dangling bond before ')'", offset=bond_pending_at)
+                if not branch_stack:
+                    raise ParseError("unmatched ')'", offset=i)
+                if prev is None:
+                    raise ParseError("trailing '.' in branch", offset=i - 1)
+                prev = branch_stack.pop()
+                i += 1
+                continue
+            if ch == ".":
+                if bond_pending_at is not None:
+                    raise ParseError("bond symbol before '.'", offset=bond_pending_at)
+                if prev is None:
+                    raise ParseError("leading '.'" if not labels
+                                     else "empty fragment between '.'", offset=i)
+                prev = None
+                i += 1
+                continue
+            if ch == "%":
+                digits = s[i + 1 : i + 3]
+                if len(digits) != 2 or not digits.isdigit():
+                    raise ParseError("'%' needs two ring-closure digits", offset=i)
+                num = int(digits)
+                step = 3
+            elif ch.isdigit():
+                num = int(ch)
+                step = 1
+            else:
+                raise ParseError(f"unsupported SMILES token {ch!r}", offset=i)
+            # a ring-closure number opens a ring bond at prev or closes it
+            if prev is None:
+                raise ParseError("ring-closure digit before any atom", offset=i)
+            ring = open_rings.pop(num, None)
+            if ring is None:
+                open_rings[num] = (prev, i)
+            else:
+                u = ring[0]
+                if u == prev:
+                    raise ParseError(f"bond from atom to itself at atom {u}", offset=i)
+                edges.add((u, prev) if u < prev else (prev, u))  # duplicates collapse
+            bond_pending_at = None
+            i += step
             continue
-        if s[i : i + 2] in _ORGANIC_TWO:
-            new_atom(s[i : i + 2])
-            i += 2
-            continue
-        if ch in _ORGANIC_ONE:
-            new_atom(ch)
-            i += 1
-            continue
-        if ch in _AROMATIC_ONE:
-            new_atom(ch.upper())
-            i += 1
-            continue
-        raise ParseError(f"unsupported SMILES token {ch!r}", offset=i)
+        labels.append(symbol)
+        if prev is not None:
+            edges.add((prev, atoms))
+        prev = atoms
+        atoms += 1
+        bond_pending_at = None
 
     if bond_pending_at is not None:
         raise ParseError("dangling bond at end of string", offset=bond_pending_at)
@@ -175,7 +168,7 @@ def parse_smiles(s, name=None):
     if prev is None:
         raise ParseError("trailing '.'", offset=len(s) - 1)
 
-    graph = Graph(len(labels), edges, labels)
+    graph = Graph(atoms, edges, labels)
     if "." in s and not graph.is_connected():
         # imported only here: at module level it adds milliseconds to every
         # `import tdcount`, which needs it for this one warning

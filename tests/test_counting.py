@@ -435,10 +435,11 @@ def _traced_run_all(g, nd):
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 
-def _split_reference(g, nd, serial_stats, bits):
+def _split_reference(g, nd, serial_stats, bits, totals=2):
     """(depth, DpStats) a forked traced run_all must give, from a serial
-    call's stats: its matching-polynomial pass is the in-process pass cut
-    where the fork splits it, at B = bits."""
+    call's stats: its matching-polynomial pass, after the given number of
+    total passes, is the in-process pass cut where the fork splits it, at
+    B = bits."""
     plan = counting._plan_for(g, nd)
     depth = 0
     if counting._priced(plan, bits):
@@ -447,7 +448,8 @@ def _split_reference(g, nd, serial_stats, bits):
     insideout._run_cut(plan, "match", joins, bits, depth)
     k = nd.join_count()
     bags = serial_stats.join_bags
-    want = bags[:2 * k] + [joins[i] for i in sorted(joins)] + bags[3 * k:]
+    want = (bags[:totals * k] + [joins[i] for i in sorted(joins)]
+            + bags[(totals + 1) * k:])
     return depth, DpStats(len(want), want)
 
 
@@ -516,6 +518,30 @@ def test_forked_run_all_matches_serial_and_oracle(monkeypatch):
     assert forked[len(small) - 1][1].join_bags == \
         [(2, 9), (2, 4), (2, 9), (2, 4)]
 
+    # at the default gates the 5x30 grid's independence polynomial takes
+    # one pass at B = n and its matching family two: the child runs that
+    # one pass, and the parent the Hosoya pass, then its split
+    monkeypatch.undo()
+    g, nd = split[0]
+    plan = counting._plan_for(g, nd)
+    unit = counting._bit_work(plan, 1)
+    assert g.n * unit < counting._FORK_WORK <= g.m * unit
+    forks = _record_forks(monkeypatch, counting._FORK_WORK)
+    _set_cpus(monkeypatch, 1)
+    serial_answers, serial_stats = _traced_run_all(g, nd)
+    assert forks == []
+    _set_cpus(monkeypatch, 2)
+    answers, stats = _traced_run_all(g, nd)
+    assert len(forks) == 1
+    _no_child_left()
+    assert answers == serial_answers == forked[-1][0]
+    # Hosoya, match-poly, ind-poly
+    depth, want_stats = _split_reference(g, nd, serial_stats,
+                                         answers[1].bit_length(), totals=1)
+    assert depth > 0
+    assert stats == want_stats
+    assert stats.join_nodes == 3 * nd.join_count()
+
 
 def _record_calls(monkeypatch):
     """Record every fork and the (mode, B) of every ``counting._run`` call
@@ -548,6 +574,7 @@ def test_run_all_forks_only_where_the_gate_allows(monkeypatch):
     forks = _record_forks(monkeypatch, 0)
     # the gate is decided before the Hosoya pass, so the fork comes first
     calls = _record_calls(monkeypatch)
+    recorded_fork = os.fork
     want = _report_answers(run_all(g, nd))
     assert len(forks) == 1
     assert calls[:2] == ["fork", ("match", 0)]
@@ -573,11 +600,19 @@ def test_run_all_forks_only_where_the_gate_allows(monkeypatch):
         thread.join(timeout=30)
     assert not thread.is_alive()
     # the independence family takes one pass: n × _bit_work(plan, 1) is
-    # below the constant, while the matching polynomial still takes two
+    # below the constant, while the matching polynomial still takes two.
+    # The child runs that one pass
     unit = counting._bit_work(plan, 1)
     monkeypatch.setattr(counting, "_FORK_WORK", g.n * unit + 1)
     assert g.m * unit >= counting._FORK_WORK
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    forks.clear()
+    calls.clear()
     assert _report_answers(run_all(g, nd)) == want
+    assert len(forks) == 1
+    assert calls[:2] == ["fork", ("match", 0)]
+    assert ("ind", g.n) not in calls  # it ran in the child
+    monkeypatch.setattr(os, "fork", no_fork)
     # the matching polynomial takes one pass, the family two: a tree has
     # m = n - 1
     tree = path_graph(200)
@@ -647,10 +682,11 @@ def test_failed_child_leaves_the_family_to_the_parent(monkeypatch):
         forks = _record_forks(monkeypatch, fork_work)
         real_outside = insideout._outside_part
 
-        def outside_fails_in_the_child(plan, mode, joins, shift, depth):
+        def outside_fails_in_the_child(plan, mode, joins, shift, path,
+                                       inner):
             if os.getpid() != parent:
                 raise RuntimeError("outside part failed")
-            return real_outside(plan, mode, joins, shift, depth)
+            return real_outside(plan, mode, joins, shift, path, inner)
 
         monkeypatch.setattr(insideout, "_outside_part",
                             outside_fails_in_the_child)
@@ -1364,6 +1400,59 @@ def test_shared_plan_follows_the_graph_object(monkeypatch):
     assert copied == g and copied.neighbors(0) == g.neighbors(0)
 
 
+def _reference_plan(g, nd):
+    """The plan ``_prepare`` compiles, built plainly: bag positions by
+    ``bag.index``, neighbours by ``g.neighbors``."""
+    nodes = nd.nodes
+    plan = []
+    for bag, kind, v, children in nodes:
+        w = len(bag)
+        if kind == INTRODUCE:
+            nbrs = g.neighbors(v)
+            mask = sum(1 << bag.index(u) for u in bag if u in nbrs)
+            plan.append((counting._INTRO, children[0], bag.index(v), mask, w))
+        elif kind == FORGET:
+            child_bag = nodes[children[0]].bag
+            pairs = tuple((1 << bag.index(u), 1 << child_bag.index(u))
+                          for u in bag if u in g.neighbors(v))
+            plan.append((counting._FORGET, children[0], child_bag.index(v),
+                         pairs, w))
+        elif kind == JOIN:
+            plan.append((counting._JOIN, *children, w, (1 << w) - 1))
+        else:
+            plan.append((counting._LEAF,))
+    return plan
+
+
+def test_plan_matches_a_plain_compilation():
+    # DpStats, the cut model and the fork split all read the plan's op
+    # layout: min-fill trees of the atlas graphs, of seeded random graphs
+    # (with random orders and as path decompositions too) and of the
+    # bundled molecules
+    from tdcount import path_decomposition_from_order
+
+    rng = random.Random(21)
+    cases = [(g, minfill_nice(g)) for g in _atlas_graphs()]
+    for _ in range(150):
+        g = random_graph(rng, max_n=14, max_m=30)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        cases += [(g, make_nice(build(g, o)))
+                  for build in (decomposition_from_order,
+                                path_decomposition_from_order)
+                  for o in (min_fill_order(g), order)]
+    cases += [(mol.graph, minfill_nice(mol.graph)) for mol in
+              load_corpus(bundled_path("corpus100.smi")).molecules]
+    assert len(cases) == 996 + 600 + 100
+    kinds = set()
+    for g, nd in cases:
+        plan = counting._prepare(g, nd)
+        assert plan == _reference_plan(g, nd)
+        kinds.update(op[0] for op in plan)
+    assert kinds == {counting._LEAF, counting._INTRO, counting._FORGET,
+                     counting._JOIN}
+
+
 def test_failed_prepare_raises_every_time():
     g = path_graph(3)
     nd = minfill_nice(path_graph(2))
@@ -1375,6 +1464,9 @@ def test_failed_prepare_raises_every_time():
 
 def test_nice_nodes_are_immutable():
     nd = minfill_nice(path_graph(3))
+    # make_nice keeps plain tuples; nodes wraps them once
+    assert nd.nodes is nd.nodes
+    assert {type(node) for node in nd.nodes} == {NiceNode}
     node = nd.nodes[1]
     for name, value in (("bag", (5,)), ("kind", FORGET), ("v", 2),
                         ("children", ())):

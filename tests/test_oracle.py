@@ -1,5 +1,7 @@
 import ast
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,3 +124,22 @@ def test_production_code_never_imports_the_oracle():
                 importers.append(path.name)
     assert (package / "oracle.py").exists()
     assert importers == []
+
+
+def test_import_leaves_oracle_and_baselines_unloaded():
+    # the package resolves their names on first use; the child imports the
+    # same tdcount as this test, without site
+    import tdcount
+
+    src = Path(tdcount.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tdcount; "
+            "print(sorted(m for m in ('tdcount.oracle', 'tdcount.baselines')"
+            " if m in sys.modules)); "
+            "from tdcount import baseline_pm, oracle_counts; "
+            "print(oracle_counts is sys.modules['tdcount.oracle'].oracle_counts,"
+            " tdcount.baseline_pm is baseline_pm,"
+            " baseline_pm.__module__); "
+            "print(hasattr(tdcount, 'no_such_name'))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\nTrue True tdcount.baselines\nFalse\n"
