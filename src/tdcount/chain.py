@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import mul
 
-from .errors import ParseError, SizeLimitError
+from .errors import ParseError, SizeLimitError, _ascii_int
 from .graph import Graph, parse_gr
 
 # build_transition allocates its matrix dense, 2^k x 2^k for k interior
@@ -255,7 +255,7 @@ def parse_chain_file(text):
             if side in found:
                 raise ParseError(f"duplicate '{parts[0]}' line", line=lineno)
             try:
-                found[side] = ([int(x) for x in parts[1:]], lineno)
+                found[side] = ([_ascii_int(x) for x in parts[1:]], lineno)
             except ValueError:
                 raise ParseError(f"non-integer {side} boundary", line=lineno)
             raw = "c"  # keeps the .gr line numbers

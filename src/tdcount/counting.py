@@ -38,10 +38,10 @@ max(m, 1) (max(n, 1)) always serves; the total is then the sum of the
 coefficients and the polynomial takes one pass. The coefficients are
 non-negative and sum to the total, so B = the total's bit length serves
 too and makes every entry shorter, at the price of a plain pass for the
-total first. One rule picks between them for ``run_all`` and both
-polynomial counters: the one pass at B = m (n) wherever ``_bit_work``
-predicts it below ``_FORK_WORK``, the two passes elsewhere. ``_family``
-runs the passes the rule picks, for every caller.
+total first. One rule, ``_slot_bits``, picks between them for ``run_all``
+and both polynomial counters: the one pass at B = m (n) wherever
+``_bit_work`` predicts it below ``_FORK_WORK``, the two passes elsewhere.
+``_family`` runs the passes the rule picks, for every caller.
 
 In such a pass a join entry is a string of B-bit slots, and the two
 children's entries can differ a lot in length: min-fill's caterpillar trees
@@ -87,9 +87,11 @@ and cut there the pass is the forward pass. A join-free chain keeps the
 root: a cut there saves only additions on long entries, while the outside
 forgets write twice the cells and the dot product multiplies long inside
 entries by outside entries that grow as the cut goes down. The model
-prices every such cut above the root, so a pass over a plan without a
-join, like a plain pass and one with B × nodes below ``_CUT_MIN_WORK``, is
-not priced. ``DpStats`` lists each join once per pass, in plan order, with
+prices every such cut above the root, so a plan without a join is not
+priced. Nor is any pass but the shifted pass of a two-pass family: where
+the slot-width rule keeps one pass, its B and entries are short, and on
+the min-fill k x 30 grids a cut of such a pass won back no more than its
+pricing. ``DpStats`` lists each join once per pass, in plan order, with
 the products its pass performed, inside or outside.
 
 Before counting, ``_prepare`` checks the decomposition -- its grammar
@@ -114,24 +116,22 @@ pass likewise. Where the matching family takes two passes, ``os.fork``
 exists, no second thread is alive and the CPU affinity holds two CPUs or
 more, it forks one child before the Hosoya pass. The child computes the
 independence family, in one pass or two, while the parent runs the Hosoya
-pass. The
-matching-polynomial pass is then the one cut pass of an in-process call,
-given the child: the parent picks a cut on its heavy path
+pass. The matching-polynomial pass is then the priced pass of an
+in-process call, given the child: the parent picks a cut on its heavy path
 (``insideout._split_depth``), sends B and the cut through a second pipe
 and builds the cut's subtree, while the child builds the off-path subtrees
 above the cut and the outside walk down to it and marshals that outside
 table back with its answers, join bags and times. The parent takes the dot
 product. The in-process cut minimises the pass's own work, while this one
 balances the two processes' shares, so it may sit deeper: on the 7x30 grid
-at depth 59 of 246, against 29. A plan without a join, or one below
-``_CUT_MIN_WORK``, keeps the root: the parent runs the pass whole and the
-child only the family. If the child fails at any stage, the parent builds
-the outside table and runs the family itself, as a call without a child
-does. Answers are the same either way, and ``DpStats`` equals an
+at depth 59 of 246, against 29. A plan without a join keeps the root: the
+parent runs the pass whole and the child only the family. If the child
+fails at any stage, the parent builds the outside table and runs the
+family itself, as a call without a child does. Answers are the same either way, and ``DpStats`` equals an
 in-process call's with the matching-polynomial pass cut where the fork
 split it: each join carries the products of the process that ran it.
 ``_bit_work(plan, B)`` is B × ``_bit_work(plan, 1)``, so one walk of the
-plan, and none where an O(1) bound settles it, serves every gate.
+plan, and none where an O(1) bound settles it, serves both families.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -153,15 +153,21 @@ _DIGIT = sys.int_info.bits_per_digit
 # peeling B-bit slots off an int of up to this many bits costs less than
 # halving it first
 _PEEL_BITS = 4096
-# ``_bit_work`` below which a polynomial takes one shifted pass at B = m
-# (n) and no total pass. Where the matching polynomial takes two passes,
-# ``run_all`` forks a child for the independence family and part of the
-# matching-polynomial pass. Forking and reaping cost the parent about
+# ``_bit_work`` that decides how a polynomial's passes run. Below it the
+# polynomial takes one shifted pass at B = m (n), unpriced for a cut; at or
+# above it a total pass first, then the shifted pass at B = its bit length,
+# the one pass priced for a cut. Where the matching polynomial takes two
+# passes, ``run_all`` forks a child for the independence family and part of
+# the matching-polynomial pass. Forking and reaping cost the parent about
 # 1.5 ms; min-fill on the 6x30 grid (3.3e8) spends about 18 ms in the
 # independence family, on the 5x30 grid (1.05e8, one pass) 7 ms. On the
 # min-fill k x 30 grids (CPython 3.11, x86-64) one pass at B = m beat the
 # two passes at 0.46 × this (4x30) and broke even at 1.5 × (5x30); at
-# B = n it beat them at 0.86 × (5x30) and broke even at 2.7 × (6x30)
+# B = n it beat them at 0.86 × (5x30) and broke even at 2.7 × (6x30). A
+# cut of a one-pass polynomial does not pay for its pricing: on the 3x30
+# and 4x30 grids it saved nothing for 0.2-0.35 ms a pass, and the 5x30
+# grid's independence polynomial took 3.6 ms cut and 3.0 ms uncut (min of
+# 8 processes of 41 calls)
 _FORK_WORK = 1 << 27
 # table cells (Σ 2^|bag| over the nodes) a decomposition may ask of one
 # pass. A pass over a one-bag decomposition (no join, short entries) costs
@@ -173,14 +179,6 @@ _FORK_WORK = 1 << 27
 # taken as a path decomposition (width 28) 2.8 × 10^9: about 4 min of a
 # plain pass, with 4 GiB tables
 MAX_CELLS = 1 << 25
-# B × plan nodes below which a shifted pass keeps the root cut unpriced.
-# Pricing walks the heavy path at 2-3 µs a node (CPython 3.11, x86-64),
-# which the cut must win back. The min-fill 3x30 and 4x30 grids reach
-# 29,253 and 71,070 (matching, B = m); priced, their cuts saved nothing
-# and pricing took 0.2-0.35 ms a pass against 0.3-2.7 ms passes. The 5x30
-# grid's passes start at 98,328 (matching, B = the Hosoya bit length) and
-# their cuts saved 1.6 and 0.75 ms for 0.57 and 0.36 ms of pricing
-_CUT_MIN_WORK = 80_000
 
 
 class SizePolynomial:
@@ -352,15 +350,23 @@ def _bit_work(plan, bits):
                       for i, op in enumerate(plan))
 
 
-def _unit_work(plan, n, width, bits):
-    """``_bit_work(plan, 1)``, walked only where bits needs it.
+def _slot_bits(plan, g, width, modes):
+    """The slot-width rule: per mode, B of its family's one shifted pass,
+    max(m, 1) ('match') or max(n, 1) ('ind'), where ``_bit_work`` predicts
+    that pass below ``_FORK_WORK``; else None, and a total pass sets B
+    (``_family``).
 
-    Where bits × the O(1) bound nodes × (n + 1) × 2^(width + 1) on it is
-    below ``_FORK_WORK``, the bound is returned instead: every gate at
-    bits or fewer then passes as it would on the walked value.
+    ``_bit_work(plan, B)`` is B × ``_bit_work(plan, 1)``. Where the largest
+    B times the O(1) bound nodes × (n + 1) × 2^(width + 1) on the latter is
+    below ``_FORK_WORK``, every mode takes one pass and the plan is not
+    walked.
     """
-    bound = (len(plan) * (n + 1)) << (width + 1)
-    return bound if bits * bound < _FORK_WORK else _bit_work(plan, 1)
+    n = g.n
+    bits = [max(g.m if mode == "match" else n, 1) for mode in modes]
+    unit = (len(plan) * (n + 1)) << (width + 1)
+    if max(bits) * unit >= _FORK_WORK:
+        unit = _bit_work(plan, 1)
+    return [b if b * unit < _FORK_WORK else None for b in bits]
 
 
 def _plan_for(g, nd):
@@ -418,21 +424,6 @@ def _join_slots(t1, nz1, t2, nz2, shift):
     return narrow_first, slots
 
 
-def _priced(plan, shift):
-    """Whether a pass at B = shift over plan is priced for a cut: B ×
-    nodes reaches ``_CUT_MIN_WORK``, so a plain pass (B = 0) is not, and
-    plan has a join."""
-    return shift * len(plan) >= _CUT_MIN_WORK and any(
-        op[0] == _JOIN for op in plan)
-
-
-def _record(stats, joins):
-    """Add a pass's joins, a map of node to (bag size, products), to
-    stats in plan order."""
-    stats.join_nodes += len(joins)
-    stats.join_bags += [joins[i] for i in sorted(joins)]
-
-
 def _add_passes(stats, passes):
     """Add the join bags of each of passes, in order, to stats."""
     for bags in passes:
@@ -440,22 +431,22 @@ def _add_passes(stats, passes):
         stats.join_bags += bags
 
 
-def _run(plan, mode, stats, shift=0, child=None):
+def _run(plan, mode, stats, shift=0, child=None, priced=False):
     """The one DP traversal behind all five counters.
 
     mode: 'pm' (perfect matchings), 'match' (all matchings), 'ind'
     (independent sets). With ``shift`` = B > 0 every table entry is its size
     polynomial evaluated at x = 2^B: forget nodes commit size by shifting.
 
-    A pass that is not ``_priced`` runs forward to the root. Any other is
-    cut on its heavy path at the least predicted work
-    (``insideout._cut_work``), or given a forked ``_Child``, where the two
-    processes' shares balance (``insideout._split_depth``). A child is
-    sent B and the depth, 0 included. ``insideout._run_cut`` evaluates a
-    pass cut below the root.
+    A priced pass over a plan with a join -- ``_family`` prices the
+    shifted pass of two -- is cut on its heavy path at the least predicted
+    work (``insideout._cut_work``), or given a forked ``_Child``, where the
+    two processes' shares balance (``insideout._split_depth``). Any other
+    pass runs forward to the root. A child is sent B and the depth, 0
+    included. ``insideout._run_cut`` evaluates a pass cut below the root.
     """
     depth = 0
-    if _priced(plan, shift):
+    if priced and any(op[0] == _JOIN for op in plan):
         from . import insideout
         if child is None:
             _, work = insideout._cut_work(plan, mode, shift)
@@ -470,7 +461,7 @@ def _run(plan, mode, stats, shift=0, child=None):
     else:
         value = _inside(plan, mode, joins, shift, ())[-1][0]
     if joins is not None:
-        _record(stats, joins)
+        _add_passes(stats, [[joins[i] for i in sorted(joins)]])
     return value
 
 
@@ -635,16 +626,10 @@ def _coefficients(value, bits):
 
 
 def _polynomial(g, nd, mode, stats):
-    """mode's size polynomial, with the slot width rule of ``run_all``.
-
-    One shifted pass at B = m (matching) or B = n (independence) where it
-    predicts less than ``_FORK_WORK``; elsewhere a plain pass first, and B
-    = its total's bit length (``_family``).
-    """
+    """mode's size polynomial, its passes as in ``run_all``: the
+    slot-width rule (``_slot_bits``) and ``_family``."""
     plan = _plan_for(g, nd)
-    bits = max(g.m if mode == "match" else g.n, 1)
-    if bits * _unit_work(plan, g.n, nd.width(), bits) >= _FORK_WORK:
-        bits = None
+    [bits] = _slot_bits(plan, g, nd.width(), (mode,))
     _, coeffs, bags, _ = _family(plan, mode, stats is not None, bits)
     if stats is not None:
         _add_passes(stats, bags)
@@ -764,31 +749,32 @@ def _family(plan, mode, traced, bits=None, child=None):
 
     Given bits, one shifted pass at B = bits gives the coefficients and
     the total is read off as their sum; else the plain pass gives the
-    total and the shifted pass runs at B = its bit length, given child
-    (``_run``). Returns (total, coefficients lowest first, the join bags
-    of each pass in order or None unless traced, millis): both entries'
-    elapsed milliseconds under ``RunReport.millis`` names, the read-off's
-    where it had no pass. ``marshal`` carries all of it.
+    total and the shifted pass runs at B = its bit length, priced for a
+    cut and given child (``_run``). Returns (total, coefficients lowest
+    first, the join bags of each pass in order or None unless traced,
+    millis): both entries' elapsed milliseconds under ``RunReport.millis``
+    names, the read-off's where it had no pass. ``marshal`` carries all of
+    it.
     """
     total_name, poly_name = (
         ("matchings", "matching_polynomial") if mode == "match"
         else ("independent_sets", "independence_polynomial"))
     bags = [] if traced else None
 
-    def run(shift, child=None):
+    def run(shift, child=None, priced=False):
         stats = None
         if traced:
             stats = DpStats()
             bags.append(stats.join_bags)
-        return _run(plan, mode, stats, shift, child)
+        return _run(plan, mode, stats, shift, child, priced)
 
     millis = {}
     total = None
     if bits is None:
         total = _timed(millis, total_name, lambda: run(0))
         bits = total.bit_length()
-    coeffs = _timed(millis, poly_name,
-                    lambda: _coefficients(run(bits, child), bits))
+    coeffs = _timed(millis, poly_name, lambda: _coefficients(
+        run(bits, child, total is not None), bits))
     if total is None:
         total = _timed(millis, total_name, lambda: sum(coeffs))
     return total, coeffs, bags, millis
@@ -894,12 +880,11 @@ def run_all(g, nd, stats=None):
     (POSIX fork, no second thread, two CPUs or more), one child is forked
     before the Hosoya pass. It computes the Merrifield-Simmons total and
     the independence polynomial, in one pass or two, while this process
-    runs the Hosoya pass. The
-    matching-polynomial pass is then split at a cut of its heavy path: this
-    process builds the cut's subtree, the child the rest of the pass down
-    to the cut, and this process takes the dot product. A plan without a
-    join, or too small to price, is not split: this process runs the pass
-    whole. Split or not, the pass is the one ``_run`` of an in-process
+    runs the Hosoya pass. The matching-polynomial pass is then split at a
+    cut of its heavy path: this process builds the cut's subtree, the
+    child the rest of the pass down to the cut, and this process takes the
+    dot product. A plan without a join is not split: this process runs the
+    pass whole. Split or not, the pass is the one ``_run`` of an in-process
     call, given the child. The child sends its results back through a pipe
     and is always reaped before this returns. If the child fails, this
     process builds the outside table and runs the family as a call without
@@ -923,14 +908,7 @@ def run_all(g, nd, stats=None):
     width = nd.width()
     n = g.n
     traced = stats is not None
-    match_bits = max(g.m, 1)
-    ind_bits = max(n, 1)
-    unit = _unit_work(plan, n, width, max(match_bits, ind_bits))
-    # None: the family's total pass sets B
-    if match_bits * unit >= _FORK_WORK:
-        match_bits = None
-    if ind_bits * unit >= _FORK_WORK:
-        ind_bits = None
+    match_bits, ind_bits = _slot_bits(plan, g, width, ("match", "ind"))
     child = None
     if match_bits is None and _fork_pays():
         if any(op[0] == _JOIN for op in plan):

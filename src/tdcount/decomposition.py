@@ -24,7 +24,8 @@ from collections import namedtuple
 from functools import partial
 from operator import itemgetter
 
-from .errors import DecompositionMismatch, ParseError, SizeLimitError
+from .errors import DecompositionMismatch, ParseError, SizeLimitError, \
+    _ascii_int
 
 # Bag-subset state masks must fit comfortably in a machine word.
 MAX_WIDTH = 30
@@ -515,7 +516,7 @@ def parse_td(text):
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError(f"malformed header {line!r}", line=lineno)
             try:
-                n_bags, _, n_vertices = int(parts[2]), int(parts[3]), int(parts[4])
+                n_bags, _, n_vertices = map(_ascii_int, parts[2:5])
             except ValueError:
                 raise ParseError(f"non-integer header fields in {line!r}", line=lineno)
             if n_bags < 1:
@@ -527,8 +528,8 @@ def parse_td(text):
             if len(parts) < 2:
                 raise ParseError("bag line without id", line=lineno)
             try:
-                bid = int(parts[1])
-                verts = [int(x) for x in parts[2:]]
+                bid = _ascii_int(parts[1])
+                verts = [_ascii_int(x) for x in parts[2:]]
             except ValueError:
                 raise ParseError(f"non-integer bag line {line!r}", line=lineno)
             if not 1 <= bid <= n_bags:
@@ -543,7 +544,7 @@ def parse_td(text):
         if len(parts) != 2:
             raise ParseError(f"malformed tree edge line {line!r}", line=lineno)
         try:
-            a, b = int(parts[0]), int(parts[1])
+            a, b = _ascii_int(parts[0]), _ascii_int(parts[1])
         except ValueError:
             raise ParseError(f"non-integer tree edge {line!r}", line=lineno)
         if not (1 <= a <= n_bags and 1 <= b <= n_bags) or a == b:

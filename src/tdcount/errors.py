@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer reader of the text parsers."""
 
 
 class ParseError(ValueError):
@@ -25,3 +25,17 @@ class SizeLimitError(ValueError):
 
 class DecompositionMismatch(ValueError):
     """The nice decomposition is malformed or does not describe the graph."""
+
+
+def _ascii_int(token, signed=True):
+    """int(token) for ASCII digits after an optional '-' (none unless
+    signed); anything else raises ValueError.
+
+    int() alone also reads '+', '_' between digits, surrounding whitespace
+    and the decimal digits of every script, so '1_0' would be 10 and the
+    Arabic-Indic '٣' 3.
+    """
+    if token.isascii() and (token.isdigit() or signed and token[:1] == "-"
+                            and token[1:].isdigit()):
+        return int(token)
+    raise ValueError(f"not an ASCII integer: {token!r}")

@@ -8,7 +8,7 @@ are no multi-edges and no self-loops.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import ParseError, _ascii_int
 
 
 class Graph:
@@ -135,7 +135,7 @@ def parse_gr(text):
             if len(parts) != 4 or parts[1] != "tw":
                 raise ParseError(f"malformed header {line!r}", line=lineno)
             try:
-                n, m_declared = int(parts[2]), int(parts[3])
+                n, m_declared = _ascii_int(parts[2]), _ascii_int(parts[3])
             except ValueError:
                 raise ParseError(f"non-integer header fields in {line!r}", line=lineno)
             if n < 0 or m_declared < 0:
@@ -146,7 +146,7 @@ def parse_gr(text):
         if len(parts) != 2:
             raise ParseError(f"malformed edge line {line!r}", line=lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _ascii_int(parts[0]), _ascii_int(parts[1])
         except ValueError:
             raise ParseError(f"non-integer edge endpoints in {line!r}", line=lineno)
         if not (1 <= u <= n and 1 <= v <= n):

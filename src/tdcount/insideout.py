@@ -10,6 +10,8 @@ outside[s]`` at the cut. Outside entries hold only the graph above the cut,
 so a join near the root of a min-fill tree, long spine times short branch,
 becomes short times short, and the nodes above it work on short entries.
 
+Only the shifted pass of a two-pass family is cut (``counting._family``),
+so the mode is 'match' or 'ind': a perfect-matching pass is never shifted.
 ``_cut_work`` chooses the cut before any table is built, in ``_bit_work``
 units: a cell written costs ``_CELL_WORK`` plus its length, a product
 ``_DIGIT_PRODUCT_WORK`` per digit product under CPython's schoolbook and
@@ -308,13 +310,12 @@ def _run_cut(plan, mode, joins, shift, depth, child=None):
 def _transpose(plan, node, child, tables, o, mode, joins, shift):
     """The transpose of node's op, as a map from child's table, applied to o.
 
-    At a join the op is linear in child, with the other child's inside
+    mode is 'match' or 'ind'. At a join the op is linear in child, with the other child's inside
     table in ``tables`` held fixed. Zero terms are skipped as in the
     forward pass, and a join records its bag size and the products it
     performs in joins, unless that is None.
     """
     is_ind = mode == "ind"
-    is_match = mode == "match"
     op = plan[node]
     code = op[0]
     if code == _INTRO:
@@ -350,9 +351,8 @@ def _transpose(plan, node, child, tables, o, mode, joins, shift):
             if is_ind:
                 out[base | bit] = val << shift
                 continue
-            if is_match:
-                y = out[base | bit]
-                out[base | bit] = y + val if y else val
+            y = out[base | bit]
+            out[base | bit] = y + val if y else val
             shifted = None
             for pbit, cbit in pairs:
                 if not m & pbit:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, _ascii_int
 from .graph import Graph
 
 _ELEMENTS = frozenset(
@@ -127,16 +127,18 @@ def parse_smiles(s, name=None):
                 i += 1
                 continue
             if ch == "%":
-                digits = s[i + 1 : i + 3]
-                if len(digits) != 2 or not digits.isdigit():
-                    raise ParseError("'%' needs two ring-closure digits", offset=i)
-                num = int(digits)
+                # none where the string ends before two characters
+                digits = s[i + 1 : i + 3] if i + 3 <= n else ""
                 step = 3
-            elif ch.isdigit():
-                num = int(ch)
-                step = 1
             else:
-                raise ParseError(f"unsupported SMILES token {ch!r}", offset=i)
+                digits = ch
+                step = 1
+            try:
+                num = _ascii_int(digits, signed=False)
+            except ValueError:
+                raise ParseError("'%' needs two ring-closure digits" if step == 3
+                                 else f"unsupported SMILES token {ch!r}",
+                                 offset=i) from None
             # a ring-closure number opens a ring bond at prev or closes it
             if prev is None:
                 raise ParseError("ring-closure digit before any atom", offset=i)

@@ -289,6 +289,10 @@ def test_parse_chain_file():
         parse_chain_file("p tw 3 1\n1 2\nl 1\nr 2 3\n")
     with pytest.raises(ParseError, match=r"\(line 4\)"):
         parse_chain_file("p tw 2 1\nl 1\nr 2\n1 x\n")
+    # boundary ids are ASCII digits: no '+', '_' or digits of other scripts
+    for bad in ("+2", "0_2", "\u0662", "\uff12"):
+        with pytest.raises(ParseError, match=r"non-integer right boundary"):
+            parse_chain_file(f"p tw 2 1\n1 2\nl 1\nr {bad}\n")
 
 
 def test_invalid_length():

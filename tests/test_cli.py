@@ -134,6 +134,16 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_non_ascii_ring_digits_exit_2(capsys):
+    # superscript twos are no ring-closure number: an input error, not a
+    # traceback
+    code, out, err = run(["count", "--smiles", "C%\u00b2\u00b2", "--pm"],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: '%' needs two ring-closure digits")
+
+
 def test_count_csv_round_trip(tmp_path, capsys):
     out_file = tmp_path / "rows.csv"
     code, _, _ = run(

@@ -439,10 +439,11 @@ def _split_reference(g, nd, serial_stats, bits, totals=2):
     """(depth, DpStats) a forked traced run_all must give, from a serial
     call's stats: its matching-polynomial pass, after the given number of
     total passes, is the in-process pass cut where the fork splits it, at
-    B = bits."""
+    B = bits. The family prices that pass, so a plan with a join is
+    split."""
     plan = counting._plan_for(g, nd)
     depth = 0
-    if counting._priced(plan, bits):
+    if nd.join_count():
         depth = insideout._split_depth(plan, bits)
     joins = {}
     insideout._run_cut(plan, "match", joins, bits, depth)
@@ -474,7 +475,8 @@ def test_forked_run_all_matches_serial_and_oracle(monkeypatch):
     cycle = [n * math.comb(n - k, k) // (n - k) for k in range(n // 2 + 1)]
     expected = [oracle_counts(g) for g, _ in small] + [
         (path_m[n // 2], path_m, path_i), (cycle[n // 2], cycle, cycle)]
-    # a grid whose matching-polynomial pass the fork splits below the root
+    # the fork splits the matching-polynomial pass of every input with a
+    # join below the root, this grid's among them
     split = [(grid_graph(5, 30), minfill_nice(grid_graph(5, 30)))]
     inputs = small + long_ones + split
 
@@ -503,7 +505,7 @@ def test_forked_run_all_matches_serial_and_oracle(monkeypatch):
         depth, want_stats = _split_reference(g, nd, serial_stats,
                                              answers[1].bit_length())
         assert stats == want_stats
-        assert (depth > 0) == (k >= len(small + long_ones))
+        assert (depth > 0) == (nd.join_count() > 0)
         if not depth:
             assert stats == serial_stats
         joins = nd.join_count()
@@ -556,9 +558,9 @@ def _record_calls(monkeypatch):
             calls.append("fork")
         return pid
 
-    def run(plan, mode, stats, shift=0, child=None):
+    def run(plan, mode, stats, shift=0, child=None, priced=False):
         calls.append((mode, shift))
-        return real_run(plan, mode, stats, shift, child)
+        return real_run(plan, mode, stats, shift, child, priced)
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(counting, "_run", run)
@@ -704,10 +706,11 @@ def test_failed_child_leaves_the_family_to_the_parent(monkeypatch):
         forks = _record_forks(monkeypatch, fork_work)
         real_run = counting._run
 
-        def failing_run(plan, mode, stats, shift=0, child=None):
+        def failing_run(plan, mode, stats, shift=0, child=None,
+                        priced=False):
             if mode == "ind":
                 raise RuntimeError("independence pass failed")
-            return real_run(plan, mode, stats, shift, child)
+            return real_run(plan, mode, stats, shift, child, priced)
 
         monkeypatch.setattr(counting, "_run", failing_run)
         with pytest.raises(RuntimeError, match="independence pass failed"):
@@ -717,10 +720,11 @@ def test_failed_child_leaves_the_family_to_the_parent(monkeypatch):
 
         # the parent's Hosoya pass raises: the child reads EOF on the cut
         # pipe and is reaped before the error reaches the caller
-        def failing_hosoya(plan, mode, stats, shift=0, child=None):
+        def failing_hosoya(plan, mode, stats, shift=0, child=None,
+                           priced=False):
             if mode == "match" and not shift:
                 raise RuntimeError("Hosoya pass failed")
-            return real_run(plan, mode, stats, shift, child)
+            return real_run(plan, mode, stats, shift, child, priced)
 
         monkeypatch.setattr(counting, "_run", failing_hosoya)
         with pytest.raises(RuntimeError, match="Hosoya pass failed"):
@@ -737,9 +741,9 @@ def _record_shifts(monkeypatch):
     calls = []
     real_run = counting._run
 
-    def recorded(plan, mode, stats, shift=0, child=None):
+    def recorded(plan, mode, stats, shift=0, child=None, priced=False):
         calls.append((mode, shift))
-        return real_run(plan, mode, stats, shift, child)
+        return real_run(plan, mode, stats, shift, child, priced)
 
     monkeypatch.setattr(counting, "_run", recorded)
     return calls
@@ -805,8 +809,9 @@ def test_one_pass_and_plain_path_agree(monkeypatch):
     from tdcount import parse_smiles
     from conftest import CAFFEINE_SMILES
 
-    # the 5x30 grid's shifted passes are priced and cut below the root, so
-    # run_all and each polynomial alone list the joins of a cut pass
+    # on the plain path every shifted pass over a plan with a join is
+    # priced, and the 5x30 grid's are cut below the root, so run_all and
+    # each polynomial alone list the joins of a cut pass
     rng = random.Random(18)
     graphs = (_atlas_graphs()
               + [random_graph(rng) for _ in range(200)]
@@ -832,34 +837,54 @@ def _hexagon_chain(copies):
 
 def test_slot_width_gate_on_the_benchmark_inputs(monkeypatch):
     # corpus100 molecules and the 3x30 and 4x30 grids run one shifted pass
-    # per polynomial, no total pass, and never fork
+    # per polynomial, no total pass, price no cut and never fork
     def no_fork():
         raise AssertionError("run_all forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
     calls = _record_shifts(monkeypatch)
+    priced = []
+    real_cut_work = insideout._cut_work
+
+    def cut_work(plan, mode, bits):
+        priced.append((mode, bits))
+        return real_cut_work(plan, mode, bits)
+
+    monkeypatch.setattr(insideout, "_cut_work", cut_work)
     small = [mol.graph for mol in
              load_corpus(bundled_path("corpus100.smi")).molecules]
     for g in small + [grid_graph(3, 30), grid_graph(4, 30)]:
         calls.clear()
         run_all(g, minfill_nice(g))
         assert calls == [("match", max(g.m, 1)), ("ind", max(g.n, 1))]
-    monkeypatch.undo()
+    assert priced == []
 
     # the 5-7x30 grids, the 2x600 ladder and the 300-hexagon chain keep
     # the plain path for the matching polynomial, and all but the 5x30
     # grid for the independence polynomial too: 150 × _bit_work(plan, 1)
-    # is below _FORK_WORK there
-    def one_pass(g, nd, bits):
-        plan = counting._plan_for(g, nd)
-        unit = counting._unit_work(plan, g.n, nd.width(), bits)
-        return bits * unit < counting._FORK_WORK
-
-    for g in (grid_graph(5, 30), grid_graph(6, 30), grid_graph(7, 30),
-              ladder_graph(600), _hexagon_chain(300)):
+    # is below _FORK_WORK there. The passes priced for a cut are exactly
+    # the shifted passes after a total pass, where the plan has a join:
+    # on the grids, and on neither join-free chain. One CPU of affinity
+    # runs every pass in this process
+    _set_cpus(monkeypatch, 1)
+    grids = [grid_graph(rows, 30) for rows in (5, 6, 7)]
+    for g in grids + [ladder_graph(600), _hexagon_chain(300)]:
         nd = minfill_nice(g)
-        assert not one_pass(g, nd, g.m)
-        assert one_pass(g, nd, g.n) == (g.n == 150)
+        assert (nd.join_count() > 0) == (g in grids)
+        plan = counting._plan_for(g, nd)
+        assert counting._slot_bits(plan, g, nd.width(), ("match", "ind")) \
+            == [None, 150 if g.n == 150 else None]
+        calls.clear()
+        priced.clear()
+        run_all(g, nd)
+        after_total = [call for k, call in enumerate(calls)
+                       if k and calls[k - 1] == (call[0], 0)]
+        assert priced == (after_total if g in grids else [])
+        if g is grids[0]:
+            # the 5x30 grid's one pass at B = n is not priced, its
+            # matching polynomial's pass is
+            assert calls == [("match", 0), ("match", priced[0][1]),
+                             ("ind", 150)]
 
 
 def test_corpus_run_all_does_not_import_insideout():
@@ -928,11 +953,11 @@ def _atlas_graphs():
             if g.number_of_nodes() >= 1 and nx.is_connected(g)]
 
 
-@pytest.mark.parametrize("mode", ["pm", "match", "ind"])
+@pytest.mark.parametrize("mode", ["match", "ind"])
 def test_transposed_ops_are_adjoint(mode):
     # <op(x), y> == <x, op^T(y)> for the op of every node and each child,
     # with x the child's table from the forward pass and y random, in plain
-    # and shifted passes
+    # and shifted passes. A perfect-matching pass is never cut
     from tdcount import parse_smiles
     from conftest import CAFFEINE_SMILES
 
@@ -967,8 +992,9 @@ def test_transposed_ops_are_adjoint(mode):
 
 
 def test_forced_cuts_agree_at_every_depth_on_the_oracle_graphs():
-    # every node of the heavy path as the cut, in every mode, plain and
-    # shifted: the same answer as the root, and each join listed once
+    # every node of the heavy path as the cut, in both modes a pass can be
+    # cut in, plain and shifted: the same answer as the root, and each
+    # join listed once
     graphs = _atlas_graphs()
     assert len(graphs) == 996
     for g in graphs:
@@ -977,7 +1003,7 @@ def test_forced_cuts_agree_at_every_depth_on_the_oracle_graphs():
         path = insideout._heavy_path(plan, counting._below(plan))
         widths = {i: op[3] for i, op in enumerate(plan)
                   if op[0] == counting._JOIN}
-        for mode in ("pm", "match", "ind"):
+        for mode in ("match", "ind"):
             total = counting._run(plan, mode, None)
             for shift in (0, total.bit_length()):
                 want = counting._run(plan, mode, None, shift)
@@ -999,7 +1025,7 @@ def test_cut_sweep_on_wide_inputs():
         plan = counting._plan_for(g, nd)
         path = insideout._heavy_path(plan, counting._below(plan))
         keep = {c for node in path for c in _children(plan[node])}
-        for mode in ("pm", "match", "ind"):
+        for mode in ("match", "ind"):
             bits = 16 if g is g7 else \
                 counting._run(plan, mode, None).bit_length()
             for shift in (0, bits):
@@ -1036,10 +1062,12 @@ def test_cut_model_keeps_the_root_on_join_free_chains(monkeypatch):
             assert work[0] == 0 and len(work) > 1 and min(work[1:]) > 0
             want = insideout._run_cut(plan, mode, None, bits, 0)
             chains.append((plan, mode, bits, want))
-    # so a pass over a plan without a join is not priced
+    # so a pass over a plan without a join is not priced, even where its
+    # family marks it
     monkeypatch.setattr(insideout, "_run_cut", None)
+    monkeypatch.setattr(insideout, "_cut_work", None)
     for plan, mode, bits, want in chains:
-        assert counting._run(plan, mode, None, bits) == want
+        assert counting._run(plan, mode, None, bits, priced=True) == want
     monkeypatch.undo()
     # wide min-fill trees take a cut in the matching-polynomial pass
     for rows in (5, 6, 7):
@@ -1075,11 +1103,12 @@ def test_bit_work_bounds_the_bits_a_shifted_pass_writes():
 
 @needs_fork
 def test_forced_cut_lists_every_join_once(monkeypatch):
-    # with cells priced free and no size gate, the matching-polynomial
-    # pass of these inputs is cut below the root, in process and where a
-    # forked call splits it. Each pass still lists every join once, in
-    # plan order: the joins above the cut with the products of their
-    # transposes, the others as in the plain pass
+    # the family prices the matching-polynomial pass after the Hosoya
+    # pass. At the model's cell price it keeps the root on these inputs;
+    # with cells priced free it is cut below the root, in process and
+    # where a forked call splits it. Each pass still lists every join
+    # once, in plan order: the joins above the cut with the products of
+    # their transposes, the others as in the plain pass
     from tdcount import parse_smiles
     from conftest import CAFFEINE_SMILES
 
@@ -1091,8 +1120,11 @@ def test_forced_cut_lists_every_join_once(monkeypatch):
     forks = _record_forks(monkeypatch, 0)
     _set_cpus(monkeypatch, 1)
     root = [_traced_run_all(g, nd) for g, nd in inputs]
+    for (g, nd), (want, _) in zip(inputs, root):
+        plan = counting._plan_for(g, nd)
+        _, work = insideout._cut_work(plan, "match", want[1].bit_length())
+        assert min(range(len(work)), key=work.__getitem__) == 0
     monkeypatch.setattr(insideout, "_CELL_WORK", 0)
-    monkeypatch.setattr(counting, "_CUT_MIN_WORK", 0)
     serial = [_traced_run_all(g, nd) for g, nd in inputs]
     assert forks == []
     _set_cpus(monkeypatch, 2)

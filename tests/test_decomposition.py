@@ -721,6 +721,10 @@ def test_parse_td_errors():
         ("s td 1 1 1\nb\n", "bag line without id", 2),
         ("s td 1 1 1\nb x 1\n", "non-integer bag line", 2),
         ("s td 1 1 1\nb 1 y\n", "non-integer bag line", 2),
+        # integers are ASCII digits after an optional '-'
+        ("s td 1 1 2\nb 1 \uff12\n", "non-integer bag line", 2),
+        ("s td 1 1 1_0\nb 1 1\n", "non-integer header fields", 1),
+        (two_bags + "+1 2\n", "non-integer tree edge", 4),
         ("s td 1 1 1\nb 2 1\n", "bag id 2 out of range", 2),
         ("s td 2 1 1\nb 1 1\nb 1 1\n", "duplicate bag id 1", 3),
         (two_bags + "1 2 2\n", "malformed tree edge line", 4),

@@ -54,6 +54,12 @@ def test_header_required_and_wellformed():
         ("p tw 2 -1\n", "negative counts in header", 1),
         ("p tw 3 1\n1 2 3\n", "malformed edge line", 2),
         ("p tw 3 1\n1 x\n", "non-integer edge endpoints", 2),
+        # integers are ASCII digits after an optional '-': no '_'
+        # separators, '+' signs or digits of other scripts
+        ("p tw 1_2 1\n10 3\n", "non-integer header fields", 1),
+        ("p tw 12 1\n1_0 +3\n", "non-integer edge endpoints", 2),
+        ("p tw 2 1\n\u0661 \u0662\n", "non-integer edge endpoints", 2),
+        ("p tw \uff12 0\n", "non-integer header fields", 1),
         ("", "missing 'p tw' header", 1),
         ("c nothing but a comment\n", "missing 'p tw' header", 1),
     ]:

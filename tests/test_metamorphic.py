@@ -293,9 +293,10 @@ def test_split_joins_agree_with_path_decompositions(monkeypatch):
     # the split visits each combining pair once per slot but records it
     # once: the shifted pass cut at the root makes the same products as
     # the plain one. run_all's matching-polynomial pass on this grid is
-    # cut below the root, and records the products of the joins it
-    # transposes above the cut instead. _FORK_WORK = 0 keeps both families
-    # on the plain path, four passes
+    # priced by its family and cut below the root, and records the
+    # products of the joins it transposes above the cut instead; _run
+    # alone prices no pass and keeps the root. _FORK_WORK = 0 keeps both
+    # families on the plain path, four passes
     monkeypatch.setattr(counting, "_FORK_WORK", 0)
     g = grid_graph(5, 30)
     nd = minfill_nice(g)
@@ -307,7 +308,6 @@ def test_split_joins_agree_with_path_decompositions(monkeypatch):
         [5692, 3344, 6430, 3344]
     assert passes[3] == passes[1]
     root = DpStats()
-    monkeypatch.setattr(counting, "_CUT_MIN_WORK", float("inf"))
     counting._run(counting._plan_for(g, nd), "match", root,
                   hosoya.bit_length())
     assert root.join_bags == passes[0]

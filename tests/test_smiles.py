@@ -94,6 +94,13 @@ def test_structural_errors():
         ("1CC1", "ring-closure digit before any atom", 0),
         ("C%1C", "'%' needs two ring-closure digits", 1),
         ("C%", "'%' needs two ring-closure digits", 1),
+        # ring-closure digits are ASCII only: not an Arabic-Indic three,
+        # a superscript two or a '%' number of either
+        ("C\u0663CC\u0663", "unsupported SMILES token", 1),
+        ("C\u00b2", "unsupported SMILES token", 1),
+        ("C%\u00b2\u00b2", "'%' needs two ring-closure digits", 1),
+        ("CC%\u0661\u0662CC%12", "'%' needs two ring-closure digits", 2),
+        ("C%+1C%+1", "'%' needs two ring-closure digits", 1),
         ("C[Se", "unmatched '\\['", 1),
         ("C(C=)C", "dangling bond before '\\)'", 3),
         ("C=.C", "bond symbol before '.'", 1),
