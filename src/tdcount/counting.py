@@ -76,23 +76,24 @@ at a node on its heavy path, the path from the root that follows at each
 join the child below which more vertices are forgotten: the forward pass
 builds the cut's subtree, the transposed ops carry an outside table from
 the root down to the cut, and the answer is the dot product of the two
-tables there. ``insideout._run_cut`` evaluates every pass cut below the
-root, and takes the outside table from ``run_all``'s child where it has
-one (below). So a join near the root of a min-fill tree, long spine times
-short branch, becomes short times short. The cut is the argmin of a cost
-predicted from the plan and B alone, before any table is built: cells
-written and big-int products priced under CPython's schoolbook and
-Karatsuba rules, in ``_bit_work`` units. The root is always a candidate,
-and cut there the pass is the forward pass. A join-free chain keeps the
-root: a cut there saves only additions on long entries, while the outside
-forgets write twice the cells and the dot product multiplies long inside
-entries by outside entries that grow as the cut goes down. The model
-prices every such cut above the root, so a plan without a join is not
-priced. Nor is any pass but the shifted pass of a two-pass family: where
-the slot-width rule keeps one pass, its B and entries are short, and on
-the min-fill k x 30 grids a cut of such a pass won back no more than its
-pricing. ``DpStats`` lists each join once per pass, in plan order, with
-the products its pass performed, inside or outside.
+tables there. So a join near the root of a min-fill tree, long spine
+times short branch, becomes short times short. One rule picks the cut,
+from the plan and B alone, before any table is built: a cut pass costs
+its inside part, its outside part and the dot product, cells written and
+big-int products priced under CPython's schoolbook and Karatsuba rules in
+``_bit_work`` units. In one process the parts add; where ``run_all``'s
+child builds the outside part (below) they overlap, and the larger part
+counts. The root is always a candidate, and cut there the pass is the
+forward pass. A join-free chain keeps the root: a cut there saves only
+additions on long entries, while the outside forgets write twice the
+cells and the dot product multiplies long inside entries by outside
+entries that grow as the cut goes down. The model prices every such cut
+above the root, so a plan without a join is not priced. Nor is any pass
+but the shifted pass of a two-pass family: where the slot-width rule
+keeps one pass, its B and entries are short, and on the min-fill k x 30
+grids a cut of such a pass won back no more than its pricing.
+``DpStats`` lists each join once per pass, in plan order, with the
+products its pass performed, inside or outside.
 
 Before counting, ``_prepare`` checks the decomposition -- its grammar
 through ``decomposition._check_grammar``, which ``structure_violations``
@@ -117,19 +118,20 @@ exists, no second thread is alive and the CPU affinity holds two CPUs or
 more, it forks one child before the Hosoya pass. The child computes the
 independence family, in one pass or two, while the parent runs the Hosoya
 pass. The matching-polynomial pass is then the priced pass of an
-in-process call, given the child: the parent picks a cut on its heavy path
-(``insideout._split_depth``), sends B and the cut through a second pipe
-and builds the cut's subtree, while the child builds the off-path subtrees
-above the cut and the outside walk down to it and marshals that outside
-table back with its answers, join bags and times. The parent takes the dot
-product. The in-process cut minimises the pass's own work, while this one
-balances the two processes' shares, so it may sit deeper: on the 7x30 grid
-at depth 59 of 246, against 29. A plan without a join keeps the root: the
-parent runs the pass whole and the child only the family. If the child
-fails at any stage, the parent builds the outside table and runs the
-family itself, as a call without a child does. Answers are the same either way, and ``DpStats`` equals an
-in-process call's with the matching-polynomial pass cut where the fork
-split it: each join carries the products of the process that ran it.
+in-process call, given the child: the parent picks its cut by the rule
+above with the two parts overlapping, sends B and the cut through a
+second pipe and builds the cut's subtree, while the child builds the
+off-path subtrees above the cut and the outside walk down to it and
+marshals that outside table back with its answers, join bags and times.
+The parent takes the dot product. Overlapping parts may put the cut
+deeper than adding ones: on the 7x30 grid at depth 59 of 246, against
+29. A plan without a join keeps the root: the parent runs the pass whole
+and the child only the family. If the child fails at any stage, the
+parent builds the outside table and runs the family itself, as a call
+without a child does. Answers are the same either way, and ``DpStats``
+equals an in-process call's with the matching-polynomial pass cut where
+the fork split it: each join carries the products of the process that
+ran it.
 ``_bit_work(plan, B)`` is B × ``_bit_work(plan, 1)``, so one walk of the
 plan, and none where an O(1) bound settles it, serves both families.
 
@@ -440,24 +442,22 @@ def _run(plan, mode, stats, shift=0, child=None, priced=False):
 
     A priced pass over a plan with a join -- ``_family`` prices the
     shifted pass of two -- is cut on its heavy path at the least predicted
-    work (``insideout._cut_work``), or given a forked ``_Child``, where the
-    two processes' shares balance (``insideout._split_depth``). Any other
-    pass runs forward to the root. A child is sent B and the depth, 0
-    included. ``insideout._run_cut`` evaluates a pass cut below the root.
+    cost (``insideout._cut_depth``), split with child where one is given.
+    Any other pass runs forward to the root. A child is sent B and the
+    depth, 0 included. ``insideout._run_cut`` evaluates a pass cut below
+    the root.
     """
     depth = 0
     if priced and any(op[0] == _JOIN for op in plan):
         from . import insideout
-        if child is None:
-            _, work = insideout._cut_work(plan, mode, shift)
-            depth = min(range(len(work)), key=work.__getitem__)
-        else:
-            depth = insideout._split_depth(plan, shift)
+        path, cost = insideout._cut_depth(plan, mode, shift, child is not None)
+        depth = min(range(len(cost)), key=cost.__getitem__)
     if child is not None:
         child.send(shift, depth)
     joins = None if stats is None else {}
     if depth:
-        value = insideout._run_cut(plan, mode, joins, shift, depth, child)
+        value = insideout._run_cut(plan, mode, joins, shift,
+                                   path[:depth + 1], child)
     else:
         value = _inside(plan, mode, joins, shift, ())[-1][0]
     if joins is not None:
@@ -782,8 +782,11 @@ def _family(plan, mode, traced, bits=None, child=None):
 
 class _Child:
     """A forked child: the independence family (``_family``), then the
-    outside table of the matching-polynomial pass once the parent's
-    ``_run`` sends B and the cut, none at depth 0.
+    outside part of the matching-polynomial pass once the parent's
+    ``_run`` sends B and the cut, none at depth 0. The child's part
+    overlaps the parent's cut subtree, so the cut is priced as the larger
+    part plus the dot product (``insideout._cut_depth``); the child
+    rebuilds the path down to the cut from the depth.
 
     Two pipes join it to the parent: the parent writes B and the depth to
     one as two decimal numbers, the child its marshalled (family, outside
@@ -819,9 +822,10 @@ class _Child:
                 joins = {} if traced else None
                 outside = None
                 if depth:
-                    from .insideout import _cut, _outside_part
-                    outside = _outside_part(plan, "match", joins, bits,
-                                            *_cut(plan, depth))
+                    from .insideout import _heavy_path, _outside_part, _subtree
+                    path = _heavy_path(plan, _below(plan))[:depth + 1]
+                    outside = _outside_part(plan, "match", joins, bits, path,
+                                            _subtree(plan, path[-1]))
                 with open(w, "wb") as pipe:
                     pipe.write(marshal.dumps((family, outside, joins)))
                 code = 0
@@ -883,18 +887,19 @@ def run_all(g, nd, stats=None):
     runs the Hosoya pass. The matching-polynomial pass is then split at a
     cut of its heavy path: this process builds the cut's subtree, the
     child the rest of the pass down to the cut, and this process takes the
-    dot product. A plan without a join is not split: this process runs the
-    pass whole. Split or not, the pass is the one ``_run`` of an in-process
-    call, given the child. The child sends its results back through a pipe
-    and is always reaped before this returns. If the child fails, this
-    process builds the outside table and runs the family as a call without
-    a child does, so an error in the family is raised here. Answers are
-    the same either way. The join bags of a traced call list the passes
+    dot product. The two parts overlap, so the cut minimises the larger
+    one plus the dot product, where an in-process cut adds them. A plan
+    without a join is not split: this process runs the pass whole. Split
+    or not, the pass is the one ``_run`` of an in-process call, given the
+    child. The child sends its results back through a pipe and is always
+    reaped before this returns. If the child fails, this process builds
+    the outside table and runs the family as a call without a child does,
+    so an error in the family is raised here. Answers are the same either
+    way. The join bags of a traced call list the passes
     that ran in the order Hosoya, Merrifield-Simmons, matching polynomial,
     independence polynomial; each join of a split pass carries the
     products of the process that ran it, so a forked call's bags are an
-    in-process call's with the matching-polynomial pass cut at the split
-    (``insideout._split_depth``) rather than at the in-process cut.
+    in-process call's with the matching-polynomial pass cut at the split.
 
     ``millis`` holds each of the five counts' elapsed milliseconds: a
     pass's, or for a count read off a polynomial, the read-off's. Entries

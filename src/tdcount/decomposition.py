@@ -27,7 +27,9 @@ from operator import itemgetter
 from .errors import DecompositionMismatch, ParseError, SizeLimitError, \
     _ascii_int
 
-# Bag-subset state masks must fit comfortably in a machine word.
+# widest decomposition ``make_nice`` builds: it refuses a wider one before
+# it builds the O(w^2) vertex entries of a bag of w vertices. The counters'
+# own cap, ``counting.MAX_CELLS``, stops at width 22
 MAX_WIDTH = 30
 
 LEAF = "leaf"

@@ -12,21 +12,21 @@ becomes short times short, and the nodes above it work on short entries.
 
 Only the shifted pass of a two-pass family is cut (``counting._family``),
 so the mode is 'match' or 'ind': a perfect-matching pass is never shifted.
-``_cut_work`` chooses the cut before any table is built, in ``_bit_work``
-units: a cell written costs ``_CELL_WORK`` plus its length, a product
-``_DIGIT_PRODUCT_WORK`` per digit product under CPython's schoolbook and
-Karatsuba rules, and entries are priced at half their bound. The root is
-always a candidate, and cut there the pass is the forward pass.
-
 The inside part (the cut's subtree) and the outside part (the off-path
 subtrees above the cut and the walk down to it) share nothing but the
-cut. ``_run_cut`` evaluates every pass cut below the root: it finds the
-path down to the cut and the cut's subtree once (``_cut``), builds the
-inside part, takes the outside part from a forked ``counting._Child``
-that was sent the cut, or builds it with ``_outside_part`` where there is
-none or it failed, and returns the dot product. ``_split_depth`` picks
-the cut of a pass split with a child from the same prices, to balance the
-two processes rather than to minimise the pass's work.
+cut. One rule picks the cut, before any table is built: a cut pass costs
+its inside part, its outside part and the dot product at the cut. In one
+process the two parts add; split with ``run_all``'s forked child, which
+builds the outside part, they overlap, so the pass costs the larger part
+plus the dot product. ``_cut_depth`` prices every depth of the heavy path
+in one walk, in ``_bit_work`` units: a cell written costs ``_CELL_WORK``
+plus its length, a product ``_DIGIT_PRODUCT_WORK`` per digit product
+under CPython's schoolbook and Karatsuba rules, and entries are priced at
+half their bound. The root is always a candidate, and cut there the pass
+is the forward pass. ``_run_cut`` evaluates a pass cut below the root,
+given the path down to the cut: it builds the inside part, takes the
+outside part from the child or builds it with ``_outside_part`` where
+there is none or it failed, and returns the dot product.
 
 ``counting._run`` imports this module only for a pass it prices, and a
 forking ``run_all`` only for a plan with a join, so a run that never
@@ -134,30 +134,50 @@ def _node_work(plan, i, below, live, bits):
     return pairs * (_CELL_WORK + mul + x + y)
 
 
-def _cut_terms(plan, bits, below, live):
-    """Heavy path and, per cut depth k, the predicted work that moves.
+def _cut_depth(plan, mode, bits, split=False):
+    """Heavy path and the predicted cost of the pass cut at each depth,
+    by the module's one rule; the cut is the argmin.
 
-    inside[k] is that of building the tables of path[:k] inside
-    (``_node_work``), outside[k] that of their transposes, and dot[k]
-    that of the dot product at path[k] (0 at the root). live is as in
-    ``_node_work``. A cell written costs ``_CELL_WORK`` plus its length in
-    bits, and a product ``_product_work`` more. Entries are priced at half
+    In one process the parts add, so cost[k] is that of the pass cut at
+    path[k] less that of the root pass: the path ops above the cut done
+    outside rather than inside, plus the dot product; cost[0] is 0. Split
+    with ``run_all``'s forked child (split true, mode 'match') the parts
+    overlap, so cost[k] is the larger part plus the dot product; cost[0]
+    is the whole pass. The split leaves out the Hosoya pass that precedes
+    the parent's part and the independence family that precedes the
+    child's: they run at once and are taken as equal. This model prices a
+    cell at ``_CELL_WORK`` whatever it does, which puts a plain pass at a
+    fifth of its cost relative to a shifted one.
+
+    Inside, a node's work is ``_node_work``. Entries are priced at half
     their bound: B × (f + 1) / 2 bits inside a node below which f vertices
-    are forgotten, B × (n - f + 1) / 2 outside it.
+    are forgotten, B × (n - f + 1) / 2 outside it. Outside, a forget
+    writes twice the cells it writes inside, and an introduce in ind mode
+    adds. A join multiplies
+    the off-path child's inside entries by its own outside entries and
+    takes every state of the path side as non-zero. The dot product
+    multiplies the cut's non-zero inside entries by its outside entries.
 
-    Outside, a forget writes twice the cells it writes inside, and an
-    introduce in ind mode adds. A join multiplies the off-path child's
-    inside entries by its own outside entries and takes every state of the
-    path side as non-zero. The dot product multiplies the cut's non-zero
-    inside entries by its outside entries.
+    On a join-free chain the in-process cost keeps the root: moving the
+    cut down k forgets saves additions on long inside entries, but the
+    outside forgets write twice the cells and the dot product multiplies
+    each long entry by an outside entry of about k·B/2 bits.
     """
+    below = _below(plan)
+    is_ind = mode == "ind"
+    live = None if is_ind else _live(plan)
     path = _heavy_path(plan, below)
-    is_ind = live is None
     half = bits / 2
     n = below[-1]
-    inside = [0]
-    outside = [0]
-    dot = [0]
+    cost = [0]
+    if split:
+        # the pass's inside work below each node, the node included
+        sub = [0] * len(plan)
+        for i, op in enumerate(plan):
+            if op[0] != _LEAF:
+                sub[i] = _node_work(plan, i, below, live, bits) + sub[op[1]] \
+                    + (sub[op[2]] if op[0] == _JOIN else 0)
+        total = cost[0] = sub[-1]
     ins = outs = 0
     for node, child in zip(path, path[1:]):
         op = plan[node]
@@ -183,64 +203,13 @@ def _cut_terms(plan, bits, below, live):
         y = half * (n - below[child] + 1)
         cells = 2 ** (_width(plan[child]) if is_ind
                       else live[child].bit_count())
-        inside.append(ins)
-        outside.append(outs)
-        dot.append(cells * (_CELL_WORK + _product_work(x, y) + x + y))
-    return path, inside, outside, dot
-
-
-def _cut_work(plan, mode, bits):
-    """Heavy path and predicted work of a shifted pass cut at each depth.
-
-    work[k] is the predicted work of the pass cut at path[k] less that of
-    the root pass, so work[0] is 0: the path nodes above the cut done
-    outside rather than inside, plus the dot product at the cut
-    (``_cut_terms``).
-
-    On a join-free chain this keeps the root: moving the cut down k
-    forgets saves additions on long inside entries, but the outside
-    forgets write twice the cells and the dot product multiplies each
-    long entry by an outside entry of about k·B/2 bits.
-    """
-    below = _below(plan)
-    live = None if mode == "ind" else _live(plan)
-    path, inside, outside, dot = _cut_terms(plan, bits, below, live)
-    return path, [o - i + d for i, o, d in zip(inside, outside, dot)]
-
-
-def _split_depth(plan, bits):
-    """Depth of the cut at which ``run_all`` splits its matching-polynomial
-    pass at B = bits between this process and its forked child.
-
-    The parent runs the Hosoya pass and then the cut's subtree; the child
-    runs the independence family and then, from the B the parent sends,
-    the off-path subtrees above the cut and the outside walk down to it.
-    The dot product waits for both. The depth minimises, in ``_cut_terms``
-    units, max(H + inside, F + outside) + dot, with the Hosoya pass H and
-    the family F taken as equal. They run at once, before the split, and
-    are not priced: this model prices a cell at ``_CELL_WORK`` whatever
-    it does, which puts a plain pass at a fifth of its cost relative to a
-    shifted one. At depth 0 the parent runs the whole pass.
-    """
-    below = _below(plan)
-    live = _live(plan)
-    path, inside, outside, dot = _cut_terms(plan, bits, below, live)
-    # the pass's inside work below each node, the node included
-    sub = [0] * len(plan)
-    for i, op in enumerate(plan):
-        code = op[0]
-        if code == _INTRO:
-            sub[i] = sub[op[1]]
-        elif code != _LEAF:
-            sub[i] = _node_work(plan, i, below, live, bits) + sub[op[1]] + (
-                sub[op[2]] if code == _JOIN else 0)
-    total = sub[-1]
-
-    def cost(k):
-        cut = sub[path[k]]
-        return max(cut, total - cut - inside[k] + outside[k]) + dot[k]
-
-    return min(range(len(path)), key=cost)
+        dot = cells * (_CELL_WORK + _product_work(x, y) + x + y)
+        if split:
+            cut = sub[child]
+            cost.append(max(cut, total - cut - ins + outs) + dot)
+        else:
+            cost.append(outs - ins + dot)
+    return path, cost
 
 
 def _subtree(plan, node):
@@ -258,16 +227,9 @@ def _subtree(plan, node):
     return nodes
 
 
-def _cut(plan, depth):
-    """The heavy path from the root down to the cut ``depth`` steps down
-    it, and the nodes of the cut's subtree."""
-    path = _heavy_path(plan, _below(plan))[:depth + 1]
-    return path, _subtree(plan, path[-1])
-
-
 def _outside_part(plan, mode, joins, shift, path, inner):
-    """The outside table of the cut at the end of path, from ``_cut``
-    with the cut's subtree inner.
+    """The outside table of the cut at the end of path, the heavy path
+    from the root down to it, with the cut's subtree inner.
 
     The forward pass builds the off-path subtrees above the cut, then the
     transposes of the path ops carry [1] from the root down to the cut; at
@@ -283,18 +245,19 @@ def _outside_part(plan, mode, joins, shift, path, inner):
     return o
 
 
-def _run_cut(plan, mode, joins, shift, depth, child=None):
-    """Value of a pass cut ``depth`` steps down its heavy path.
+def _run_cut(plan, mode, joins, shift, path, child=None):
+    """Value of a pass cut at the end of path, the heavy path from the
+    root down to the cut (``_cut_depth``).
 
     This process builds the cut's subtree. The outside table of the cut
     comes from child, ``counting._Child``, whose joins are merged into
     joins; with no child, or a failed one, this process builds it too
-    (``_outside_part``, from the same ``_cut``). The answer is the dot
-    product of the two tables. At depth 0 the subtree is the whole plan
-    and the outside table [1], so this is the forward pass. joins is as in
-    ``_inside``.
+    (``_outside_part``, from the same subtree). The answer is the dot
+    product of the two tables. Cut at the root the subtree is the whole
+    plan and the outside table [1], so this is the forward pass. joins is
+    as in ``_inside``.
     """
-    path, inner = _cut(plan, depth)
+    inner = _subtree(plan, path[-1])
     skip = set(range(len(plan))).difference(inner)
     inside = _inside(plan, mode, joins, shift, skip)[path[-1]]
     result = None if child is None else child.join()

@@ -435,6 +435,12 @@ def _traced_run_all(g, nd):
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 
+def _cut_pick(plan, mode, bits, split=False):
+    """(heavy path, depth of the cut on it) that ``counting._run`` picks."""
+    path, cost = insideout._cut_depth(plan, mode, bits, split)
+    return path, min(range(len(cost)), key=cost.__getitem__)
+
+
 def _split_reference(g, nd, serial_stats, bits, totals=2):
     """(depth, DpStats) a forked traced run_all must give, from a serial
     call's stats: its matching-polynomial pass, after the given number of
@@ -442,11 +448,11 @@ def _split_reference(g, nd, serial_stats, bits, totals=2):
     B = bits. The family prices that pass, so a plan with a join is
     split."""
     plan = counting._plan_for(g, nd)
-    depth = 0
-    if nd.join_count():
-        depth = insideout._split_depth(plan, bits)
+    path, depth = _cut_pick(plan, "match", bits, split=True)
+    if not nd.join_count():
+        depth = 0
     joins = {}
-    insideout._run_cut(plan, "match", joins, bits, depth)
+    insideout._run_cut(plan, "match", joins, bits, path[:depth + 1])
     k = nd.join_count()
     bags = serial_stats.join_bags
     want = (bags[:totals * k] + [joins[i] for i in sorted(joins)]
@@ -844,13 +850,13 @@ def test_slot_width_gate_on_the_benchmark_inputs(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     calls = _record_shifts(monkeypatch)
     priced = []
-    real_cut_work = insideout._cut_work
+    real_cut_depth = insideout._cut_depth
 
-    def cut_work(plan, mode, bits):
+    def cut_depth(plan, mode, bits, split=False):
         priced.append((mode, bits))
-        return real_cut_work(plan, mode, bits)
+        return real_cut_depth(plan, mode, bits, split)
 
-    monkeypatch.setattr(insideout, "_cut_work", cut_work)
+    monkeypatch.setattr(insideout, "_cut_depth", cut_depth)
     small = [mol.graph for mol in
              load_corpus(bundled_path("corpus100.smi")).molecules]
     for g in small + [grid_graph(3, 30), grid_graph(4, 30)]:
@@ -868,6 +874,10 @@ def test_slot_width_gate_on_the_benchmark_inputs(monkeypatch):
     # runs every pass in this process
     _set_cpus(monkeypatch, 1)
     grids = [grid_graph(rows, 30) for rows in (5, 6, 7)]
+    # per grid size n, the cut depths the rule picks: in process for each
+    # priced pass (matching, then independence), then the matching pass
+    # split with a child
+    want_depths = {150: [42, 71], 180: [32, 91, 57], 210: [29, 102, 59]}
     for g in grids + [ladder_graph(600), _hexagon_chain(300)]:
         nd = minfill_nice(g)
         assert (nd.join_count() > 0) == (g in grids)
@@ -880,6 +890,11 @@ def test_slot_width_gate_on_the_benchmark_inputs(monkeypatch):
         after_total = [call for k, call in enumerate(calls)
                        if k and calls[k - 1] == (call[0], 0)]
         assert priced == (after_total if g in grids else [])
+        passes = list(priced)  # _cut_pick records its own calls there
+        depths = [_cut_pick(plan, mode, bits)[1] for mode, bits in passes]
+        if passes:
+            depths.append(_cut_pick(plan, *passes[0], split=True)[1])
+        assert depths == want_depths.get(g.n, [])
         if g is grids[0]:
             # the 5x30 grid's one pass at B = n is not priced, its
             # matching polynomial's pass is
@@ -1010,7 +1025,7 @@ def test_forced_cuts_agree_at_every_depth_on_the_oracle_graphs():
                 for depth in range(1, len(path)):
                     joins = {}
                     assert insideout._run_cut(plan, mode, joins, shift,
-                                              depth) == want
+                                              path[:depth + 1]) == want
                     assert {i: w for i, (w, _) in joins.items()} == widths
 
 
@@ -1058,14 +1073,14 @@ def test_cut_model_keeps_the_root_on_join_free_chains(monkeypatch):
         plan = counting._plan_for(g, nd)
         for mode in ("match", "ind"):
             bits = counting._run(plan, mode, None).bit_length()
-            path, work = insideout._cut_work(plan, mode, bits)
+            path, work = insideout._cut_depth(plan, mode, bits)
             assert work[0] == 0 and len(work) > 1 and min(work[1:]) > 0
-            want = insideout._run_cut(plan, mode, None, bits, 0)
+            want = insideout._run_cut(plan, mode, None, bits, path[:1])
             chains.append((plan, mode, bits, want))
     # so a pass over a plan without a join is not priced, even where its
     # family marks it
     monkeypatch.setattr(insideout, "_run_cut", None)
-    monkeypatch.setattr(insideout, "_cut_work", None)
+    monkeypatch.setattr(insideout, "_cut_depth", None)
     for plan, mode, bits, want in chains:
         assert counting._run(plan, mode, None, bits, priced=True) == want
     monkeypatch.undo()
@@ -1074,7 +1089,7 @@ def test_cut_model_keeps_the_root_on_join_free_chains(monkeypatch):
         g = grid_graph(rows, 30)
         plan = counting._plan_for(g, minfill_nice(g))
         bits = counting._run(plan, "match", None).bit_length()
-        path, work = insideout._cut_work(plan, "match", bits)
+        path, work = insideout._cut_depth(plan, "match", bits)
         assert work[0] == 0 and min(work) < 0
 
 
@@ -1122,8 +1137,7 @@ def test_forced_cut_lists_every_join_once(monkeypatch):
     root = [_traced_run_all(g, nd) for g, nd in inputs]
     for (g, nd), (want, _) in zip(inputs, root):
         plan = counting._plan_for(g, nd)
-        _, work = insideout._cut_work(plan, "match", want[1].bit_length())
-        assert min(range(len(work)), key=work.__getitem__) == 0
+        assert _cut_pick(plan, "match", want[1].bit_length())[1] == 0
     monkeypatch.setattr(insideout, "_CELL_WORK", 0)
     serial = [_traced_run_all(g, nd) for g, nd in inputs]
     assert forks == []
@@ -1138,8 +1152,7 @@ def test_forced_cut_lists_every_join_once(monkeypatch):
         assert answers == want
         plan = counting._plan_for(g, nd)
         bits = want[1].bit_length()
-        path, work = insideout._cut_work(plan, "match", bits)
-        depth = min(range(len(work)), key=work.__getitem__)
+        path, depth = _cut_pick(plan, "match", bits)
         assert depth > 0
         # the forked call's pass is the in-process pass cut at its split
         split, split_stats = _split_reference(g, nd, serial_stats, bits)
