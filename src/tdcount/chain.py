@@ -9,9 +9,13 @@ state is the set f(C) of right vertices that the copy above has matched,
 for a set C of its left vertices, so only 2^|L| states are reachable; the
 n-th power is applied with O(log n) exact integer matrix products. Every
 matrix entry is the perfect-matching count of an induced subgraph of the
-element, read from one table over all 2^|V| vertex subsets; the state cap
-keeps |V| at 24 or fewer. build_transition spells the same recursion out
-over all 2^k subsets of the k interior vertices.
+element, read from one table over all 2^|V| vertex subsets.
+build_transition spells the same recursion out over all 2^k subsets of the
+k interior vertices, in a dense matrix of 4^k cells; both builders refuse an
+element whose 4^k exceeds the counters' cell budget, ``counting.MAX_CELLS``
+(2^25), so k is at most 12 and the subset table (|L| <= k, so |V| <= 2k)
+holds at most 4^k entries too. Counting needs only 2^|L| x 2^|L| cells, but
+the same table.
 """
 
 from __future__ import annotations
@@ -19,14 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import mul
 
+from . import counting
 from .errors import ParseError, SizeLimitError, _ascii_int
 from .graph import Graph, parse_gr
-
-# build_transition allocates its matrix dense, 2^k x 2^k for k interior
-# vertices: a cap of 12 keeps it at 2^24 cells, and the subset table (|L| <=
-# k, so at most 24 vertices) at 2^24 entries. Counting needs only 2^|L| x
-# 2^|L| cells, but the same table.
-MAX_STATE_VERTICES = 12
 
 
 class ChainElement:
@@ -74,24 +73,18 @@ def build_chain(element, n):
     """Graph of n fused copies: R of copy i is identified with L of copy i+1."""
     _check_length(n)
     g = element.g
-    ids = [dict() for _ in range(n)]
-    for v in range(g.n):
-        ids[0][v] = v
+    ids = list(range(g.n))  # vertex ids of the copy last added
+    edges = list(g.edges)
     next_id = g.n
-    left_set = set(element.left)
-    for copy in range(1, n):
-        for pos, v in enumerate(element.left):
-            ids[copy][v] = ids[copy - 1][element.right[pos]]
-        for v in range(g.n):
-            if v not in left_set:
-                ids[copy][v] = next_id
-                next_id += 1
-    edges = set()
-    for copy in range(n):
-        m = ids[copy]
-        for u, v in g.edges:
-            a, b = m[u], m[v]
-            edges.add((a, b) if a < b else (b, a))
+    for _ in range(1, n):
+        prev = ids
+        ids = [0] * g.n
+        for x, y in zip(element.left, element.right):
+            ids[x] = prev[y]
+        for v in element.interior:
+            ids[v] = next_id
+            next_id += 1
+        edges += [(ids[u], ids[v]) for u, v in g.edges]
     return Graph(next_id, edges)
 
 
@@ -146,7 +139,7 @@ def _pm_by_subset(n, edges):
 
 
 def _reachable(element):
-    """Cap check, subset tables and covers, shared by both builders.
+    """Budget check, subset tables and covers, shared by both builders.
 
     Returns (covers, row, u). covers lists (C, f(C)) as vertex masks for
     every set C of left vertices, bit i of its index standing for L[i];
@@ -157,11 +150,11 @@ def _reachable(element):
     """
     g, left, interior = element.g, element.left, element.interior
     k = len(interior)
-    if k > MAX_STATE_VERTICES:
+    if 4 ** k > counting.MAX_CELLS:
         raise SizeLimitError(
-            f"{k} interior vertices exceed the transition cap of "
-            f"{MAX_STATE_VERTICES}; count build_chain(element, n) with the "
-            f"generic DP instead"
+            f"{k} interior vertices ask 4^{k} transition cells, over the "
+            f"budget of {counting.MAX_CELLS}; count build_chain(element, n) "
+            f"with the generic DP instead"
         )
     pos = {v: i for i, v in enumerate(left)}
     pm_h = _pm_by_subset(g.n, [(u, v) for u, v in g.edges

@@ -209,9 +209,9 @@ def cmd_stats(args):
     corpus = _corpus(args.corpus or bundled_path("corpus100.smi"))
     hist = {}
     for mol in corpus.molecules:
-        order = decomposition.min_fill_order(mol.graph)
-        td = decomposition.decomposition_from_order(mol.graph, order)
-        hist[td.width()] = hist.get(td.width(), 0) + 1
+        # the width of the decomposition the counters use
+        width = decomposition.decompose(mol.graph).width()
+        hist[width] = hist.get(width, 0) + 1
     lines = ["width,count"] + [f"{w},{hist[w]}" for w in sorted(hist)]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -392,7 +392,7 @@ def main(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (_InputError, ParseError, SizeLimitError, DecompositionMismatch,
-            OSError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except _InvariantError as exc:

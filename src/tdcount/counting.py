@@ -38,10 +38,8 @@ max(m, 1) (max(n, 1)) always serves; the total is then the sum of the
 coefficients and the polynomial takes one pass. The coefficients are
 non-negative and sum to the total, so B = the total's bit length serves
 too and makes every entry shorter, at the price of a plain pass for the
-total first. One rule, ``_slot_bits``, picks between them for ``run_all``
-and both polynomial counters: the one pass at B = m (n) wherever
-``_bit_work`` predicts it below ``_FORK_WORK``, the two passes elsewhere.
-``_family`` runs the passes the rule picks, for every caller.
+total first. ``_slot_bits`` is the one rule that picks between them, and
+``_family`` runs the passes it picks, for every caller.
 
 In such a pass a join entry is a string of B-bit slots, and the two
 children's entries can differ a lot in length: min-fill's caterpillar trees
@@ -71,27 +69,9 @@ adding it to 0. Coefficients are read back from the root by halving it at
 slot boundaries, since peeling one B-bit slot at a time copies the rest of
 the integer for every slot.
 
-A shifted pass may be evaluated inside-outside (module ``insideout``), cut
-at a node on its heavy path, the path from the root that follows at each
-join the child below which more vertices are forgotten: the forward pass
-builds the cut's subtree, the transposed ops carry an outside table from
-the root down to the cut, and the answer is the dot product of the two
-tables there. So a join near the root of a min-fill tree, long spine
-times short branch, becomes short times short. One rule picks the cut,
-from the plan and B alone, before any table is built: a cut pass costs
-its inside part, its outside part and the dot product, cells written and
-big-int products priced under CPython's schoolbook and Karatsuba rules in
-``_bit_work`` units. In one process the parts add; where ``run_all``'s
-child builds the outside part (below) they overlap, and the larger part
-counts. The root is always a candidate, and cut there the pass is the
-forward pass. A join-free chain keeps the root: a cut there saves only
-additions on long entries, while the outside forgets write twice the
-cells and the dot product multiplies long inside entries by outside
-entries that grow as the cut goes down. The model prices every such cut
-above the root, so a plan without a join is not priced. Nor is any pass
-but the shifted pass of a two-pass family: where the slot-width rule
-keeps one pass, its B and entries are short, and on the min-fill k x 30
-grids a cut of such a pass won back no more than its pricing.
+A shifted pass may be evaluated inside-outside, cut at a node of its heavy
+path; module ``insideout`` states the one rule that picks the cut, in one
+process or split with ``run_all``'s child, and which passes it prices.
 ``DpStats`` lists each join once per pass, in plan order, with the
 products its pass performed, inside or outside.
 
@@ -110,30 +90,9 @@ compiles it once.
 Nice nodes are immutable, so a kept plan cannot go stale; another graph
 object is checked afresh and its plan replaces the kept one.
 
-``run_all`` needs two families of passes that share only the read-only
-plan: the matching polynomial, after a Hosoya pass where the rule above
-asks for one, and the independence polynomial, after a Merrifield-Simmons
-pass likewise. Where the matching family takes two passes, ``os.fork``
-exists, no second thread is alive and the CPU affinity holds two CPUs or
-more, it forks one child before the Hosoya pass. The child computes the
-independence family, in one pass or two, while the parent runs the Hosoya
-pass. The matching-polynomial pass is then the priced pass of an
-in-process call, given the child: the parent picks its cut by the rule
-above with the two parts overlapping, sends B and the cut through a
-second pipe and builds the cut's subtree, while the child builds the
-off-path subtrees above the cut and the outside walk down to it and
-marshals that outside table back with its answers, join bags and times.
-The parent takes the dot product. Overlapping parts may put the cut
-deeper than adding ones: on the 7x30 grid at depth 59 of 246, against
-29. A plan without a join keeps the root: the parent runs the pass whole
-and the child only the family. If the child fails at any stage, the
-parent builds the outside table and runs the family itself, as a call
-without a child does. Answers are the same either way, and ``DpStats``
-equals an in-process call's with the matching-polynomial pass cut where
-the fork split it: each join carries the products of the process that
-ran it.
-``_bit_work(plan, B)`` is B × ``_bit_work(plan, 1)``, so one walk of the
-plan, and none where an O(1) bound settles it, serves both families.
+``run_all`` runs the two families, which share only the read-only plan,
+and may fork one child to run them at once; its docstring describes the
+fork.
 
 All counts are exact arbitrary-precision integers.
 """
@@ -155,21 +114,18 @@ _DIGIT = sys.int_info.bits_per_digit
 # peeling B-bit slots off an int of up to this many bits costs less than
 # halving it first
 _PEEL_BITS = 4096
-# ``_bit_work`` that decides how a polynomial's passes run. Below it the
-# polynomial takes one shifted pass at B = m (n), unpriced for a cut; at or
-# above it a total pass first, then the shifted pass at B = its bit length,
-# the one pass priced for a cut. Where the matching polynomial takes two
-# passes, ``run_all`` forks a child for the independence family and part of
-# the matching-polynomial pass. Forking and reaping cost the parent about
-# 1.5 ms; min-fill on the 6x30 grid (3.3e8) spends about 18 ms in the
-# independence family, on the 5x30 grid (1.05e8, one pass) 7 ms. On the
-# min-fill k x 30 grids (CPython 3.11, x86-64) one pass at B = m beat the
-# two passes at 0.46 × this (4x30) and broke even at 1.5 × (5x30); at
-# B = n it beat them at 0.86 × (5x30) and broke even at 2.7 × (6x30). A
-# cut of a one-pass polynomial does not pay for its pricing: on the 3x30
-# and 4x30 grids it saved nothing for 0.2-0.35 ms a pass, and the 5x30
-# grid's independence polynomial took 3.6 ms cut and 3.0 ms uncut (min of
-# 8 processes of 41 calls)
+# ``_bit_work`` threshold of the slot-width rule (``_slot_bits``), which
+# thereby also decides which pass is priced for a cut and whether
+# ``run_all`` forks. Forking and reaping cost the parent about 1.5 ms;
+# min-fill on the 6x30 grid (3.3e8) spends about 18 ms in the independence
+# family, on the 5x30 grid (1.05e8, one pass) 7 ms. On the min-fill k x 30
+# grids (CPython 3.11, x86-64) one pass at B = m beat the two passes at
+# 0.46 × this (4x30) and broke even at 1.5 × (5x30); at B = n it beat them
+# at 0.86 × (5x30) and broke even at 2.7 × (6x30). A cut of a one-pass
+# polynomial does not pay for its pricing: on the 3x30 and 4x30 grids it
+# saved nothing for 0.2-0.35 ms a pass, and the 5x30 grid's independence
+# polynomial took 3.6 ms cut and 3.0 ms uncut (min of 8 processes of 41
+# calls)
 _FORK_WORK = 1 << 27
 # table cells (Σ 2^|bag| over the nodes) a decomposition may ask of one
 # pass. A pass over a one-bag decomposition (no join, short entries) costs
@@ -179,7 +135,8 @@ _FORK_WORK = 1 << 27
 # 3 × 2^(w+1) - 2 cells, so none of width 23 or more is admitted. The
 # min-fill 7x30 grid asks 1.1 × 10^5, the min-fill order of the 5x16 grid
 # taken as a path decomposition (width 28) 2.8 × 10^9: about 4 min of a
-# plain pass, with 4 GiB tables
+# plain pass, with 4 GiB tables. ``chain`` holds its dense transition
+# matrix to the same budget
 MAX_CELLS = 1 << 25
 
 
@@ -250,6 +207,12 @@ def _prepare(g, nd):
     forget of its earlier endpoint, at most once, so counting pairs checks
     coverage.
 
+    Every op ends with its node's bag size w: ``(_LEAF, 0)``, ``(_INTRO,
+    child, p, neighbour mask, w)``, ``(_FORGET, child, p, pairs, w)`` and
+    ``(_JOIN, c1, c2, w)``, with p the bag position of the introduced
+    vertex, or of the forgotten one in the child's bag. So ``op[-1]`` reads
+    it for every kind.
+
     The same loop sums the cells the tables of one pass take, Σ 2^|bag|,
     and above ``MAX_CELLS`` it raises ``SizeLimitError`` before any table
     is built, whatever built nd. That caps the width at 22: a bag of w + 1
@@ -292,9 +255,9 @@ def _prepare(g, nd):
             plan[i] = (_FORGET, children[0], p, pairs, w)
         elif kind == JOIN:
             c1, c2 = children
-            plan[i] = (_JOIN, c1, c2, w, (1 << w) - 1)
+            plan[i] = (_JOIN, c1, c2, w)
         else:
-            plan[i] = (_LEAF,)
+            plan[i] = (_LEAF, 0)
 
     if forgets != n:
         forgotten = {node.v for node in nd.nodes if node.kind == FORGET}
@@ -330,12 +293,6 @@ def _below(plan):
     return below
 
 
-def _width(op):
-    """Bag size of a plan op's node."""
-    code = op[0]
-    return op[3] if code == _JOIN else 0 if code == _LEAF else op[4]
-
-
 def _bit_work(plan, bits):
     """Predicted bit work of a shifted pass over plan with B = bits.
 
@@ -348,20 +305,26 @@ def _bit_work(plan, bits):
     B × Σ over nodes of 2^|bag| × (f + 1).
     """
     below = _below(plan)
-    return bits * sum((below[i] + 1) << _width(op)
-                      for i, op in enumerate(plan))
+    return bits * sum((below[i] + 1) << op[-1] for i, op in enumerate(plan))
 
 
 def _slot_bits(plan, g, width, modes):
     """The slot-width rule: per mode, B of its family's one shifted pass,
-    max(m, 1) ('match') or max(n, 1) ('ind'), where ``_bit_work`` predicts
-    that pass below ``_FORK_WORK``; else None, and a total pass sets B
-    (``_family``).
+    or None where the family takes two passes (``_family``).
 
-    ``_bit_work(plan, B)`` is B × ``_bit_work(plan, 1)``. Where the largest
-    B times the O(1) bound nodes × (n + 1) × 2^(width + 1) on the latter is
-    below ``_FORK_WORK``, every mode takes one pass and the plan is not
-    walked.
+    A polynomial takes one shifted pass at B = max(m, 1) ('match') or
+    max(n, 1) ('ind') where ``_bit_work`` predicts that pass below
+    ``_FORK_WORK``, and its total, Hosoya or Merrifield-Simmons, is the sum
+    of its coefficients. Elsewhere a plain pass computes the total first
+    and the shifted pass runs at B = its bit length, which makes every
+    entry shorter. That shifted pass is the only one ``_run`` prices for a
+    cut (``insideout``), and where the matching family takes two passes
+    ``run_all`` forks.
+
+    ``_bit_work(plan, B)`` is B × ``_bit_work(plan, 1)``, so one walk of
+    the plan serves every mode. Where the largest B times the O(1) bound
+    nodes × (n + 1) × 2^(width + 1) on the latter is below ``_FORK_WORK``,
+    every mode takes one pass and the plan is not walked.
     """
     n = g.n
     bits = [max(g.m if mode == "match" else n, 1) for mode in modes]
@@ -440,12 +403,11 @@ def _run(plan, mode, stats, shift=0, child=None, priced=False):
     (independent sets). With ``shift`` = B > 0 every table entry is its size
     polynomial evaluated at x = 2^B: forget nodes commit size by shifting.
 
-    A priced pass over a plan with a join -- ``_family`` prices the
-    shifted pass of two -- is cut on its heavy path at the least predicted
-    cost (``insideout._cut_depth``), split with child where one is given.
-    Any other pass runs forward to the root. A child is sent B and the
-    depth, 0 included. ``insideout._run_cut`` evaluates a pass cut below
-    the root.
+    A priced pass -- ``_family`` prices the shifted pass of two -- over a
+    plan with a join is cut where ``insideout``'s rule puts it, split with
+    child where one is given; any other pass runs forward to the root. A
+    child is sent B and the depth, 0 included. ``insideout._run_cut``
+    evaluates a pass cut below the root.
     """
     depth = 0
     if priced and any(op[0] == _JOIN for op in plan):
@@ -547,7 +509,7 @@ def _inside(plan, mode, joins, shift, skip, tables=None):
             tables[i] = out
             tables[c] = None
         else:  # _JOIN
-            _, c1, c2, w, full = op
+            _, c1, c2, w = op
             t1 = tables[c1]
             t2 = tables[c2]
             out = [0] * (1 << w)
@@ -558,6 +520,7 @@ def _inside(plan, mode, joins, shift, skip, tables=None):
             else:
                 # states a and b combine iff a | b == full, into out[a & b];
                 # only pairs of non-zero entries are visited
+                full = (1 << w) - 1
                 nz1 = [a for a, x in enumerate(t1) if x]
                 nz2 = [b for b, y in enumerate(t2) if y]
                 if len(nz2) < len(nz1):
@@ -781,12 +744,11 @@ def _family(plan, mode, traced, bits=None, child=None):
 
 
 class _Child:
-    """A forked child: the independence family (``_family``), then the
-    outside part of the matching-polynomial pass once the parent's
-    ``_run`` sends B and the cut, none at depth 0. The child's part
-    overlaps the parent's cut subtree, so the cut is priced as the larger
-    part plus the dot product (``insideout._cut_depth``); the child
-    rebuilds the path down to the cut from the depth.
+    """A forked child of ``run_all``: the independence family
+    (``_family``), then the outside part of the matching-polynomial pass
+    once the parent's ``_run`` sends B and the cut, none at depth 0. The cut
+    is ``insideout``'s rule for a split pass; the child rebuilds the path
+    down to the cut from the depth.
 
     Two pipes join it to the parent: the parent writes B and the depth to
     one as two decimal numbers, the child its marshalled (family, outside
@@ -794,7 +756,8 @@ class _Child:
     table and joins, ``run_all`` the family. The child always leaves
     through ``os._exit``: 0 once its result is written, 1 on any
     exception, EOF on the cut pipe included, which the parent meets again
-    where it computes the same parts itself.
+    where it computes the same parts itself. A parent that raises kills it
+    (``kill``) rather than wait for its family.
     """
 
     def __init__(self, plan, traced, ind_bits):
@@ -854,14 +817,18 @@ class _Child:
 
         Closes the cut pipe, so a child still waiting for the cut fails,
         and reads the result pipe to its end before reaping, since a child
-        with more to write than the pipe holds cannot exit; it is reaped
-        even if the read fails. Later calls return the first one's result.
+        with more to write than the pipe holds cannot exit. If the read
+        fails or is interrupted, the child is killed, then reaped. Later
+        calls return the first one's result.
         """
         if self.pid is not None:
             self.close_cut()
             try:
                 with open(self.r, "rb") as pipe:
                     data = pipe.read()
+            except BaseException:
+                self.kill()
+                raise
             finally:
                 _, status = os.waitpid(self.pid, 0)
                 self.pid = None
@@ -869,37 +836,48 @@ class _Child:
                 self.result = marshal.loads(data)
         return self.result
 
+    def kill(self):
+        """SIGKILL the child unless it is reaped already, for a parent that
+        raises and will not read its result; ``join`` reaps it."""
+        if self.pid is not None:
+            # imported here: at module level it adds about 0.6 ms
+            # (CPython 3.11) to every `import tdcount`
+            from signal import SIGKILL
+
+            os.kill(self.pid, SIGKILL)
+
 
 def run_all(g, nd, stats=None):
     """All five counts plus both entropies on one decomposition.
 
-    Each polynomial takes one shifted pass. Where that pass at B = m
-    (matching) or B = n (independence) predicts less than ``_FORK_WORK``,
-    it is the polynomial's only pass and its total, Hosoya or
-    Merrifield-Simmons, is the sum of its coefficients. Elsewhere a plain
-    pass computes the total first and the shifted pass runs at B = its bit
-    length. The perfect matchings are read off the matching polynomial.
+    The matching family gives the Hosoya index and the matching polynomial,
+    the independence family the Merrifield-Simmons index and the
+    independence polynomial, each in the passes the slot-width rule
+    (``_slot_bits``) picks. The perfect matchings are read off the matching
+    polynomial.
 
-    Where the matching polynomial takes two passes and ``_fork_pays``
-    (POSIX fork, no second thread, two CPUs or more), one child is forked
-    before the Hosoya pass. It computes the Merrifield-Simmons total and
-    the independence polynomial, in one pass or two, while this process
-    runs the Hosoya pass. The matching-polynomial pass is then split at a
-    cut of its heavy path: this process builds the cut's subtree, the
+    Where the matching family takes two passes and ``_fork_pays`` (POSIX
+    fork, no second thread, two CPUs or more), one child is forked before
+    the Hosoya pass; there is no option. Small requests, every molecule of
+    the bundled corpus among them, take one pass per polynomial and never
+    fork. The child computes the independence family, in one pass or two,
+    while this process runs the Hosoya pass. The matching-polynomial pass
+    is then the one ``_run`` of an in-process call, given the child: over
+    a plan with a join it is split at a cut of its heavy path by
+    ``insideout``'s rule, this process building the cut's subtree and the
     child the rest of the pass down to the cut, and this process takes the
-    dot product. The two parts overlap, so the cut minimises the larger
-    one plus the dot product, where an in-process cut adds them. A plan
-    without a join is not split: this process runs the pass whole. Split
-    or not, the pass is the one ``_run`` of an in-process call, given the
-    child. The child sends its results back through a pipe and is always
-    reaped before this returns. If the child fails, this process builds
-    the outside table and runs the family as a call without a child does,
-    so an error in the family is raised here. Answers are the same either
-    way. The join bags of a traced call list the passes
-    that ran in the order Hosoya, Merrifield-Simmons, matching polynomial,
-    independence polynomial; each join of a split pass carries the
-    products of the process that ran it, so a forked call's bags are an
-    in-process call's with the matching-polynomial pass cut at the split.
+    dot product. A plan without a join is not split: this process runs the
+    pass whole. The child sends its results back through a pipe and is
+    always reaped before this returns; where this process raises, it kills
+    the child first rather than wait for its family. If the child fails,
+    this process builds the outside table and runs the family as a call
+    without a child does, so an error in the family is raised here.
+    Answers are the same either way. The join bags of a traced call list
+    the passes that ran in the order Hosoya, Merrifield-Simmons, matching
+    polynomial, independence polynomial; each join of a split pass carries
+    the products of the process that ran it, so a forked call's bags are
+    an in-process call's with the matching-polynomial pass cut at the
+    split.
 
     ``millis`` holds each of the five counts' elapsed milliseconds: a
     pass's, or for a count read off a polynomial, the read-off's. Entries
@@ -926,8 +904,12 @@ def run_all(g, nd, stats=None):
     try:
         ma, mp_coeffs, match_bags, millis = _family(
             plan, "match", traced, match_bits, child)
-    finally:
-        result = None if child is None else child.join()
+    except BaseException:
+        if child is not None:
+            child.kill()
+            child.join()
+        raise
+    result = None if child is None else child.join()
     ind, ip_coeffs, ind_bags, ind_millis = (
         result[0] if result else _family(plan, "ind", traced, ind_bits))
     mp = SizePolynomial(mp_coeffs)

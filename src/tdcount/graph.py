@@ -85,7 +85,8 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
     def sorted_edges(self):
-        return sorted(tuple(sorted(e)) for e in self.edges)
+        # every stored edge is already (min, max)
+        return sorted(self.edges)
 
     def delete_vertices(self, remove):
         """Graph induced on V \\ remove, relabeled densely (order preserved)."""

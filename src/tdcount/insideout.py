@@ -10,35 +10,43 @@ outside[s]`` at the cut. Outside entries hold only the graph above the cut,
 so a join near the root of a min-fill tree, long spine times short branch,
 becomes short times short, and the nodes above it work on short entries.
 
-Only the shifted pass of a two-pass family is cut (``counting._family``),
-so the mode is 'match' or 'ind': a perfect-matching pass is never shifted.
-The inside part (the cut's subtree) and the outside part (the off-path
+This module states the one rule that picks the cut, in one process or
+split with ``run_all``'s forked child, before any table is built. The
+inside part (the cut's subtree) and the outside part (the off-path
 subtrees above the cut and the walk down to it) share nothing but the
-cut. One rule picks the cut, before any table is built: a cut pass costs
-its inside part, its outside part and the dot product at the cut. In one
-process the two parts add; split with ``run_all``'s forked child, which
-builds the outside part, they overlap, so the pass costs the larger part
-plus the dot product. ``_cut_depth`` prices every depth of the heavy path
-in one walk, in ``_bit_work`` units: a cell written costs ``_CELL_WORK``
-plus its length, a product ``_DIGIT_PRODUCT_WORK`` per digit product
-under CPython's schoolbook and Karatsuba rules, and entries are priced at
-half their bound. The root is always a candidate, and cut there the pass
-is the forward pass. ``_run_cut`` evaluates a pass cut below the root,
-given the path down to the cut: it builds the inside part, takes the
-outside part from the child or builds it with ``_outside_part`` where
-there is none or it failed, and returns the dot product.
+cut, and a cut pass costs both parts and the dot product at the cut. In
+one process the two parts add. Split with the child, which builds the
+outside part while the parent builds the inside one, they overlap, so the
+pass costs the larger part plus the dot product; that may put the cut
+deeper than adding parts do: on the min-fill 7x30 grid at depth 59 of the
+heavy path's 246 nodes, against 29. ``_cut_depth`` prices every depth of
+the heavy path in one walk, in ``_bit_work`` units: a cell written costs
+``_CELL_WORK`` plus its length, a product ``_DIGIT_PRODUCT_WORK`` per digit
+product under CPython's schoolbook and Karatsuba rules, and entries are
+priced at half their bound. The root is always a candidate, and cut there
+the pass is the forward pass.
 
-``counting._run`` imports this module only for a pass it prices, and a
-forking ``run_all`` only for a plan with a join, so a run that never
-prices a cut never compiles it.
+Two kinds of pass are never priced. The model prices every cut of a
+join-free chain above the root (``_cut_depth``), so a plan without a join
+keeps the root unpriced. And only the shifted pass of a two-pass family is
+cut (``counting._slot_bits``): where the slot-width rule keeps one pass,
+its B and entries are short, and on the min-fill k x 30 grids a cut of such
+a pass won back no more than its pricing. So the mode is 'match' or 'ind':
+a perfect-matching pass is never shifted.
+
+``_run_cut`` evaluates a pass cut below the root, given the path down to
+the cut: it builds the inside part, takes the outside part from the child
+or builds it with ``_outside_part`` where there is none or it failed, and
+returns the dot product. ``counting._run`` imports this module only for a
+pass it prices, and a forking ``run_all`` only for a plan with a join, so
+a run that never prices a cut never compiles it.
 """
 
 from __future__ import annotations
 
 import math
 
-from .counting import _DIGIT, _FORGET, _INTRO, _JOIN, _LEAF, _below, \
-    _inside, _width
+from .counting import _DIGIT, _FORGET, _INTRO, _JOIN, _LEAF, _below, _inside
 
 # the cut's cost model in ``_bit_work`` units, the bits an addition writes:
 # one Python-level step on a cell, and one digit-by-digit product inside a
@@ -115,10 +123,10 @@ def _node_work(plan, i, below, live, bits):
     code = op[0]
     half = bits / 2
     if code == _FORGET:
-        return (_CELL_WORK + half * (below[i] + 1)) * (1 << op[4])
+        return (_CELL_WORK + half * (below[i] + 1)) * (1 << op[-1])
     if code != _JOIN:
         return 0
-    _, c1, c2, w, _ = op
+    _, c1, c2, w = op
     x = half * (below[c1] + 1)
     y = half * (below[c2] + 1)
     mul = _product_work(x, y)
@@ -136,27 +144,26 @@ def _node_work(plan, i, below, live, bits):
 
 def _cut_depth(plan, mode, bits, split=False):
     """Heavy path and the predicted cost of the pass cut at each depth,
-    by the module's one rule; the cut is the argmin.
+    by the module's rule; the cut is the argmin.
 
-    In one process the parts add, so cost[k] is that of the pass cut at
-    path[k] less that of the root pass: the path ops above the cut done
-    outside rather than inside, plus the dot product; cost[0] is 0. Split
-    with ``run_all``'s forked child (split true, mode 'match') the parts
-    overlap, so cost[k] is the larger part plus the dot product; cost[0]
-    is the whole pass. The split leaves out the Hosoya pass that precedes
-    the parent's part and the independence family that precedes the
-    child's: they run at once and are taken as equal. This model prices a
-    cell at ``_CELL_WORK`` whatever it does, which puts a plain pass at a
-    fifth of its cost relative to a shifted one.
+    In one process cost[k] is taken relative to the root pass: the path ops
+    above the cut done outside rather than inside, plus the dot product, so
+    cost[0] is 0. Split with ``run_all``'s forked child (split true, mode
+    'match') it is absolute, and cost[0] is the whole pass. The split
+    leaves out the Hosoya pass that precedes the parent's part and the
+    independence family that precedes the child's: they run at once and
+    are taken as equal. This model prices a cell at ``_CELL_WORK`` whatever
+    it does, which puts a plain pass at a fifth of its cost relative to a
+    shifted one.
 
     Inside, a node's work is ``_node_work``. Entries are priced at half
     their bound: B × (f + 1) / 2 bits inside a node below which f vertices
     are forgotten, B × (n - f + 1) / 2 outside it. Outside, a forget
     writes twice the cells it writes inside, and an introduce in ind mode
-    adds. A join multiplies
-    the off-path child's inside entries by its own outside entries and
-    takes every state of the path side as non-zero. The dot product
-    multiplies the cut's non-zero inside entries by its outside entries.
+    adds. A join multiplies the off-path child's inside entries by its own
+    outside entries and takes every state of the path side as non-zero.
+    The dot product multiplies the cut's non-zero inside entries by its
+    outside entries.
 
     On a join-free chain the in-process cost keeps the root: moving the
     cut down k forgets saves additions on long inside entries, but the
@@ -185,11 +192,11 @@ def _cut_depth(plan, mode, bits, split=False):
         out_len = half * (n - below[node] + 1)
         ins += _node_work(plan, node, below, live, bits)
         if code == _FORGET:
-            outs += (_CELL_WORK + out_len + half) * (2 << op[4])
+            outs += (_CELL_WORK + out_len + half) * (2 << op[-1])
         elif code == _INTRO and is_ind:
-            outs += out_len * (1 << (op[4] - 1))
+            outs += out_len * (1 << (op[-1] - 1))
         elif code == _JOIN:
-            _, c1, c2, w, _ = op
+            _, c1, c2, w = op
             sib = c1 if child == c2 else c2
             if is_ind:
                 pairs = 1 << w
@@ -201,7 +208,7 @@ def _cut_depth(plan, mode, bits, split=False):
                              + x + out_len)
         x = half * (below[child] + 1)
         y = half * (n - below[child] + 1)
-        cells = 2 ** (_width(plan[child]) if is_ind
+        cells = 2 ** (plan[child][-1] if is_ind
                       else live[child].bit_count())
         dot = cells * (_CELL_WORK + _product_work(x, y) + x + y)
         if split:
@@ -325,7 +332,7 @@ def _transpose(plan, node, child, tables, o, mode, joins, shift):
                     y = out[k]
                     out[k] = y + shifted if y else shifted
     else:  # _JOIN
-        _, c1, c2, w, full = op
+        _, c1, c2, w = op
         t = tables[c2 if child == c1 else c1]
         if is_ind:
             out = [x * y for x, y in zip(t, o)]
@@ -334,6 +341,7 @@ def _transpose(plan, node, child, tables, o, mode, joins, shift):
             # forward: out[a & b] += t1[a] * t2[b] where a | b == full;
             # here a is the child's state and b the sibling's, so the
             # child's a = (full ^ b) | h takes t[b] * o[h] for h within b
+            full = (1 << w) - 1
             out = [0] * (1 << w)
             live = 0  # states o can be non-zero in
             for h, y in enumerate(o):

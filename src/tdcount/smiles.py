@@ -68,7 +68,7 @@ def parse_smiles(s, name=None):
         raise ParseError("empty SMILES string", offset=0)
 
     labels = []
-    edges = set()
+    edges = []
     atoms = 0
     prev = None
     branch_stack = []
@@ -149,13 +149,13 @@ def parse_smiles(s, name=None):
                 u = ring[0]
                 if u == prev:
                     raise ParseError(f"bond from atom to itself at atom {u}", offset=i)
-                edges.add((u, prev) if u < prev else (prev, u))  # duplicates collapse
+                edges.append((u, prev))  # Graph collapses duplicates
             bond_pending_at = None
             i += step
             continue
         labels.append(symbol)
         if prev is not None:
-            edges.add((prev, atoms))
+            edges.append((prev, atoms))
         prev = atoms
         atoms += 1
         bond_pending_at = None
@@ -195,23 +195,32 @@ class Corpus:
 
 
 def load_corpus(path):
-    """Load a ``SMILES[\\tNAME]``-per-line corpus file.
+    """Load a ``SMILES[\\tNAME]``-per-line corpus file of UTF-8 text.
 
-    ``#`` comment lines and blank lines are skipped. Unparseable lines land in
-    the rejects list instead of aborting the load.
+    ``#`` comment lines and blank lines are skipped. Unparseable lines,
+    those that are not UTF-8 included, land in the rejects list instead of
+    aborting the load. ``bytes.splitlines`` breaks lines where text mode
+    does, at ``\\n``, ``\\r`` and ``\\r\\n``, so a line keeps its number
+    whether or not an earlier one decodes.
     """
     molecules = []
     rejects = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            smiles, _, molname = line.partition("\t")
-            smiles = smiles.strip()
-            molname = molname.strip() or None
-            try:
-                molecules.append(parse_smiles(smiles, name=molname))
-            except ParseError as exc:
-                rejects.append(Reject(lineno, line, str(exc)))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            rejects.append(Reject(
+                lineno, raw.decode("utf-8", "replace").strip(), str(exc)))
+            continue
+        if not line or line.startswith("#"):
+            continue
+        smiles, _, molname = line.partition("\t")
+        smiles = smiles.strip()
+        molname = molname.strip() or None
+        try:
+            molecules.append(parse_smiles(smiles, name=molname))
+        except ParseError as exc:
+            rejects.append(Reject(lineno, line, str(exc)))
     return Corpus(molecules, rejects)

@@ -262,6 +262,12 @@ def test_state_cap():
         build_transition(e)
     with pytest.raises(SizeLimitError, match="build_chain"):
         chain_pm_count(e, 2)
+    # 12 interior vertices: a 4^12-cell matrix, within the cell budget
+    g = Graph(13, [(i, i + 1) for i in range(12)])
+    e = ChainElement(g, (0,), (12,))
+    assert len(e.interior) == 12
+    assert chain_pm_count(e, 2) == count_perfect_matchings(
+        build_chain(e, 2), minfill_nice(build_chain(e, 2)))
 
 
 def test_parse_chain_file():

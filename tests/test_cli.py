@@ -144,6 +144,40 @@ def test_non_ascii_ring_digits_exit_2(capsys):
     assert err.startswith("input error: '%' needs two ring-closure digits")
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--gr", "{bad}", "--pm"],
+    ["count", "--gr", "{good}", "--td", "{bad}", "--pm"],
+    ["chain", "--element", "{bad}", "--n", "2"],
+], ids=["gr", "td", "chain"])
+def test_non_utf8_file_exits_2(tmp_path, capsys, argv):
+    good = tmp_path / "good.gr"
+    good.write_text(emit_gr(ladder_graph(2)))
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"p tw 2 1\n1 2\xff\n")
+    code, out, err = run([a.format(good=good, bad=bad) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("input error: 'utf-8' codec can't decode byte 0xff in"
+                   " position 12: invalid start byte\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--pm", "--clock", "none"],
+    ["stats"],
+    ["bench", "--seed", "1", "--engines", "dp", "--clock", "none"],
+], ids=["count", "stats", "bench"])
+def test_non_utf8_corpus_line_is_a_reject(tmp_path, capsys, argv):
+    corpus = tmp_path / "c.smi"
+    corpus.write_bytes(b"CC\tethane\nC\xffC\nCCC\tpropane\n")
+    code, out, err = run(argv + ["--corpus", str(corpus)], capsys)
+    assert code == 0
+    assert err.splitlines()[0] == (
+        "reject line 2: 'utf-8' codec can't decode byte 0xff in position 1:"
+        " invalid start byte")
+    if argv[0] != "stats":
+        assert "propane" in out
+
+
 def test_count_csv_round_trip(tmp_path, capsys):
     out_file = tmp_path / "rows.csv"
     code, _, _ = run(

@@ -724,8 +724,8 @@ def test_failed_child_leaves_the_family_to_the_parent(monkeypatch):
         assert len(forks) == 1
         _no_child_left()
 
-        # the parent's Hosoya pass raises: the child reads EOF on the cut
-        # pipe and is reaped before the error reaches the caller
+        # the parent's Hosoya pass raises: the child is killed and reaped
+        # before the error reaches the caller
         def failing_hosoya(plan, mode, stats, shift=0, child=None,
                            priced=False):
             if mode == "match" and not shift:
@@ -736,6 +736,62 @@ def test_failed_child_leaves_the_family_to_the_parent(monkeypatch):
         with pytest.raises(RuntimeError, match="Hosoya pass failed"):
             run_all(g, nd)
         assert len(forks) == 2
+        _no_child_left()
+        monkeypatch.undo()
+
+
+@needs_fork
+def test_an_error_in_the_parent_kills_the_child(monkeypatch):
+    # the child's family would sleep for a minute; the parent's Hosoya pass
+    # raises, and run_all raises at once with the child killed and reaped
+    import signal
+    import time
+
+    parent = os.getpid()
+    real_family = counting._family
+    real_run = counting._run
+
+    def sleeping_family(plan, mode, *args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return real_family(plan, mode, *args)
+
+    def failing_hosoya(plan, mode, stats, shift=0, child=None,
+                       priced=False):
+        if mode == "match" and not shift:
+            raise RuntimeError("Hosoya pass failed")
+        return real_run(plan, mode, stats, shift, child, priced)
+
+    for g, nd, fork_work in _fork_cases():
+        forks = _record_forks(monkeypatch, fork_work)
+        monkeypatch.setattr(counting, "_family", sleeping_family)
+        monkeypatch.setattr(counting, "_run", failing_hosoya)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="Hosoya pass failed"):
+            run_all(g, nd)
+        assert time.perf_counter() - start < 1.0
+        assert len(forks) == 1
+        _no_child_left()
+        monkeypatch.undo()
+
+    # so does an interrupt while this process waits for the child's result
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    for g, nd, fork_work in _fork_cases():
+        forks = _record_forks(monkeypatch, fork_work)
+        monkeypatch.setattr(counting, "_family", sleeping_family)
+        old = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            start = time.perf_counter()
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
+            with pytest.raises(KeyboardInterrupt):
+                run_all(g, nd)
+            assert time.perf_counter() - start < 1.3
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+        assert len(forks) == 1
         _no_child_left()
         monkeypatch.undo()
 
@@ -1109,7 +1165,7 @@ def test_bit_work_bounds_the_bits_a_shifted_pass_writes():
                                       _Kept(len(plan)))
             written = 0
             for i, table in enumerate(tables):
-                assert len(table) == 1 << counting._width(plan[i])
+                assert len(table) == 1 << plan[i][-1]
                 longest = max(x.bit_length() for x in table)
                 assert longest <= bits * (below[i] + 1)
                 written += sum(x.bit_length() for x in table)
@@ -1374,7 +1430,7 @@ def test_counters_refuse_decompositions_over_the_cell_budget(monkeypatch):
     # one cell more than the budget is refused, the budget itself admitted
     nd = minfill_nice(g)
     plan = counting._prepare(g, nd)
-    at = sum(1 << counting._width(op) for op in plan)
+    at = sum(1 << op[-1] for op in plan)
     monkeypatch.setattr(counting, "MAX_CELLS", at - 1)
     with pytest.raises(SizeLimitError, match=f"predicts {at} table cells"):
         counting._prepare(g, nd)
@@ -1463,9 +1519,9 @@ def _reference_plan(g, nd):
             plan.append((counting._FORGET, children[0], child_bag.index(v),
                          pairs, w))
         elif kind == JOIN:
-            plan.append((counting._JOIN, *children, w, (1 << w) - 1))
+            plan.append((counting._JOIN, *children, w))
         else:
-            plan.append((counting._LEAF,))
+            plan.append((counting._LEAF, 0))
     return plan
 
 
@@ -1493,6 +1549,8 @@ def test_plan_matches_a_plain_compilation():
     for g, nd in cases:
         plan = counting._prepare(g, nd)
         assert plan == _reference_plan(g, nd)
+        # every op ends with its node's bag size
+        assert [op[-1] for op in plan] == [len(node.bag) for node in nd.nodes]
         kinds.update(op[0] for op in plan)
     assert kinds == {counting._LEAF, counting._INTRO, counting._FORGET,
                      counting._JOIN}

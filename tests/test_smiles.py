@@ -171,6 +171,24 @@ def test_load_corpus(tmp_path):
     assert corpus.molecules[1].name is None
 
 
+def test_load_corpus_rejects_lines_that_are_not_utf8(tmp_path):
+    # a stray byte costs its own line only; lines break where text mode
+    # breaks them, so the later numbers hold
+    path = tmp_path / "corpus.smi"
+    path.write_bytes(b"CCO\tethanol\n\xffCC\r\nC1CC1\tcp\rC\xe9\n"
+                     b"CC\x0cC\n")
+    corpus = load_corpus(path)
+    assert [(r.line, r.reason) for r in corpus.rejects] == [
+        (2, "'utf-8' codec can't decode byte 0xff in position 0: invalid"
+            " start byte"),
+        (4, "'utf-8' codec can't decode byte 0xe9 in position 1: unexpected"
+            " end of data"),
+        (5, "unsupported SMILES token '\\x0c' (offset 2)"),
+    ]
+    assert corpus.rejects[0].text == "\ufffdCC"
+    assert [m.name for m in corpus.molecules] == ["ethanol", "cp"]
+
+
 def test_load_corpus_empty(tmp_path):
     path = tmp_path / "empty.smi"
     path.write_text("", encoding="utf-8")
