@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from . import counting
-from .errors import ParseError, SizeLimitError, _ascii_int
-from .graph import Graph, parse_gr
+from .errors import ParseError, SizeLimitError, _ascii_int, _numbered_lines
+from .graph import Graph, _parse_gr_lines
 
 
 class ChainElement:
@@ -241,22 +241,22 @@ def parse_chain_file(text):
     """
     gr_lines = []
     found = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _numbered_lines(text):
         parts = raw.split()
-        if parts and parts[0] in ("l", "r"):
-            side = "left" if parts[0] == "l" else "right"
-            if side in found:
-                raise ParseError(f"duplicate '{parts[0]}' line", line=lineno)
-            try:
-                found[side] = ([_ascii_int(x) for x in parts[1:]], lineno)
-            except ValueError:
-                raise ParseError(f"non-integer {side} boundary", line=lineno)
-            raw = "c"  # keeps the .gr line numbers
-        gr_lines.append(raw)
+        if not parts or parts[0] not in ("l", "r"):
+            gr_lines.append((lineno, raw))
+            continue
+        side = "left" if parts[0] == "l" else "right"
+        if side in found:
+            raise ParseError(f"duplicate '{parts[0]}' line", line=lineno)
+        try:
+            found[side] = ([_ascii_int(x) for x in parts[1:]], lineno)
+        except ValueError:
+            raise ParseError(f"non-integer {side} boundary", line=lineno)
     if len(found) < 2:
         raise ParseError("chain element file needs 'l' and 'r' boundary lines",
                          line=1)
-    g = parse_gr("\n".join(gr_lines))
+    g = _parse_gr_lines(gr_lines)
     for ids, lineno in found.values():
         for v in ids:
             if not 1 <= v <= g.n:

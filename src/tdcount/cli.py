@@ -209,8 +209,9 @@ def cmd_stats(args):
     corpus = _corpus(args.corpus or bundled_path("corpus100.smi"))
     hist = {}
     for mol in corpus.molecules:
-        # the width of the decomposition the counters use
-        width = decomposition.decompose(mol.graph).width()
+        # the width of the decomposition the counters use, which make_nice
+        # keeps; read off the tree, so a width past its cap is counted too
+        width = decomposition._min_fill_tree(mol.graph).width()
         hist[width] = hist.get(width, 0) + 1
     lines = ["width,count"] + [f"{w},{hist[w]}" for w in sorted(hist)]
     text = "\n".join(lines) + "\n"

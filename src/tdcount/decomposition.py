@@ -25,7 +25,7 @@ from functools import partial
 from operator import itemgetter
 
 from .errors import DecompositionMismatch, ParseError, SizeLimitError, \
-    _ascii_int
+    _ascii_int, _numbered_lines
 
 # widest decomposition ``make_nice`` builds: it refuses a wider one before
 # it builds the O(w^2) vertex entries of a bag of w vertices. The counters'
@@ -492,10 +492,16 @@ def make_nice(td):
     return NiceDecomposition(nodes)
 
 
+def _min_fill_tree(g):
+    """The min-fill elimination tree of ``g``: ``decompose`` gives it in
+    nice form, ``tdcount stats`` reads its width, past ``MAX_WIDTH`` too."""
+    return decomposition_from_order(g, min_fill_order(g))
+
+
 def decompose(g):
     """The nice decomposition the counters use for ``g`` when none is given:
     the min-fill elimination tree in nice form."""
-    return make_nice(decomposition_from_order(g, min_fill_order(g)))
+    return make_nice(_min_fill_tree(g))
 
 
 def parse_td(text):
@@ -507,7 +513,7 @@ def parse_td(text):
     n_bags = n_vertices = None
     bags = {}
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _numbered_lines(text):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -571,15 +577,13 @@ def parse_td(text):
     parent = [-2] * n_bags
     parent[0] = -1
     stack = [0]
-    seen = 1
     while stack:
         b = stack.pop()
         for c in adj[b]:
             if parent[c] == -2:
                 parent[c] = b
-                seen += 1
                 stack.append(c)
-    if seen != n_bags:
+    if -2 in parent:
         raise ParseError("tree edges do not connect all bags", line=1)
     return TreeDecomposition([bags[i + 1] for i in range(n_bags)], parent, 0)
 

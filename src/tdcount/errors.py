@@ -1,4 +1,5 @@
-"""Shared exception types, and the integer reader of the text parsers."""
+"""Shared exception types, and the line and integer readers of the text
+parsers."""
 
 
 class ParseError(ValueError):
@@ -39,3 +40,15 @@ def _ascii_int(token, signed=True):
                             and token[1:].isdigit()):
         return int(token)
     raise ValueError(f"not an ASCII integer: {token!r}")
+
+
+def _numbered_lines(text):
+    """The lines of ``text`` with their 1-based numbers.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, where text mode ends them;
+    ``str.splitlines`` also ends one at a form feed, ``\\x85``, U+2028 and
+    others, and so cuts a comment line in two. One leading byte-order mark
+    is dropped.
+    """
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    return enumerate(text.split("\n"), 1)

@@ -8,7 +8,7 @@ are no multi-edges and no self-loops.
 
 from __future__ import annotations
 
-from .errors import ParseError, _ascii_int
+from .errors import ParseError, _ascii_int, _numbered_lines
 
 
 class Graph:
@@ -121,11 +121,17 @@ def parse_gr(text):
     Duplicate edge lines collapse silently; self-loops are errors. Comment
     lines starting with ``c`` are ignored.
     """
+    return _parse_gr_lines(_numbered_lines(text))
+
+
+def _parse_gr_lines(numbered):
+    """The ``.gr`` grammar over (line number, line) pairs: all lines of a
+    ``.gr`` file, or those of a chain element file that are not boundary
+    lines."""
     n = None
     m_declared = None
     edges = []
-    edge_lines = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in numbered:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -155,14 +161,11 @@ def parse_gr(text):
         if u == v:
             raise ParseError(f"self-loop at vertex {u}", line=lineno)
         edges.append((u - 1, v - 1))
-        edge_lines += 1
     if n is None:
         raise ParseError("missing 'p tw' header", line=1)
-    if edge_lines != m_declared:
-        raise ParseError(
-            f"header declares {m_declared} edges but found {edge_lines} edge lines",
-            line=1,
-        )
+    if len(edges) != m_declared:
+        raise ParseError(f"header declares {m_declared} edges but found "
+                         f"{len(edges)} edge lines", line=1)
     return Graph(n, edges)
 
 

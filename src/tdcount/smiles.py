@@ -201,12 +201,13 @@ def load_corpus(path):
     those that are not UTF-8 included, land in the rejects list instead of
     aborting the load. ``bytes.splitlines`` breaks lines where text mode
     does, at ``\\n``, ``\\r`` and ``\\r\\n``, so a line keeps its number
-    whether or not an earlier one decodes.
+    whether or not an earlier one decodes. One leading UTF-8 byte-order mark
+    is dropped.
     """
     molecules = []
     rejects = []
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
     for lineno, raw in enumerate(data.splitlines(), start=1):
         try:
             line = raw.decode("utf-8").strip()

@@ -295,6 +295,17 @@ def test_parse_chain_file():
         parse_chain_file("p tw 3 1\n1 2\nl 1\nr 2 3\n")
     with pytest.raises(ParseError, match=r"\(line 4\)"):
         parse_chain_file("p tw 2 1\nl 1\nr 2\n1 x\n")
+    # lines end at \n, \r\n or \r only: a form feed, \x85 or U+2028 stays
+    # inside its comment line, before the boundary lines or after them
+    for sep, mark in (("\n", "\x0c"), ("\r", "\x85"), ("\r\n", "\u2028")):
+        e = parse_chain_file(text.replace("\n", sep).replace("c comment",
+                                                            f"c a{mark}b"))
+        assert (e.g, e.left, e.right) == (parse_chain_file(text).g, (0, 1),
+                                          (4, 5))
+        with pytest.raises(ParseError,
+                           match=r"non-integer edge endpoints .*\(line 5\)"):
+            parse_chain_file(f"p tw 2 1{sep}l 1{sep}r 2{sep}c a{mark}b{sep}"
+                             f"1 x{sep}")
     # boundary ids are ASCII digits: no '+', '_' or digits of other scripts
     for bad in ("+2", "0_2", "\u0662", "\uff12"):
         with pytest.raises(ParseError, match=r"non-integer right boundary"):

@@ -215,6 +215,35 @@ def test_stats_small_corpus(tmp_path, capsys):
     ]
 
 
+def grid_smiles(k):
+    """The k x k grid as one SMILES: a row-by-row snake of C atoms, with each
+    other column edge a %nn ring closure numbered by column and row parity."""
+    atoms = []
+    for r in range(k):
+        down = k - 1 if r % 2 == 0 else 0  # the snake's column into row r+1
+        up = k - 1 if r % 2 else 0  # and from row r-1
+        for c in range(k) if r % 2 == 0 else reversed(range(k)):
+            atoms.append("C")
+            if r and c != up:
+                atoms.append(f"%{10 + k * ((r - 1) % 2) + c}")
+            if r < k - 1 and c != down:
+                atoms.append(f"%{10 + k * (r % 2) + c}")
+    return "".join(atoms)
+
+
+def test_stats_counts_widths_past_the_nice_form_cap(tmp_path, capsys):
+    # the 24x24 grid's min-fill width, 34, is past make_nice's MAX_WIDTH;
+    # stats reads widths off the tree and still counts it
+    grid = parse_smiles(grid_smiles(24)).graph
+    assert (grid.n, grid.m) == (576, 2 * 24 * 23)
+    corpus = tmp_path / "c.smi"
+    corpus.write_text(f"CCO\n{grid_smiles(24)}\tgrid\n")
+    code, out, err = run(["stats", "--corpus", str(corpus)], capsys)
+    assert code == 0
+    assert out == "width,count\n1,1\n34,1\n"
+    assert err == "accepted=2 rejected=0\n"
+
+
 def test_stats_empty_corpus(tmp_path, capsys):
     corpus = tmp_path / "empty.smi"
     corpus.write_text("")

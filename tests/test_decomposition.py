@@ -733,6 +733,10 @@ def test_parse_td_errors():
         ("c only a comment\n", "missing 's td' header", 1),
         ("s td 3 1 1\nb 1 1\nb 2 1\nb 3 1\n1 2\n2 1\n",
          "tree edges do not connect all bags", 1),
+        # a form feed, \x85 or U+2028 does not end a comment line
+        ("s td 1 1 1\nc a\x0cb\nb 1 x\n", "non-integer bag line", 3),
+        ("s td 1 1 1\rc a\x85b\rb 1 x\r", "non-integer bag line", 3),
+        ("s td 1 1 1\r\nc a\u2028b\r\nb 1 x\r\n", "non-integer bag line", 3),
     ]:
         with pytest.raises(ParseError, match=message) as err:
             parse_td(text)
@@ -740,9 +744,13 @@ def test_parse_td_errors():
 
 
 def test_parse_td_skips_comment_lines():
-    td = parse_td("c made by hand\ns td 2 2 2\nc bags\nb 1 1 2\nb 2 2\n1 2\n")
-    assert td.bags == [frozenset({0, 1}), frozenset({1})]
-    assert (td.parent, td.root) == ([-1, 0], 0)
+    text = "c made by hand\ns td 2 2 2\nc bags\nb 1 1 2\nb 2 2\n1 2\n"
+    # lines end at \n, \r\n or \r only, so these comments stay whole
+    for sep, mark in (("\n", " "), ("\n", "\x0c"), ("\r", "\x85"),
+                      ("\r\n", "\u2028")):
+        td = parse_td(text.replace("\n", sep).replace(" by ", f"{mark}by "))
+        assert td.bags == [frozenset({0, 1}), frozenset({1})]
+        assert (td.parent, td.root) == ([-1, 0], 0)
 
 
 def test_tree_decomposition_refuses_malformed_trees():

@@ -62,10 +62,21 @@ def test_header_required_and_wellformed():
         ("p tw \uff12 0\n", "non-integer header fields", 1),
         ("", "missing 'p tw' header", 1),
         ("c nothing but a comment\n", "missing 'p tw' header", 1),
+        # lines end at \n, \r\n or \r only: a form feed, \x85 or U+2028
+        # stays inside its comment line, and a leading byte-order mark is
+        # not part of the header
+        ("p tw 2 1\nc a\x0cb\n1 x\n", "non-integer edge endpoints", 3),
+        ("p tw 2 1\rc a\x85b\r1 x\r", "non-integer edge endpoints", 3),
+        ("p tw 2 1\r\nc a\u2028b\r\n1 x\r\n", "non-integer edge endpoints",
+         3),
+        ("\ufeffp tw 2 1\n1 x\n", "non-integer edge endpoints", 2),
     ]:
         with pytest.raises(ParseError, match=message) as err:
             parse_gr(text)
         assert err.value.line == line
+    for text in ("p tw 2 1\nc a\x0cb\n1 2\n", "p tw 2 1\rc a\x85b\r1 2\r",
+                 "p tw 2 1\r\nc a\u2028b\r\n1 2\r\n", "\ufeffp tw 2 1\n1 2\n"):
+        assert parse_gr(text) == Graph(2, [(0, 1)])
 
 
 def test_gr_round_trip():

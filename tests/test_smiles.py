@@ -169,6 +169,11 @@ def test_load_corpus(tmp_path):
     assert corpus.rejects[0].line == 4
     assert corpus.molecules[0].name == "ethanol"
     assert corpus.molecules[1].name is None
+    # one leading byte-order mark is not part of line 1; a later one is
+    path.write_bytes(b"\xef\xbb\xbfCCO\n\xef\xbb\xbfCC\n")
+    corpus = load_corpus(path)
+    assert [m.source for m in corpus.molecules] == ["CCO"]
+    assert [(r.line, r.text) for r in corpus.rejects] == [(2, "\ufeffCC")]
 
 
 def test_load_corpus_rejects_lines_that_are_not_utf8(tmp_path):
