@@ -45,19 +45,23 @@ In such a pass a join entry is a string of B-bit slots, and the two
 children's entries can differ a lot in length: min-fill's caterpillar trees
 join a short branch to a long spine, and a branch entry may hold small
 coefficients in slots of a few hundred bits. Multiplying the integers whole
-then spends most of its digit operations on zero padding. So a matching join
-runs its one pair loop once per slot table, from the highest (Horner's
-rule): before every slot but the first the output table is shifted left by
-B bits, then each pair adds its slot entry times the other child's entry
-into it. Where that takes fewer digit operations -- every coefficient of
-the child with the shorter entries fits one int digit
-(``sys.int_info.bits_per_digit``), its entries span two slots or more, and a
-slot spans at least two digits -- the slot tables are that child's B-bit
-coefficients, so each product has a one-digit factor and no accumulator
-table is needed. Otherwise, plain passes included, the one slot table is the
-sparser child whole. Products per join are counted once per combining pair.
-The pointwise independent-set join keeps whole products: it does one product
-per state, and there the split's per-slot shifts cost more than the padding.
+then spends most of its digit operations on zero padding. So one routine,
+``_match_join``, does every matching join, the forward one here and its
+transpose in ``insideout``'s outside walk alike, and runs its one pair loop
+once per slot table, from the highest (Horner's rule): before every slot but
+the first the output table is shifted left by B bits, then each pair adds
+its slot entry times the other operand's entry into it, and a row whose
+slot entry is 0 is skipped. Where that takes fewer digit operations --
+every coefficient of the operand with the shorter entries fits one int
+digit (``sys.int_info.bits_per_digit``), its entries span two slots or
+more, and a slot spans at least two digits -- the slot tables are that
+operand's B-bit coefficients (``_join_slots``), so each product has a
+one-digit factor and no accumulator table is needed. Otherwise, plain
+passes included, the one slot table is the operand the loop iterates,
+whole. Products are counted once per combining pair, and only in a traced
+pass. The pointwise independent-set join keeps whole products: it does one
+product per state, and there the split's per-slot shifts cost more than the
+padding.
 
 The kernel never adds, shifts or stores through a zero term. CPython's int
 addition copies the other operand when one is 0, so ``x + 0`` on an entry of
@@ -355,17 +359,17 @@ def _join_slots(t1, nz1, t2, nz2, shift):
     """Slot tables of a matching join: (whether they stand for t1, tables).
 
     B = shift (0 in a plain pass); nz1 and nz2 list the non-zero states of
-    tables t1 and t2, nz1 the shorter list. The child with the shorter
-    entries is split into its B-bit coefficients: table j holds coefficient
-    j of each of its non-zero entries (0 elsewhere), lowest slot first. The
-    split needs two slots or more, slots of at least two int digits, and
-    every coefficient within one digit, so that each slot costs one
-    one-digit product per pair. Where it would not, it costs no fewer digit
-    operations than multiplying whole entries, and the one table is t1
-    whole: the one-slot case.
+    tables t1 and t2, t1 the table ``_match_join`` iterates. The table
+    with the shorter entries is split into its B-bit coefficients: table j
+    holds coefficient j of each of its non-zero entries (0 elsewhere),
+    lowest slot first. The split needs two slots or more, slots of at least
+    two int digits, and every coefficient within one digit, so that each
+    slot costs one one-digit product per pair. Where it would not, it costs
+    no fewer digit operations than multiplying whole entries, and the one
+    table is t1 whole: the one-slot case.
     """
     whole = True, [t1]
-    if shift < 2 * _DIGIT or not nz1:
+    if shift < 2 * _DIGIT or not nz1 or not nz2:
         return whole
     top1 = max(t1[a] for a in nz1)
     top2 = max(t2[b] for b in nz2)
@@ -387,6 +391,71 @@ def _join_slots(t1, nz1, t2, nz2, shift):
             x >>= shift
             j += 1
     return narrow_first, slots
+
+
+def _match_join(p, q, w, shift, flip, traced):
+    """The one matching join of both directions: (out, products).
+
+    out[(s ^ flip) ^ h] sums p[s] × q[(full ^ flip) ^ h] over the non-zero
+    p[s] and every h within s, for full the w-bit bag. With flip = 0 that
+    is the forward join of children p and q: a and b combine iff a | b is
+    full, into a & b (h = full ^ b). With flip = full it is its transpose,
+    applied to the outside table q with the sibling's inside table p held
+    fixed: the child state (full ^ b) | h takes p[b] × q[h]. Forward, the
+    children commute, so p is the sparser one. h stays within the bag
+    vertices q's non-zero states allow.
+
+    The pair loop runs once per ``_join_slots`` table, highest slot first
+    (Horner's rule), shifting out left by B bits before every slot but the
+    first; a row whose slot coefficient is 0 is skipped. products, the
+    combining pairs of non-zero entries, is counted once, and only where
+    traced; else it is None.
+    """
+    nzp = [s for s, x in enumerate(p) if x]
+    nzq = [r for r, y in enumerate(q) if y]
+    if not flip and len(nzq) < len(nzp):
+        p, q, nzp, nzq = q, p, nzq, nzp
+    qbase = ((1 << w) - 1) ^ flip
+    live = 0
+    for r in nzq:
+        live |= r ^ qbase
+    out = [0] * (1 << w)
+    p_first, slots = _join_slots(p, nzp, q, nzq, shift)
+    for k, cj in enumerate(reversed(slots)):
+        if k:
+            for m, o in enumerate(out):
+                if o:
+                    out[m] = o << shift
+        v1, v2 = (cj, q) if p_first else (p, cj)
+        for s in nzp:
+            x = v1[s]
+            if not x:
+                continue
+            var = s & live
+            base = s ^ flip
+            h = var
+            while True:
+                y = v2[qbase ^ h]
+                if y:
+                    m = base ^ h
+                    o = out[m]
+                    out[m] = o + x * y if o else x * y
+                if h == 0:
+                    break
+                h = (h - 1) & var
+    products = None
+    if traced:
+        products = 0
+        for s in nzp:
+            var = s & live
+            h = var
+            while True:
+                if q[qbase ^ h]:
+                    products += 1
+                if h == 0:
+                    break
+                h = (h - 1) & var
+    return out, products
 
 
 def _add_passes(stats, passes):
@@ -512,53 +581,14 @@ def _inside(plan, mode, joins, shift, skip, tables=None):
             _, c1, c2, w = op
             t1 = tables[c1]
             t2 = tables[c2]
-            out = [0] * (1 << w)
             if is_ind:
+                out = [0] * (1 << w)
                 for m in range(1 << w):
                     out[m] = t1[m] * t2[m]
                 products = 1 << w
             else:
-                # states a and b combine iff a | b == full, into out[a & b];
-                # only pairs of non-zero entries are visited
-                full = (1 << w) - 1
-                nz1 = [a for a, x in enumerate(t1) if x]
-                nz2 = [b for b, y in enumerate(t2) if y]
-                if len(nz2) < len(nz1):
-                    t1, t2, nz1, nz2 = t2, t1, nz2, nz1
-                live2 = 0  # bag vertices child 2 can have matched
-                for b in nz2:
-                    live2 |= full ^ b
-                # Horner's rule over the slot tables, highest first: out =
-                # out * 2^B + slot entry times the other child's entry, over
-                # the same pairs for every slot, so products counts one slot
-                narrow_first, slots = _join_slots(t1, nz1, t2, nz2, shift)
-                for k, cj in enumerate(reversed(slots)):
-                    if k:
-                        for m, o in enumerate(out):
-                            if o:
-                                out[m] = o << shift
-                    v1, v2 = (cj, t2) if narrow_first else (t1, cj)
-                    products = 0
-                    for a in nz1:
-                        x = v1[a]
-                        # a vertex of a that child 2 cannot match stays
-                        # unmatched
-                        var = a & live2
-                        forced = a ^ var
-                        base = full ^ var
-                        h = var
-                        while True:
-                            b = base | h
-                            if t2[b]:
-                                products += 1
-                                y = v2[b]
-                                if x and y:
-                                    k = forced | h
-                                    o = out[k]
-                                    out[k] = o + x * y if o else x * y
-                            if h == 0:
-                                break
-                            h = (h - 1) & var
+                out, products = _match_join(t1, t2, w, shift, 0,
+                                            joins is not None)
             tables[i] = out
             if joins is not None:
                 joins[i] = (w, products)

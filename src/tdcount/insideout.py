@@ -9,6 +9,10 @@ entries into it; the answer is the dot product ``Σ_s inside[s] ·
 outside[s]`` at the cut. Outside entries hold only the graph above the cut,
 so a join near the root of a min-fill tree, long spine times short branch,
 becomes short times short, and the nodes above it work on short entries.
+A matching join is one routine in both directions,
+``counting._match_join``: its transpose splits the operand with the shorter
+entries into B-bit slots where the forward join would, and counts its
+products once per combining pair, only in a traced pass.
 
 This module states the one rule that picks the cut, in one process or
 split with ``run_all``'s forked child, before any table is built. The
@@ -18,13 +22,15 @@ cut, and a cut pass costs both parts and the dot product at the cut. In
 one process the two parts add. Split with the child, which builds the
 outside part while the parent builds the inside one, they overlap, so the
 pass costs the larger part plus the dot product; that may put the cut
-deeper than adding parts do: on the min-fill 7x30 grid at depth 59 of the
-heavy path's 246 nodes, against 29. ``_cut_depth`` prices every depth of
+deeper than adding parts do: on the min-fill 7x30 grid at depth 80 of the
+heavy path's 246 nodes, against 65. ``_cut_depth`` prices every depth of
 the heavy path in one walk, in ``_bit_work`` units: a cell written costs
 ``_CELL_WORK`` plus its length, a product ``_DIGIT_PRODUCT_WORK`` per digit
 product under CPython's schoolbook and Karatsuba rules, and entries are
-priced at half their bound. The root is always a candidate, and cut there
-the pass is the forward pass.
+priced at half their bound. A matching join's pair costs the same inside
+and outside (``_pair_work``): the cheaper of a whole product and the slot
+split. The root is always a candidate, and cut there the pass is the
+forward pass.
 
 Two kinds of pass are never priced. The model prices every cut of a
 join-free chain above the root (``_cut_depth``), so a plan without a join
@@ -46,7 +52,9 @@ from __future__ import annotations
 
 import math
 
-from .counting import _DIGIT, _FORGET, _INTRO, _JOIN, _LEAF, _below, _inside
+from .counting import (
+    _DIGIT, _FORGET, _INTRO, _JOIN, _LEAF, _below, _inside, _match_join,
+)
 
 # the cut's cost model in ``_bit_work`` units, the bits an addition writes:
 # one Python-level step on a cell, and one digit-by-digit product inside a
@@ -109,6 +117,19 @@ def _live(plan):
     return live
 
 
+def _pair_work(x, y, bits):
+    """Predicted work of one pair of a matching join, forward or
+    transposed, of x- and y-bit entries at B = bits: a cell written plus
+    the cheaper of a whole product and the Horner slot split
+    (``counting._match_join``), which multiplies the longer entry by one
+    digit per B-bit slot of the shorter and shifts the slots together."""
+    mul = _product_work(x, y)
+    if bits >= 2 * _DIGIT:
+        mul = min(mul, math.ceil(min(x, y) / bits)
+                  * (_product_work(_DIGIT, max(x, y)) + x + y))
+    return _CELL_WORK + mul + x + y
+
+
 def _node_work(plan, i, below, live, bits):
     """Predicted work of building node i's table in a pass at B = bits.
 
@@ -116,8 +137,7 @@ def _node_work(plan, i, below, live, bits):
     writes 2^|bag| cells and an introduce copies references. A join
     multiplies 2^|bag| pairs in ind mode; a matching join multiplies
     2^|l1 ^ l2| × 3^|l1 & l2| pairs, for l1 and l2 the bag vertices its
-    children can cover, each pair the cheaper of a whole product and the
-    Horner slot split.
+    children can cover, each priced by ``_pair_work``.
     """
     op = plan[i]
     code = op[0]
@@ -129,17 +149,12 @@ def _node_work(plan, i, below, live, bits):
     _, c1, c2, w = op
     x = half * (below[c1] + 1)
     y = half * (below[c2] + 1)
-    mul = _product_work(x, y)
     if live is None:
-        pairs = 1 << w
-    else:
-        l1, l2 = live[c1], live[c2]
-        both = (l1 & l2).bit_count()
-        pairs = 2 ** ((l1 | l2).bit_count() - both) * 3 ** both
-        if bits >= 2 * _DIGIT:
-            mul = min(mul, math.ceil(min(x, y) / bits)
-                      * (_product_work(_DIGIT, max(x, y)) + x + y))
-    return pairs * (_CELL_WORK + mul + x + y)
+        return (1 << w) * (_CELL_WORK + _product_work(x, y) + x + y)
+    l1, l2 = live[c1], live[c2]
+    both = (l1 & l2).bit_count()
+    pairs = 2 ** ((l1 | l2).bit_count() - both) * 3 ** both
+    return pairs * _pair_work(x, y, bits)
 
 
 def _cut_depth(plan, mode, bits, split=False):
@@ -161,7 +176,8 @@ def _cut_depth(plan, mode, bits, split=False):
     are forgotten, B × (n - f + 1) / 2 outside it. Outside, a forget
     writes twice the cells it writes inside, and an introduce in ind mode
     adds. A join multiplies the off-path child's inside entries by its own
-    outside entries and takes every state of the path side as non-zero.
+    outside entries, a matching join's pairs priced as inside
+    (``_pair_work``), and takes every state of the path side as non-zero.
     The dot product multiplies the cut's non-zero inside entries by its
     outside entries.
 
@@ -198,14 +214,13 @@ def _cut_depth(plan, mode, bits, split=False):
         elif code == _JOIN:
             _, c1, c2, w = op
             sib = c1 if child == c2 else c2
+            x = half * (below[sib] + 1)
             if is_ind:
-                pairs = 1 << w
+                outs += (1 << w) * (_CELL_WORK + _product_work(x, out_len)
+                                    + x + out_len)
             else:
                 ls = live[sib].bit_count()
-                pairs = 2 ** (w - ls) * 3 ** ls
-            x = half * (below[sib] + 1)
-            outs += pairs * (_CELL_WORK + _product_work(x, out_len)
-                             + x + out_len)
+                outs += 2 ** (w - ls) * 3 ** ls * _pair_work(x, out_len, bits)
         x = half * (below[child] + 1)
         y = half * (n - below[child] + 1)
         cells = 2 ** (plan[child][-1] if is_ind
@@ -280,10 +295,11 @@ def _run_cut(plan, mode, joins, shift, path, child=None):
 def _transpose(plan, node, child, tables, o, mode, joins, shift):
     """The transpose of node's op, as a map from child's table, applied to o.
 
-    mode is 'match' or 'ind'. At a join the op is linear in child, with the other child's inside
-    table in ``tables`` held fixed. Zero terms are skipped as in the
-    forward pass, and a join records its bag size and the products it
-    performs in joins, unless that is None.
+    mode is 'match' or 'ind'. At a join the op is linear in child, with
+    the other child's inside table in ``tables`` held fixed; a matching
+    join is ``counting._match_join`` transposed. Zero terms are skipped as
+    in the forward pass, and a join records its bag size and the products
+    it performs in joins, unless that is None.
     """
     is_ind = mode == "ind"
     op = plan[node]
@@ -338,32 +354,8 @@ def _transpose(plan, node, child, tables, o, mode, joins, shift):
             out = [x * y for x, y in zip(t, o)]
             products = 1 << w
         else:
-            # forward: out[a & b] += t1[a] * t2[b] where a | b == full;
-            # here a is the child's state and b the sibling's, so the
-            # child's a = (full ^ b) | h takes t[b] * o[h] for h within b
-            full = (1 << w) - 1
-            out = [0] * (1 << w)
-            live = 0  # states o can be non-zero in
-            for h, y in enumerate(o):
-                if y:
-                    live |= h
-            products = 0
-            for b, x in enumerate(t):
-                if not x:
-                    continue
-                var = b & live
-                forced = full ^ b
-                h = var
-                while True:
-                    y = o[h]
-                    if y:
-                        products += 1
-                        a = forced | h
-                        z = out[a]
-                        out[a] = z + x * y if z else x * y
-                    if h == 0:
-                        break
-                    h = (h - 1) & var
+            out, products = _match_join(t, o, w, shift, (1 << w) - 1,
+                                        joins is not None)
         if joins is not None:
             joins[node] = (w, products)
     return out

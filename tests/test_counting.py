@@ -3,6 +3,7 @@ import math
 import os
 import pickle
 import random
+import sys
 import threading
 
 import pytest
@@ -933,7 +934,7 @@ def test_slot_width_gate_on_the_benchmark_inputs(monkeypatch):
     # per grid size n, the cut depths the rule picks: in process for each
     # priced pass (matching, then independence), then the matching pass
     # split with a child
-    want_depths = {150: [42, 71], 180: [32, 91, 57], 210: [29, 102, 59]}
+    want_depths = {150: [71, 82], 180: [53, 91, 79], 210: [65, 102, 80]}
     for g in grids + [ladder_graph(600), _hexagon_chain(300)]:
         nd = minfill_nice(g)
         assert (nd.join_count() > 0) == (g in grids)
@@ -1025,13 +1026,28 @@ def _atlas_graphs():
 
 
 @pytest.mark.parametrize("mode", ["match", "ind"])
-def test_transposed_ops_are_adjoint(mode):
+def test_transposed_ops_are_adjoint(mode, monkeypatch):
     # <op(x), y> == <x, op^T(y)> for the op of every node and each child,
     # with x the child's table from the forward pass and y random, in plain
-    # and shifted passes. A perfect-matching pass is never cut
+    # and shifted passes. A perfect-matching pass is never cut. At B = two
+    # int digits a sibling entry that spans two slots or more has one-digit
+    # coefficients, and y entries 70 bits longer than the node's own are
+    # longer than the sibling's, so a matching join's transpose splits the
+    # sibling into slots
     from tdcount import parse_smiles
     from conftest import CAFFEINE_SMILES
 
+    slot_counts = []
+    real_join_slots = counting._join_slots
+
+    def join_slots(*args):
+        first, slots = real_join_slots(*args)
+        slot_counts.append(len(slots) if first else 1)
+        return first, slots
+
+    monkeypatch.setattr(counting, "_join_slots", join_slots)
+    slotted = 2 * sys.int_info.bits_per_digit
+    split = 0
     rng = random.Random(5)
     k24 = Graph(6, [(u, v) for u in (0, 1) for v in range(2, 6)])
     cases = [(k24, make_nice(TreeDecomposition(
@@ -1047,19 +1063,26 @@ def test_transposed_ops_are_adjoint(mode):
     for g, nd in cases:
         plan = counting._plan_for(g, nd)
         total = counting._run(plan, mode, None)
-        for shift in (0, total.bit_length()):
+        for shift in (0, total.bit_length(), slotted):
             tables = counting._inside(plan, mode, None, shift, [],
                                       _Kept(len(plan)))
             for node, op in enumerate(plan):
+                bits = 70
+                if shift == slotted:
+                    bits += max(x.bit_length() for x in tables[node])
                 for child in _children(op):
-                    y = [rng.choice((0, rng.randrange(1, 1 << 70)))
+                    y = [rng.choice((0, rng.randrange(1, 1 << bits)))
                          for _ in tables[node]]
+                    slot_counts.clear()
                     yt = insideout._transpose(plan, node, child, tables, y,
                                               mode, None, shift)
                     assert len(yt) == len(tables[child])
                     assert _dot(tables[node], y) == _dot(tables[child], yt)
                     seen.add(op[0])
+                    split += any(k >= 2 for k in slot_counts)
     assert seen == {counting._INTRO, counting._FORGET, counting._JOIN}
+    # the split is the matching join's only
+    assert (split > 0) == (mode == "match")
 
 
 def test_forced_cuts_agree_at_every_depth_on_the_oracle_graphs():

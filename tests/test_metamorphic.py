@@ -3,7 +3,8 @@
 Every graph here has more vertices and edges than the oracles accept, and
 its min-fill decomposition has joins. The counts are checked against each
 other instead: across decompositions with and without joins, across vertex
-relabellings, through the deletion recurrences and over disjoint unions.
+relabellings, through the deletion recurrences, over disjoint unions and
+across the two modes of the kernel through line graphs.
 """
 
 import os
@@ -30,7 +31,7 @@ from tdcount import (
 )
 from tdcount.oracle import ORACLE_MAX_EDGES, ORACLE_MAX_VERTICES
 from conftest import minfill_nice
-from test_counting import grid_graph
+from test_counting import _hexagon_chain, grid_graph
 
 # random elimination orders on these graphs reach width 18; past 10 a
 # run_all takes seconds, so orders are redrawn until the width is at most 10
@@ -220,17 +221,27 @@ def bfs_nice(g):
 def split_calls(monkeypatch):
     """Spy on the shifted matching join's coefficient split.
 
-    One record per matching join, plain passes (shift 0) included:
-    (whether it split, whether the rule's slot conditions hold -- a shift
-    of two int digits or more and two slots or more --, whether every B-bit
-    coefficient of the child with the shorter entries fits one digit,
-    whether the child split is that child).
+    One record per matching join, plain passes (shift 0) and the joins
+    the outside walk of a cut pass transposes included: (whether it split,
+    whether the rule's slot conditions hold -- a shift of two int digits or
+    more and two slots or more --, whether every B-bit coefficient of the
+    operand with the shorter entries fits one digit, whether the operand
+    split is that one, whether the join was transposed).
     """
-    from tdcount import counting
+    from tdcount import counting, insideout
 
     digit = sys.int_info.bits_per_digit
     real = counting._join_slots
+    real_transpose = insideout._transpose
     calls = []
+    outside = [False]
+
+    def transpose(*args):
+        outside[0] = True
+        try:
+            return real_transpose(*args)
+        finally:
+            outside[0] = False
 
     def spy(t1, nz1, t2, nz2, shift):
         first, slots = real(t1, nz1, t2, nz2, shift)
@@ -245,10 +256,11 @@ def split_calls(monkeypatch):
         split = len(slots) > 1
         assert split or (first and slots[0] is t1)
         narrow = not split or (top1 <= top2 if first else top2 <= top1)
-        calls.append((split, slotted, fits, narrow))
+        calls.append((split, slotted, fits, narrow, outside[0]))
         return first, slots
 
     monkeypatch.setattr(counting, "_join_slots", spy)
+    monkeypatch.setattr(insideout, "_transpose", transpose)
     return calls
 
 
@@ -275,11 +287,14 @@ def test_split_joins_agree_with_path_decompositions(monkeypatch):
         with monkeypatch.context() as plain:
             plain.setattr(counting, "_FORK_WORK", 0)
             assert answers(run_all(g, minfill)) == want
-    assert any(split for split, _, _, _ in calls)
-    # every join splits exactly where the cost rule allows, and splits the
-    # child with the shorter entries
+    # the 5x30 grid's matching-polynomial pass is cut below the root, and
+    # the outside walk's joins split too
+    assert any(split and not transposed for split, *_, transposed in calls)
+    assert any(split and transposed for split, *_, transposed in calls)
+    # every join, forward or transposed, splits exactly where the cost rule
+    # allows, and splits the operand with the shorter entries
     assert all(split == (slotted and fits) and narrow
-               for split, slotted, fits, narrow in calls)
+               for split, slotted, fits, narrow, _ in calls)
 
     # two 2x60 ladders joined over an empty bag: each one's matching
     # coefficients reach 98 bits, so the join multiplies whole entries
@@ -288,7 +303,7 @@ def test_split_joins_agree_with_path_decompositions(monkeypatch):
     assert nd.join_count() == 1
     assert answers(run_all(ladders, nd)) == \
         answers(run_all(ladders, bfs_nice(ladders)))
-    assert (False, True, False, True) in calls
+    assert (False, True, False, True, False) in calls
 
     # the split visits each combining pair once per slot but records it
     # once: the shifted pass cut at the root makes the same products as
@@ -305,9 +320,52 @@ def test_split_joins_agree_with_path_decompositions(monkeypatch):
     joins = nd.join_count()
     passes = [stats.join_bags[k * joins:(k + 1) * joins] for k in range(4)]
     assert [sum(p for _, p in bags) for bags in passes] == \
-        [5692, 3344, 6430, 3344]
+        [5692, 3344, 6926, 3344]
     assert passes[3] == passes[1]
     root = DpStats()
     counting._run(counting._plan_for(g, nd), "match", root,
                   hosoya.bit_length())
     assert root.join_bags == passes[0]
+
+
+def line_graph(g):
+    """L(g): a vertex per edge of g, in sorted order, two of them adjacent
+    where their edges share an endpoint."""
+    ends = {}
+    for k, (u, v) in enumerate(g.sorted_edges()):
+        ends.setdefault(u, []).append(k)
+        ends.setdefault(v, []).append(k)
+    return Graph(g.m, [(a, b) for at in ends.values()
+                       for i, a in enumerate(at) for b in at[i + 1:]])
+
+
+def test_line_graph_independence_is_matching(monkeypatch):
+    # a matching of g is an independent set of L(g) of the same size, so
+    # the ind mode over L(g) gives the match mode's polynomial over g.
+    # L(4x12 grid) has min-fill width 8 and joins; at _FORK_WORK = 0 its
+    # independence polynomial takes the plain path, whose shifted pass is
+    # cut below the root. One CPU of affinity keeps every pass here
+    from tdcount import counting, insideout
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    cases = [grid_graph(4, 12), _hexagon_chain(30), ladder_graph(200)]
+    for g in cases:
+        want = matching_polynomial(g, minfill_nice(g))
+        lg = line_graph(g)
+        nd = minfill_nice(lg)
+        for fork_work in (counting._FORK_WORK, 0):
+            with monkeypatch.context() as gate:
+                gate.setattr(counting, "_FORK_WORK", fork_work)
+                assert independence_polynomial(lg, nd) == want
+                report = run_all(lg, nd)
+            assert report.independence_poly == want
+            assert report.independent_sets == count_matchings(
+                g, minfill_nice(g))
+    lg = line_graph(cases[0])
+    nd = minfill_nice(lg)
+    assert nd.width() == 8 and nd.join_count() > 0
+    plan = counting._plan_for(lg, nd)
+    bits = counting._run(plan, "ind", None).bit_length()
+    _, cost = insideout._cut_depth(plan, "ind", bits)
+    assert min(cost) < cost[0]
