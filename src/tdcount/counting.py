@@ -1,7 +1,7 @@
 """Counting dynamic programs over nice decompositions.
 
 Five counters share one bag-local state machine: a table per decomposition
-node maps subsets of the bag (as bitmasks over the sorted bag) to counts.
+node maps subsets of the bag (as bitmasks over its layout, below) to counts.
 
 State semantics per counter, for node b with bag X and subset M:
 
@@ -13,15 +13,28 @@ State semantics per counter, for node b with bag X and subset M:
 * independent sets -- independent sets I of the graph below b with
   ``I ∩ X = M``.
 
+Each node lays its bag out in introduction order: bit q of a state stands
+for the q-th vertex of its layout. An introduced vertex takes the top bit,
+a forget closes the gap its vertex leaves, and a join keeps its second
+child's layout. So an introduce copies its child's table into two halves,
+the states without the new vertex first: ``[0] * len(child) + child`` for
+(perfect) matchings, where the new vertex is left for above, and for
+independent sets the child's table, then a copy of it zeroed wherever a
+neighbour of the new vertex is chosen. The two children of a join hold the
+same bag but may have introduced it in different orders; the plan holds a
+state map from the first child's layout into the second's (``_prepare``),
+and a join moves the first child's non-zero entries through it.
+
 Joins for (perfect) matchings split the covered bag vertices between the two
 subtrees: child states a and b combine iff ``a | b`` is the whole bag, into
 state ``a & b``. The join visits only non-zero entries of the sparser child
 and, for each, only the states of the other child that can combine with it
-and match no bag vertex that other child never matches. Its work is the
-number of combining pairs of non-zero entries, at most 3^|bag|; a child
-branch that ``make_nice`` grew to the join bag by introductions leaves those
-fresh vertices unmatched, so most pairs are never visited. Joins for
-independent sets multiply tables pointwise.
+and match no bag vertex that other child never matches: it walks those
+subsets, or where the other child has fewer non-zero states, scans them.
+Its work is the number of combining pairs of non-zero entries, at most
+3^|bag|; a child branch that ``make_nice`` grew to the join bag by
+introductions leaves those fresh vertices unmatched, so most pairs are
+never visited. Joins for independent sets multiply tables pointwise.
 
 The size polynomials run the same traversal (Kronecker substitution). With a
 variable x for structure size, every table entry is a polynomial in x, and
@@ -109,6 +122,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from operator import mul
 
 from .decomposition import FORGET, INTRODUCE, JOIN, _check_grammar
 from .errors import DecompositionMismatch, SizeLimitError
@@ -204,18 +218,23 @@ class DpStats:
 def _prepare(g, nd):
     """Check that nd describes g and compile it into per-node instructions.
 
-    ``_check_grammar`` checks nd alone and gives each v's bag position.
-    Here every introduced vertex must be in 0..n-1 and every vertex of g
-    forgotten, which the grammar makes exactly once. With an empty root
-    bag and no orphan node, an edge can then only be seen as a pair at the
-    forget of its earlier endpoint, at most once, so counting pairs checks
-    coverage.
+    ``_check_grammar`` checks nd alone. Here every introduced vertex must
+    be in 0..n-1 and every vertex of g forgotten, which the grammar makes
+    exactly once. With an empty root bag and no orphan node, an edge can
+    then only be seen as a pair at the forget of its earlier endpoint, at
+    most once, so counting pairs checks coverage.
 
+    Bit q of a node's states stands for vertex q of its layout, the bag in
+    introduction order (module docstring): an introduce appends its vertex,
+    a forget removes its own, and a join takes its second child's layout.
     Every op ends with its node's bag size w: ``(_LEAF, 0)``, ``(_INTRO,
-    child, p, neighbour mask, w)``, ``(_FORGET, child, p, pairs, w)`` and
-    ``(_JOIN, c1, c2, w)``, with p the bag position of the introduced
-    vertex, or of the forgotten one in the child's bag. So ``op[-1]`` reads
-    it for every kind.
+    child, neighbour mask, w)``, ``(_FORGET, child, p, pairs, w)`` and
+    ``(_JOIN, c1, c2, state map, w)``. The introduced vertex takes bit
+    w - 1, and the neighbour mask marks its neighbours among bits 0..w-2; p
+    is the forgotten vertex's bit in the child's layout. A join's state map
+    is None where its children lay the bag out alike, else ``_state_map``
+    of the bit permutation from c1's layout into c2's, built once per
+    permutation. So ``op[-1]`` reads the bag size for every kind.
 
     The same loop sums the cells the tables of one pass take, Σ 2^|bag|,
     and above ``MAX_CELLS`` it raises ``SizeLimitError`` before any table
@@ -226,8 +245,12 @@ def _prepare(g, nd):
     n = g.n
     adj = g._adj
     nodes = nd._nodes
-    pos = _check_grammar(nodes)
+    _check_grammar(nodes)
     plan = [None] * len(nodes)
+    # each node's layout; a node's one parent takes its list over
+    layouts = [None] * len(nodes)
+    # the state map of each bit permutation met at a join
+    state_maps = {}
     forgets = 0
     pair_count = 0
     cells = 0
@@ -240,28 +263,41 @@ def _prepare(g, nd):
                 raise DecompositionMismatch(
                     f"introduced vertex {v} outside 0..{n - 1}"
                 )
+            layout = layouts[children[0]]
             nbrs = adj[v]
             nbr_mask = 0
-            for q, u in enumerate(bag):
+            for q, u in enumerate(layout):
                 if u in nbrs:
                     nbr_mask |= 1 << q
-            plan[i] = (_INTRO, children[0], pos[i], nbr_mask, w)
+            layout.append(v)
+            plan[i] = (_INTRO, children[0], nbr_mask, w)
         elif kind == FORGET:
-            p = pos[i]
+            layout = layouts[children[0]]
+            p = layout.index(v)
+            del layout[p]
             forgets += 1
             nbrs = adj[v]
             pairs = tuple([
                 (1 << q, 1 << (q if q < p else q + 1))
-                for q, u in enumerate(bag)
+                for q, u in enumerate(layout)
                 if u in nbrs
             ])
             pair_count += len(pairs)
             plan[i] = (_FORGET, children[0], p, pairs, w)
         elif kind == JOIN:
             c1, c2 = children
-            plan[i] = (_JOIN, c1, c2, w)
+            layout = layouts[c2]
+            smap = None
+            if layout != layouts[c1]:
+                perm = tuple(map(layout.index, layouts[c1]))
+                smap = state_maps.get(perm)
+                if smap is None:
+                    smap = state_maps[perm] = _state_map(perm)
+            plan[i] = (_JOIN, c1, c2, smap, w)
         else:
+            layout = []
             plan[i] = (_LEAF, 0)
+        layouts[i] = layout
 
     if forgets != n:
         forgotten = {node.v for node in nd.nodes if node.kind == FORGET}
@@ -283,6 +319,51 @@ def _prepare(g, nd):
             f" budget of {MAX_CELLS}"
         )
     return plan
+
+
+def _state_map(perm):
+    """The state map of bit permutation perm: per state r, the state with
+    bit perm[j] set for each bit j set in r, as ``bytes`` (``_join_map``
+    reads it).
+
+    Each state is one word of native byte order, 1 byte wide up to 8 bits,
+    2 up to 16, else 4. The 81 joins of the min-fill 7x30 grid map 22,080
+    states through 35 distinct maps of 9,280; as int objects they would
+    add to the peak memory of every request, and importing ``array`` alone
+    adds 0.6 MB to a process. The map is built as one int holding every
+    word: each bit of perm doubles the words, the new half the old with
+    the bit added to every word.
+    """
+    w = len(perm)
+    size = 1 if w <= 8 else 2 if w <= 16 else 4
+    word = 8 * size
+    # the bytes of a word run the other way on a big-endian host
+    swap = 8 * (size - 1) if sys.byteorder == "big" else 0
+    table, ones = 0, 1
+    for t, j in enumerate(perm):
+        shift = word << t
+        table |= (table + (ones << (j ^ swap))) << shift
+        ones |= ones << shift
+    return table.to_bytes(size << w, "little")
+
+
+def _join_map(op):
+    """Join op's state map (``_state_map``) as a sequence of ints, or None
+    where its children lay the bag out alike."""
+    smap = op[3]
+    if smap is not None and len(smap) > 1 << op[-1]:
+        return memoryview(smap).cast("H" if len(smap) == 2 << op[-1] else "I")
+    return smap
+
+
+def _in_join_layout(t, smap):
+    """Table t of a join's first child in the join's layout: with smap the
+    join's state map, the child's state r is the join's state smap[r]."""
+    out = [0] * len(t)
+    for m, y in zip(smap, t):
+        if y:
+            out[m] = y
+    return out
 
 
 def _below(plan):
@@ -393,7 +474,7 @@ def _join_slots(t1, nz1, t2, nz2, shift):
     return narrow_first, slots
 
 
-def _match_join(p, q, w, shift, flip, traced):
+def _match_join(p, q, w, shift, flip, traced, smap=None):
     """The one matching join of both directions: (out, products).
 
     out[(s ^ flip) ^ h] sums p[s] × q[(full ^ flip) ^ h] over the non-zero
@@ -401,24 +482,39 @@ def _match_join(p, q, w, shift, flip, traced):
     is the forward join of children p and q: a and b combine iff a | b is
     full, into a & b (h = full ^ b). With flip = full it is its transpose,
     applied to the outside table q with the sibling's inside table p held
-    fixed: the child state (full ^ b) | h takes p[b] × q[h]. Forward, the
-    children commute, so p is the sparser one. h stays within the bag
+    fixed: the child state (full ^ b) | h takes p[b] × q[h]. Given the
+    join's state map smap, p is laid out as the join's first child, and
+    only its non-zero entries are moved into the join's layout. Forward,
+    the children commute, so p is the sparser one. h stays within the bag
     vertices q's non-zero states allow.
 
-    The pair loop runs once per ``_join_slots`` table, highest slot first
-    (Horner's rule), shifting out left by B bits before every slot but the
-    first; a row whose slot coefficient is 0 is skipped. products, the
-    combining pairs of non-zero entries, is counted once, and only where
-    traced; else it is None.
+    A row s walks the 2^|s & live| such h. Forward, where q has fewer
+    non-zero states than that, the row scans them instead, taking each r
+    with ``s | r == full`` into ``s & r``: the same pairs. A transposed
+    row always walks. The pair loop runs once per ``_join_slots`` table,
+    highest slot first (Horner's rule), shifting out left by B bits before
+    every slot but the first; a row whose slot coefficient is 0 is
+    skipped. products, the combining pairs of non-zero entries, is counted
+    once by walking, and only where traced; else it is None.
     """
     nzp = [s for s, x in enumerate(p) if x]
+    if smap is not None:
+        mapped = [0] * len(p)
+        for s in nzp:
+            mapped[smap[s]] = p[s]
+        p = mapped
+        nzp = [smap[s] for s in nzp]
     nzq = [r for r, y in enumerate(q) if y]
     if not flip and len(nzq) < len(nzp):
         p, q, nzp, nzq = q, p, nzq, nzp
-    qbase = ((1 << w) - 1) ^ flip
+    full = (1 << w) - 1
+    qbase = full ^ flip
     live = 0
     for r in nzq:
         live |= r ^ qbase
+    # a forward row s scans nzq once |s & live| reaches this, that is once
+    # it has more subsets to walk than nzq has states
+    scan_from = w + 1 if flip else len(nzq).bit_length()
     out = [0] * (1 << w)
     p_first, slots = _join_slots(p, nzp, q, nzq, shift)
     for k, cj in enumerate(reversed(slots)):
@@ -432,6 +528,15 @@ def _match_join(p, q, w, shift, flip, traced):
             if not x:
                 continue
             var = s & live
+            if var.bit_count() >= scan_from:
+                for r in nzq:
+                    if s | r == full:
+                        y = v2[r]
+                        if y:
+                            m = s & r
+                            o = out[m]
+                            out[m] = o + x * y if o else x * y
+                continue
             base = s ^ flip
             h = var
             while True:
@@ -521,24 +626,21 @@ def _inside(plan, mode, joins, shift, skip, tables=None):
         if code == _LEAF:
             tables[i] = [1]
         elif code == _INTRO:
-            _, c, p, nbr_mask, w = op
+            # the introduced vertex takes the top bit: the states without
+            # it are the child's, those with it follow
+            _, c, nbr_mask, w = op
             child = tables[c]
-            out = [0] * (1 << w)
-            # the child state cm is base = cm + (cm & high) here: its bits
-            # from position p up move up one, which leaves bit p clear
-            bit = 1 << p
-            high = -bit
-            if is_ind:
-                for cm, val in enumerate(child):
-                    if val:
-                        base = cm + (cm & high)
-                        out[base] = val
-                        if not base & nbr_mask:
-                            out[base | bit] = val
+            if not is_ind:
+                # left for the part above: always in M
+                out = [0] * len(child) + child
             else:
-                for cm, val in enumerate(child):
-                    if val:
-                        out[(cm + (cm & high)) | bit] = val
+                # chosen too, where no neighbour is chosen
+                out = child + child
+                if nbr_mask:
+                    top = len(child)
+                    for cm in range(top):
+                        if cm & nbr_mask:
+                            out[top + cm] = 0
             tables[i] = out
             tables[c] = None
         elif code == _FORGET:
@@ -578,17 +680,18 @@ def _inside(plan, mode, joins, shift, skip, tables=None):
             tables[i] = out
             tables[c] = None
         else:  # _JOIN
-            _, c1, c2, w = op
+            _, c1, c2, _, w = op
+            smap = _join_map(op)
             t1 = tables[c1]
             t2 = tables[c2]
             if is_ind:
-                out = [0] * (1 << w)
-                for m in range(1 << w):
-                    out[m] = t1[m] * t2[m]
+                if smap is not None:
+                    t1 = _in_join_layout(t1, smap)
+                out = list(map(mul, t1, t2))
                 products = 1 << w
             else:
                 out, products = _match_join(t1, t2, w, shift, 0,
-                                            joins is not None)
+                                            joins is not None, smap)
             tables[i] = out
             if joins is not None:
                 joins[i] = (w, products)

@@ -350,13 +350,10 @@ def _check_grammar(nodes):
     bag with v inserted in order at an introduce node (v non-negative and
     not in it), with v removed at a forget node, and both children's bags
     at a join; so every bag is strictly increasing. No vertex is forgotten
-    twice, the root bag is empty and every node is below the root. Returns,
-    per node, the position of v in the introduce node's bag or the forget
-    node's child bag (None elsewhere).
+    twice, the root bag is empty and every node is below the root.
     """
     has_parent = [False] * len(nodes)
     forgotten = set()
-    pos = [None] * len(nodes)
     for i, (bag, kind, v, children) in enumerate(nodes):
         for c in children:
             if type(c) is not int or not 0 <= c < i or has_parent[c]:
@@ -379,7 +376,6 @@ def _check_grammar(nodes):
                 raise DecompositionMismatch(
                     f"introduce {i} bag equation violated"
                 )
-            pos[i] = p
         elif kind == FORGET:
             if len(children) != 1:
                 raise _arity_error(i, kind, children)
@@ -396,7 +392,6 @@ def _check_grammar(nodes):
                     f"vertex {v} not forgotten exactly once (again at forget {i})"
                 )
             forgotten.add(v)
-            pos[i] = p
         elif kind == JOIN:
             if len(children) != 2:
                 raise _arity_error(i, kind, children)
@@ -417,7 +412,6 @@ def _check_grammar(nodes):
     orphans = [i for i in range(root) if not has_parent[i]]
     if orphans:
         raise DecompositionMismatch(f"nodes {orphans} not below the root")
-    return pos
 
 
 def make_nice(td):
@@ -509,8 +503,10 @@ def parse_td(text):
 
     Grammar: ``s td <#bags> <width+1> <n>``, bag lines ``b <id> <vertices...>``
     and tree edge lines ``<i> <j>``; everything 1-based, ``c`` comments allowed.
+    A bag of more vertices than the header's ``width+1`` is an error at its
+    line; the header may declare more than any bag holds.
     """
-    n_bags = n_vertices = None
+    n_bags = n_vertices = bag_size = None
     bags = {}
     edges = []
     for lineno, raw in _numbered_lines(text):
@@ -524,11 +520,13 @@ def parse_td(text):
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError(f"malformed header {line!r}", line=lineno)
             try:
-                n_bags, _, n_vertices = map(_ascii_int, parts[2:5])
+                n_bags, bag_size, n_vertices = map(_ascii_int, parts[2:5])
             except ValueError:
                 raise ParseError(f"non-integer header fields in {line!r}", line=lineno)
             if n_bags < 1:
                 raise ParseError("decomposition needs at least one bag", line=lineno)
+            if bag_size < 0 or n_vertices < 0:
+                raise ParseError("negative counts in header", line=lineno)
             continue
         if n_bags is None:
             raise ParseError("content before 's td' header", line=lineno)
@@ -547,7 +545,12 @@ def parse_td(text):
             for v in verts:
                 if not 1 <= v <= n_vertices:
                     raise ParseError(f"bag vertex {v} out of range", line=lineno)
-            bags[bid] = frozenset(v - 1 for v in verts)
+            bag = frozenset(v - 1 for v in verts)
+            if len(bag) > bag_size:
+                raise ParseError(
+                    f"bag {bid} has {len(bag)} vertices, more than the"
+                    f" header's {bag_size}", line=lineno)
+            bags[bid] = bag
             continue
         if len(parts) != 2:
             raise ParseError(f"malformed tree edge line {line!r}", line=lineno)

@@ -152,10 +152,16 @@ def _parse_gr_lines(numbered):
             raise ParseError("edge line before 'p tw' header", line=lineno)
         if len(parts) != 2:
             raise ParseError(f"malformed edge line {line!r}", line=lineno)
-        try:
-            u, v = _ascii_int(parts[0]), _ascii_int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer edge endpoints in {line!r}", line=lineno)
+        a, b = parts
+        # one test for the whole line; ``_ascii_int`` reads the rest
+        if line.isascii() and a.isdigit() and b.isdigit():
+            u, v = int(a), int(b)
+        else:
+            try:
+                u, v = _ascii_int(a), _ascii_int(b)
+            except ValueError:
+                raise ParseError(f"non-integer edge endpoints in {line!r}",
+                                 line=lineno)
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(f"vertex id out of range in {line!r}", line=lineno)
         if u == v:

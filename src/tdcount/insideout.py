@@ -12,7 +12,12 @@ becomes short times short, and the nodes above it work on short entries.
 A matching join is one routine in both directions,
 ``counting._match_join``: its transpose splits the operand with the shorter
 entries into B-bit slots where the forward join would, and counts its
-products once per combining pair, only in a traced pass.
+products once per combining pair, only in a traced pass. Every table is in
+its node's layout (``counting``): an introduce's transpose keeps the half
+of the outside table where the introduced vertex, the top bit, is in M, or
+in ind mode sums both halves; a join, in its second child's layout, takes
+its first child's inside table through the state map, and gives that
+child an outside table gathered back through it.
 
 This module states the one rule that picks the cut, in one process or
 split with ``run_all``'s forked child, before any table is built. The
@@ -53,7 +58,8 @@ from __future__ import annotations
 import math
 
 from .counting import (
-    _DIGIT, _FORGET, _INTRO, _JOIN, _LEAF, _below, _inside, _match_join,
+    _DIGIT, _FORGET, _INTRO, _JOIN, _LEAF, _below, _in_join_layout, _inside,
+    _join_map, _match_join,
 )
 
 # the cut's cost model in ``_bit_work`` units, the bits an addition writes:
@@ -98,23 +104,28 @@ def _product_work(x, y):
 
 
 def _live(plan):
-    """Per node, the bag positions a matching below it can cover."""
+    """Per node, the bits of its layout a matching below it can cover."""
     live = [0] * len(plan)
     for i, op in enumerate(plan):
         code = op[0]
         if code == _JOIN:
-            live[i] = live[op[1]] | live[op[2]]
-        elif code != _LEAF:
+            live[i] = _join_mask(op, live[op[1]]) | live[op[2]]
+        elif code == _INTRO:
+            live[i] = live[op[1]]
+        elif code == _FORGET:
             m = live[op[1]]
             p = op[2]
             low = m & ((1 << p) - 1)
-            if code == _INTRO:
-                live[i] = low | ((m >> p) << (p + 1))
-            else:
-                for pbit, _ in op[3]:
-                    low |= pbit
-                live[i] = low | ((m >> (p + 1)) << p)
+            for pbit, _ in op[3]:
+                low |= pbit
+            live[i] = low | ((m >> (p + 1)) << p)
     return live
+
+
+def _join_mask(op, mask):
+    """A bag mask in the layout of join op's first child, in the join's own
+    layout, its second child's: the state map's entry for it."""
+    return mask if op[3] is None else _join_map(op)[mask]
 
 
 def _pair_work(x, y, bits):
@@ -146,12 +157,12 @@ def _node_work(plan, i, below, live, bits):
         return (_CELL_WORK + half * (below[i] + 1)) * (1 << op[-1])
     if code != _JOIN:
         return 0
-    _, c1, c2, w = op
+    _, c1, c2, _, w = op
     x = half * (below[c1] + 1)
     y = half * (below[c2] + 1)
     if live is None:
         return (1 << w) * (_CELL_WORK + _product_work(x, y) + x + y)
-    l1, l2 = live[c1], live[c2]
+    l1, l2 = _join_mask(op, live[c1]), live[c2]
     both = (l1 & l2).bit_count()
     pairs = 2 ** ((l1 | l2).bit_count() - both) * 3 ** both
     return pairs * _pair_work(x, y, bits)
@@ -212,7 +223,7 @@ def _cut_depth(plan, mode, bits, split=False):
         elif code == _INTRO and is_ind:
             outs += out_len * (1 << (op[-1] - 1))
         elif code == _JOIN:
-            _, c1, c2, w = op
+            _, c1, c2, _, w = op
             sib = c1 if child == c2 else c2
             x = half * (below[sib] + 1)
             if is_ind:
@@ -297,31 +308,29 @@ def _transpose(plan, node, child, tables, o, mode, joins, shift):
 
     mode is 'match' or 'ind'. At a join the op is linear in child, with
     the other child's inside table in ``tables`` held fixed; a matching
-    join is ``counting._match_join`` transposed. Zero terms are skipped as
-    in the forward pass, and a join records its bag size and the products
-    it performs in joins, unless that is None.
+    join is ``counting._match_join`` transposed. o and the result are in
+    the layouts of node and child: the join's state map carries the first
+    child's states into the join's, so the first child's inside table is
+    read through it and its outside table gathered through it. Zero terms
+    are skipped as in the forward pass, and a join records its bag size
+    and the products it performs in joins, unless that is None.
     """
     is_ind = mode == "ind"
     op = plan[node]
     code = op[0]
     if code == _INTRO:
-        # forward: child state cm goes to base, and in ind mode to
-        # base | bit too where v has no chosen neighbour
-        _, _, p, nbr_mask, w = op
-        bit = 1 << p
-        high = -bit
-        out = [0] * (1 << (w - 1))
-        for cm in range(1 << (w - 1)):
-            base = cm + (cm & high)  # as in counting._inside
-            if is_ind:
-                val = o[base]
-                if not base & nbr_mask:
-                    y = o[base | bit]
-                    if y:
-                        val = val + y if val else y
-                out[cm] = val
-            else:
-                out[cm] = o[base | bit]
+        # forward: child state cm goes to cm | top, the top bit v's, and in
+        # ind mode to cm too, where v has no chosen neighbour
+        _, _, nbr_mask, w = op
+        top = 1 << (w - 1)
+        if not is_ind:
+            out = o[top:]
+        else:
+            out = o[:top]
+            for cm, y in enumerate(o[top:]):
+                if y and not cm & nbr_mask:
+                    val = out[cm]
+                    out[cm] = val + y if val else y
     elif code == _FORGET:
         # forward: out[m] sums the child states that forget v into m,
         # shifted where v joins the structure
@@ -348,14 +357,24 @@ def _transpose(plan, node, child, tables, o, mode, joins, shift):
                     y = out[k]
                     out[k] = y + shifted if y else shifted
     else:  # _JOIN
-        _, c1, c2, w = op
-        t = tables[c2 if child == c1 else c1]
+        # o is in the join's layout, c2's: c1's inside table is mapped
+        # into it, and c1's outside table gathered out of it
+        _, c1, c2, _, w = op
+        smap = _join_map(op)
+        if child == c2:
+            t, t_smap = tables[c1], smap
+        else:
+            t, t_smap = tables[c2], None
         if is_ind:
+            if t_smap is not None:
+                t = _in_join_layout(t, t_smap)
             out = [x * y for x, y in zip(t, o)]
             products = 1 << w
         else:
             out, products = _match_join(t, o, w, shift, (1 << w) - 1,
-                                        joins is not None)
+                                        joins is not None, t_smap)
+        if child == c1 and smap is not None:
+            out = list(map(out.__getitem__, smap))
         if joins is not None:
             joins[node] = (w, products)
     return out

@@ -1060,6 +1060,9 @@ def test_transposed_ops_are_adjoint(mode, monkeypatch):
               for g in (random_graph(rng, max_n=10, max_m=18)
                         for _ in range(20))]
     seen = set()
+    # the path child's side at joins whose children lay their bag out
+    # differently: 1 first, 2 second
+    mapped_sides = set()
     for g, nd in cases:
         plan = counting._plan_for(g, nd)
         total = counting._run(plan, mode, None)
@@ -1079,10 +1082,87 @@ def test_transposed_ops_are_adjoint(mode, monkeypatch):
                     assert len(yt) == len(tables[child])
                     assert _dot(tables[node], y) == _dot(tables[child], yt)
                     seen.add(op[0])
+                    if op[0] == counting._JOIN and op[3] is not None:
+                        mapped_sides.add(op.index(child))
                     split += any(k >= 2 for k in slot_counts)
     assert seen == {counting._INTRO, counting._FORGET, counting._JOIN}
+    assert mapped_sides == {1, 2}
     # the split is the matching join's only
     assert (split > 0) == (mode == "match")
+
+
+def _sparse_table(rng, w, density, shift):
+    """A random table of w bits, each state non-zero with probability
+    density: a 40-bit entry (shift 0) or one to three slots of B = shift
+    bits holding one-digit coefficients, which ``_join_slots`` splits."""
+    def entry():
+        if not shift:
+            return rng.randrange(1, 1 << 40)
+        return 1 + sum(rng.randrange(1 << 20) << (k * shift)
+                       for k in range(rng.randrange(1, 4)))
+    return [entry() if rng.random() < density else 0 for _ in range(1 << w)]
+
+
+def test_match_join_rows_agree_with_the_definition(monkeypatch):
+    # a forward row scans the other table's non-zero states where there
+    # are fewer of them than the subsets it would walk. On random sparse
+    # tables, plain and slotted, with the first operand given in a
+    # child's layout or the join's, the join is its definition -- a | b
+    # the whole bag, into a & b -- and its products the combining pairs
+    # of non-zero entries, whichever way each row went
+    slot_counts = []
+    real_join_slots = counting._join_slots
+
+    def join_slots(*args):
+        first, slots = real_join_slots(*args)
+        slot_counts.append(len(slots))
+        return first, slots
+
+    monkeypatch.setattr(counting, "_join_slots", join_slots)
+    rng = random.Random(27)
+    slotted = 2 * sys.int_info.bits_per_digit
+    scanned = walked = 0
+    for trial in range(300):
+        w = rng.randrange(0, 10)
+        full = (1 << w) - 1
+        shift = rng.choice((0, slotted))
+        p, q = (_sparse_table(rng, w, rng.choice((0.02, 0.1, 0.5, 0.95)),
+                              shift) for _ in range(2))
+        smap = None
+        pj = p
+        if trial % 2:
+            # p laid out by perm: its state r is the join's state smap[r]
+            perm = list(range(w))
+            rng.shuffle(perm)
+            smap = counting._join_map((counting._JOIN, 0, 1,
+                                       counting._state_map(perm), w))
+            pj = [0] * len(p)
+            for r, x in enumerate(p):
+                pj[smap[r]] = x
+        want = [0] * (1 << w)
+        pairs = 0
+        for a in filter(pj.__getitem__, range(1 << w)):
+            for b in filter(q.__getitem__, range(1 << w)):
+                if a | b == full:
+                    want[a & b] += pj[a] * q[b]
+                    pairs += 1
+        # the rows are the sparser table's, p's on a tie
+        rows, other = (pj, q) if sum(map(bool, q)) >= sum(map(bool, pj)) \
+            else (q, pj)
+        nz = [r for r, y in enumerate(other) if y]
+        live = 0
+        for r in nz:
+            live |= full ^ r
+        for s in filter(rows.__getitem__, range(1 << w)):
+            if 1 << (s & live).bit_count() > len(nz):
+                scanned += 1
+            else:
+                walked += 1
+        out, products = counting._match_join(p, q, w, shift, 0, True, smap)
+        assert out == want
+        assert products == pairs
+    assert scanned > 100 and walked > 100
+    assert max(slot_counts) >= 2
 
 
 def test_forced_cuts_agree_at_every_depth_on_the_oracle_graphs():
@@ -1095,7 +1175,7 @@ def test_forced_cuts_agree_at_every_depth_on_the_oracle_graphs():
         nd = minfill_nice(g)
         plan = counting._plan_for(g, nd)
         path = insideout._heavy_path(plan, counting._below(plan))
-        widths = {i: op[3] for i, op in enumerate(plan)
+        widths = {i: op[-1] for i, op in enumerate(plan)
                   if op[0] == counting._JOIN}
         for mode in ("match", "ind"):
             total = counting._run(plan, mode, None)
@@ -1239,7 +1319,7 @@ def test_forced_cut_lists_every_join_once(monkeypatch):
         joins = [i for i, op in enumerate(plan) if op[0] == counting._JOIN]
         roots = [root_stats.join_bags[k * len(joins):(k + 1) * len(joins)]
                  for k in range(4)]
-        widths = [plan[i][3] for i in joins]
+        widths = [plan[i][-1] for i in joins]
         for cut_stats, cut in ((serial_stats, depth), (stats, split)):
             above = [k for k, i in enumerate(joins) if i in path[:cut]]
             assert above
@@ -1525,26 +1605,43 @@ def test_shared_plan_follows_the_graph_object(monkeypatch):
 
 
 def _reference_plan(g, nd):
-    """The plan ``_prepare`` compiles, built plainly: bag positions by
-    ``bag.index``, neighbours by ``g.neighbors``."""
+    """The plan ``_prepare`` compiles, built plainly: each bag laid out in
+    introduction order (a join in its second child's layout), positions by
+    ``list.index``, neighbours by ``g.neighbors``, and a join's state map
+    from its first child's layout into its second's, as a list, by setting
+    each bit of each state on its own."""
     nodes = nd.nodes
     plan = []
+    layouts = []
     for bag, kind, v, children in nodes:
         w = len(bag)
         if kind == INTRODUCE:
+            child = layouts[children[0]]
+            layout = child + [v]
             nbrs = g.neighbors(v)
-            mask = sum(1 << bag.index(u) for u in bag if u in nbrs)
-            plan.append((counting._INTRO, children[0], bag.index(v), mask, w))
+            mask = sum(1 << child.index(u) for u in child if u in nbrs)
+            plan.append((counting._INTRO, children[0], mask, w))
         elif kind == FORGET:
-            child_bag = nodes[children[0]].bag
-            pairs = tuple((1 << bag.index(u), 1 << child_bag.index(u))
-                          for u in bag if u in g.neighbors(v))
-            plan.append((counting._FORGET, children[0], child_bag.index(v),
+            child = layouts[children[0]]
+            layout = [u for u in child if u != v]
+            pairs = tuple((1 << layout.index(u), 1 << child.index(u))
+                          for u in layout if u in g.neighbors(v))
+            plan.append((counting._FORGET, children[0], child.index(v),
                          pairs, w))
         elif kind == JOIN:
-            plan.append((counting._JOIN, *children, w))
+            first, second = (layouts[c] for c in children)
+            layout = second
+            smap = None
+            if first != second:
+                smap = [sum(1 << second.index(u)
+                            for q, u in enumerate(first) if r >> q & 1)
+                        for r in range(1 << w)]
+            plan.append((counting._JOIN, *children, smap, w))
         else:
+            layout = []
             plan.append((counting._LEAF, 0))
+        assert sorted(layout) == list(bag)
+        layouts.append(layout)
     return plan
 
 
@@ -1569,14 +1666,68 @@ def test_plan_matches_a_plain_compilation():
               load_corpus(bundled_path("corpus100.smi")).molecules]
     assert len(cases) == 996 + 600 + 100
     kinds = set()
+    mapped = 0
     for g, nd in cases:
         plan = counting._prepare(g, nd)
-        assert plan == _reference_plan(g, nd)
+        # a state map is bytes, one a state up to 8 bag vertices
+        maps = [op for op in plan
+                if op[0] == counting._JOIN and op[3] is not None]
+        assert all(type(op[3]) is bytes and len(op[3]) == 1 << op[-1]
+                   for op in maps if op[-1] <= 8)
+        mapped += len(maps)
+        assert [(*op[:3], list(counting._join_map(op)), op[4])
+                if op in maps else op
+                for op in plan] == _reference_plan(g, nd)
         # every op ends with its node's bag size
         assert [op[-1] for op in plan] == [len(node.bag) for node in nd.nodes]
         kinds.update(op[0] for op in plan)
     assert kinds == {counting._LEAF, counting._INTRO, counting._FORGET,
                      counting._JOIN}
+    assert mapped
+    # wider bags take 2 bytes a state up to 16 vertices, then 4
+    for w, size in ((8, 1), (9, 2), (16, 2), (17, 4)):
+        smap = counting._state_map(range(w - 1, -1, -1))
+        assert len(smap) == size << w
+        smap = counting._join_map((counting._JOIN, 0, 1, smap, w))
+        assert len(smap) == 1 << w
+        assert [smap[1 << q] for q in range(w)] == [1 << w - 1 - q
+                                                    for q in range(w)]
+        assert smap[5] == (1 << w - 1) + (1 << w - 3)
+
+
+def test_state_map_words_in_either_byte_order(monkeypatch):
+    # the words of a state map are native ints on either kind of host
+    rng = random.Random(3)
+    for w in (3, 8, 9, 12, 17):
+        perm = list(range(w))
+        rng.shuffle(perm)
+        want = [sum(1 << perm[j] for j in range(w) if r >> j & 1)
+                for r in range(1 << w)]
+        for order in ("little", "big"):
+            monkeypatch.setattr(sys, "byteorder", order)
+            smap = counting._state_map(perm)
+            size = len(smap) >> w
+            assert size == (1 if w <= 8 else 2 if w <= 16 else 4)
+            assert [int.from_bytes(smap[k:k + size], order)
+                    for k in range(0, len(smap), size)] == want
+
+
+def test_wide_mapped_join_counts_as_a_narrow_tree():
+    # a join of 17 bag vertices whose second branch introduces 0..4 last,
+    # so its state map takes 4 bytes a state: the counts of the min-fill
+    # tree, whose joins are narrow
+    g = Graph(19, [(i, i + 1) for i in range(16)]
+              + [(16, 17), (16, 18), (0, 9), (3, 12)])
+    bag = set(range(17))
+    nd = make_nice(TreeDecomposition(
+        [bag, bag | {17}, set(range(5, 17)) | {18}], [-1, 0, 0], 0))
+    [join] = [op for op in counting._plan_for(g, nd)
+              if op[0] == counting._JOIN]
+    assert join[-1] == 17 and len(join[3]) == 4 << 17
+    narrow = minfill_nice(g)
+    for counter in (count_matchings, count_independent_sets,
+                    matching_polynomial):
+        assert counter(g, nd) == counter(g, narrow)
 
 
 def test_failed_prepare_raises_every_time():

@@ -718,6 +718,8 @@ def test_parse_td_errors():
         ("s td 1 one 1\n", "non-integer header fields", 1),
         ("s td 1 1\n", "malformed header", 1),
         ("s td 0 0 0\n", "needs at least one bag", 1),
+        ("s td 1 -1 0\nb 1\n", "negative counts in header", 1),
+        ("s td 1 1 -1\nb 1\n", "negative counts in header", 1),
         ("s td 1 1 1\nb\n", "bag line without id", 2),
         ("s td 1 1 1\nb x 1\n", "non-integer bag line", 2),
         ("s td 1 1 1\nb 1 y\n", "non-integer bag line", 2),
@@ -727,6 +729,10 @@ def test_parse_td_errors():
         (two_bags + "+1 2\n", "non-integer tree edge", 4),
         ("s td 1 1 1\nb 2 1\n", "bag id 2 out of range", 2),
         ("s td 2 1 1\nb 1 1\nb 1 1\n", "duplicate bag id 1", 3),
+        # a bag larger than the header's width+1; listing a vertex twice
+        # does not make it larger
+        ("s td 2 1 2\nb 1 1 1\nb 2 1 2\n1 2\n",
+         "bag 2 has 2 vertices, more than the header's 1", 3),
         (two_bags + "1 2 2\n", "malformed tree edge line", 4),
         (two_bags + "1 two\n", "non-integer tree edge", 4),
         ("", "missing 's td' header", 1),
