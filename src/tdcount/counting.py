@@ -208,7 +208,8 @@ class DpStats:
     join_nodes: int = 0
     # (bag size, multiplications performed) per join node of each pass, in
     # plan order; a pass cut below the root lists the joins it did outside
-    # with the products of their transposes. A traced call lists the passes
+    # with the products of their transposes, which pair only child states
+    # the inside table can reach. A traced call lists the passes
     # it ran: a polynomial its total pass, if any, then its shifted pass;
     # run_all the Hosoya and Merrifield-Simmons passes that ran, then the
     # matching and independence polynomials' shifted passes
@@ -474,7 +475,7 @@ def _join_slots(t1, nz1, t2, nz2, shift):
     return narrow_first, slots
 
 
-def _match_join(p, q, w, shift, flip, traced, smap=None):
+def _match_join(p, q, w, shift, flip, traced, smap=None, dead=0):
     """The one matching join of both directions: (out, products).
 
     out[(s ^ flip) ^ h] sums p[s] × q[(full ^ flip) ^ h] over the non-zero
@@ -491,11 +492,15 @@ def _match_join(p, q, w, shift, flip, traced, smap=None):
     A row s walks the 2^|s & live| such h. Forward, where q has fewer
     non-zero states than that, the row scans them instead, taking each r
     with ``s | r == full`` into ``s & r``: the same pairs. A transposed
-    row always walks. The pair loop runs once per ``_join_slots`` table,
-    highest slot first (Horner's rule), shifting out left by B bits before
-    every slot but the first; a row whose slot coefficient is 0 is
-    skipped. products, the combining pairs of non-zero entries, is counted
-    once by walking, and only where traced; else it is None.
+    row always walks. Given dead, the bag vertices the child's inside
+    table always leaves for above (in the join's layout), it walks only
+    the h holding dead & s, so it writes only child states holding dead,
+    and a row whose walk lacks one of those bits is skipped. The pair loop
+    runs once per ``_join_slots`` table, highest slot first (Horner's
+    rule), shifting out left by B bits before every slot but the first; a
+    row whose slot coefficient is 0 is skipped. products, the pairs of
+    non-zero entries the rows combine, is counted once by walking, and
+    only where traced; else it is None.
     """
     nzp = [s for s, x in enumerate(p) if x]
     if smap is not None:
@@ -517,6 +522,10 @@ def _match_join(p, q, w, shift, flip, traced, smap=None):
     scan_from = w + 1 if flip else len(nzq).bit_length()
     out = [0] * (1 << w)
     p_first, slots = _join_slots(p, nzp, q, nzq, shift)
+    if dead:
+        # a transposed row's h must hold dead & s: skip the rows whose walk
+        # cannot
+        nzp = [s for s in nzp if not s & dead & ~live]
     for k, cj in enumerate(reversed(slots)):
         if k:
             for m, o in enumerate(out):
@@ -538,9 +547,15 @@ def _match_join(p, q, w, shift, flip, traced, smap=None):
                             out[m] = o + x * y if o else x * y
                 continue
             base = s ^ flip
+            qb = qbase
+            need = s & dead
+            if need:
+                var ^= need
+                base ^= need
+                qb ^= need
             h = var
             while True:
-                y = v2[qbase ^ h]
+                y = v2[qb ^ h]
                 if y:
                     m = base ^ h
                     o = out[m]
@@ -552,10 +567,12 @@ def _match_join(p, q, w, shift, flip, traced, smap=None):
     if traced:
         products = 0
         for s in nzp:
-            var = s & live
+            need = s & dead
+            var = (s & live) ^ need
+            qb = qbase ^ need
             h = var
             while True:
-                if q[qbase ^ h]:
+                if q[qb ^ h]:
                     products += 1
                 if h == 0:
                     break
@@ -1008,9 +1025,10 @@ def run_all(g, nd, stats=None):
     Answers are the same either way. The join bags of a traced call list
     the passes that ran in the order Hosoya, Merrifield-Simmons, matching
     polynomial, independence polynomial; each join of a split pass carries
-    the products of the process that ran it, so a forked call's bags are
-    an in-process call's with the matching-polynomial pass cut at the
-    split.
+    the products of the process that ran it, a transposed one only the
+    pairs whose child state the inside table can reach, so a forked call's
+    bags are an in-process call's with the matching-polynomial pass cut at
+    the split.
 
     ``millis`` holds each of the five counts' elapsed milliseconds: a
     pass's, or for a count read off a polynomial, the read-off's. Entries

@@ -12,7 +12,11 @@ becomes short times short, and the nodes above it work on short entries.
 A matching join is one routine in both directions,
 ``counting._match_join``: its transpose splits the operand with the shorter
 entries into B-bit slots where the forward join would, and counts its
-products once per combining pair, only in a traced pass. Every table is in
+products once per combining pair, only in a traced pass. In match mode
+the walk writes only the child states its inside table can reach, those
+holding every bag vertex no matching below the child can cover
+(``_live``): elsewhere the inside table is 0, and an outside entry there
+would only ever meet a 0. Every table is in
 its node's layout (``counting``): an introduce's transpose keeps the half
 of the outside table where the introduced vertex, the top bit, is in M, or
 in ind mode sums both halves; a join, in its second child's layout, takes
@@ -26,9 +30,9 @@ subtrees above the cut and the walk down to it) share nothing but the
 cut, and a cut pass costs both parts and the dot product at the cut. In
 one process the two parts add. Split with the child, which builds the
 outside part while the parent builds the inside one, they overlap, so the
-pass costs the larger part plus the dot product; that may put the cut
-deeper than adding parts do: on the min-fill 7x30 grid at depth 80 of the
-heavy path's 246 nodes, against 65. ``_cut_depth`` prices every depth of
+pass costs the larger part plus the dot product; that may move the cut:
+on the min-fill 8x30 grid to depth 53 of the heavy path's 194 nodes,
+against 58. ``_cut_depth`` prices every depth of
 the heavy path in one walk, in ``_bit_work`` units: a cell written costs
 ``_CELL_WORK`` plus its length, a product ``_DIGIT_PRODUCT_WORK`` per digit
 product under CPython's schoolbook and Karatsuba rules, and entries are
@@ -162,10 +166,16 @@ def _node_work(plan, i, below, live, bits):
     y = half * (below[c2] + 1)
     if live is None:
         return (1 << w) * (_CELL_WORK + _product_work(x, y) + x + y)
-    l1, l2 = _join_mask(op, live[c1]), live[c2]
+    return _join_pairs(op, live) * _pair_work(x, y, bits)
+
+
+def _join_pairs(op, live):
+    """The most pairs matching join op multiplies, forward or transposed,
+    with live as ``_live``: 2^|l1 ^ l2| × 3^|l1 & l2|, for l1 and l2 the
+    bag vertices its children can cover."""
+    l1, l2 = _join_mask(op, live[op[1]]), live[op[2]]
     both = (l1 & l2).bit_count()
-    pairs = 2 ** ((l1 | l2).bit_count() - both) * 3 ** both
-    return pairs * _pair_work(x, y, bits)
+    return 2 ** (l1 ^ l2).bit_count() * 3 ** both
 
 
 def _cut_depth(plan, mode, bits, split=False):
@@ -185,12 +195,13 @@ def _cut_depth(plan, mode, bits, split=False):
     Inside, a node's work is ``_node_work``. Entries are priced at half
     their bound: B × (f + 1) / 2 bits inside a node below which f vertices
     are forgotten, B × (n - f + 1) / 2 outside it. Outside, a forget
-    writes twice the cells it writes inside, and an introduce in ind mode
-    adds. A join multiplies the off-path child's inside entries by its own
-    outside entries, a matching join's pairs priced as inside
-    (``_pair_work``), and takes every state of the path side as non-zero.
-    The dot product multiplies the cut's non-zero inside entries by its
-    outside entries.
+    writes two cells for each of its own cells the walk can reach, its
+    2^|live| in match mode and 2^|bag| in ind mode, and an introduce in
+    ind mode adds. A join multiplies the off-path child's inside entries
+    by its own outside entries: 2^|bag| of them in ind mode, and in match
+    mode as many pairs as its forward join (``_join_pairs``), each priced
+    as inside (``_pair_work``). The dot product multiplies the cut's
+    non-zero inside entries by its outside entries.
 
     On a join-free chain the in-process cost keeps the root: moving the
     cut down k forgets saves additions on long inside entries, but the
@@ -219,7 +230,8 @@ def _cut_depth(plan, mode, bits, split=False):
         out_len = half * (n - below[node] + 1)
         ins += _node_work(plan, node, below, live, bits)
         if code == _FORGET:
-            outs += (_CELL_WORK + out_len + half) * (2 << op[-1])
+            cells = 1 << (op[-1] if is_ind else live[node].bit_count())
+            outs += (_CELL_WORK + out_len + half) * 2 * cells
         elif code == _INTRO and is_ind:
             outs += out_len * (1 << (op[-1] - 1))
         elif code == _JOIN:
@@ -230,8 +242,7 @@ def _cut_depth(plan, mode, bits, split=False):
                 outs += (1 << w) * (_CELL_WORK + _product_work(x, out_len)
                                     + x + out_len)
             else:
-                ls = live[sib].bit_count()
-                outs += 2 ** (w - ls) * 3 ** ls * _pair_work(x, out_len, bits)
+                outs += _join_pairs(op, live) * _pair_work(x, out_len, bits)
         x = half * (below[child] + 1)
         y = half * (n - below[child] + 1)
         cells = 2 ** (plan[child][-1] if is_ind
@@ -272,9 +283,11 @@ def _outside_part(plan, mode, joins, shift, path, inner):
     skip = set(inner)
     skip.update(path[:-1])
     tables = _inside(plan, mode, joins, shift, skip)
+    live = None if mode == "ind" else _live(plan)
     o = [1]
     for node, child in zip(path, path[1:]):
-        o = _transpose(plan, node, child, tables, o, mode, joins, shift)
+        o = _transpose(plan, node, child, tables, o, mode, joins, shift,
+                       live)
     return o
 
 
@@ -303,7 +316,7 @@ def _run_cut(plan, mode, joins, shift, path, child=None):
     return sum([x * y for x, y in zip(inside, outside) if x and y])
 
 
-def _transpose(plan, node, child, tables, o, mode, joins, shift):
+def _transpose(plan, node, child, tables, o, mode, joins, shift, live=None):
     """The transpose of node's op, as a map from child's table, applied to o.
 
     mode is 'match' or 'ind'. At a join the op is linear in child, with
@@ -313,7 +326,10 @@ def _transpose(plan, node, child, tables, o, mode, joins, shift):
     child's states into the join's, so the first child's inside table is
     read through it and its outside table gathered through it. Zero terms
     are skipped as in the forward pass, and a join records its bag size
-    and the products it performs in joins, unless that is None.
+    and the products it performs in joins, unless that is None. Given
+    live, ``_live(plan)`` in match mode, a forget or join writes only the
+    child states that hold every bag vertex outside live[child], the
+    states where the child's inside table can be non-zero.
     """
     is_ind = mode == "ind"
     op = plan[node]
@@ -334,23 +350,30 @@ def _transpose(plan, node, child, tables, o, mode, joins, shift):
     elif code == _FORGET:
         # forward: out[m] sums the child states that forget v into m,
         # shifted where v joins the structure
-        _, _, p, pairs, w = op
+        _, c, p, pairs, w = op
         bit = 1 << p
         high = -bit
         out = [0] * (2 << w)
+        dead = 0 if live is None else ((2 << w) - 1) ^ live[c]
         for m, val in enumerate(o):
             if not val:
                 continue
             base = m + (m & high)
-            out[base] = val
             if is_ind:
+                out[base] = val
                 out[base | bit] = val << shift
                 continue
-            y = out[base | bit]
-            out[base | bit] = y + val if y else val
+            # the dead bits other than v's that base lacks: only a pair
+            # edge to one of them can still write a state holding dead
+            lack = dead & ~(base | bit)
+            if not lack:
+                if not dead & bit:
+                    out[base] = val
+                y = out[base | bit]
+                out[base | bit] = y + val if y else val
             shifted = None
             for pbit, cbit in pairs:
-                if not m & pbit:
+                if not m & pbit and not lack & ~cbit:
                     if shifted is None:
                         shifted = val << shift
                     k = base | bit | cbit
@@ -371,8 +394,11 @@ def _transpose(plan, node, child, tables, o, mode, joins, shift):
             out = [x * y for x, y in zip(t, o)]
             products = 1 << w
         else:
-            out, products = _match_join(t, o, w, shift, (1 << w) - 1,
-                                        joins is not None, t_smap)
+            full = (1 << w) - 1
+            dead = 0 if live is None else full ^ (
+                live[c2] if child == c2 else _join_mask(op, live[c1]))
+            out, products = _match_join(t, o, w, shift, full,
+                                        joins is not None, t_smap, dead)
         if child == c1 and smap is not None:
             out = list(map(out.__getitem__, smap))
         if joins is not None:

@@ -309,9 +309,10 @@ def test_split_joins_agree_with_path_decompositions(monkeypatch):
     # once: the shifted pass cut at the root makes the same products as
     # the plain one. run_all's matching-polynomial pass on this grid is
     # priced by its family and cut below the root, and records the
-    # products of the joins it transposes above the cut instead; _run
-    # alone prices no pass and keeps the root. _FORK_WORK = 0 keeps both
-    # families on the plain path, four passes
+    # products of the joins it transposes above the cut instead, which
+    # here are the forward ones; _run alone prices no pass and keeps the
+    # root. _FORK_WORK = 0 keeps both families on the plain path, four
+    # passes
     monkeypatch.setattr(counting, "_FORK_WORK", 0)
     g = grid_graph(5, 30)
     nd = minfill_nice(g)
@@ -320,7 +321,7 @@ def test_split_joins_agree_with_path_decompositions(monkeypatch):
     joins = nd.join_count()
     passes = [stats.join_bags[k * joins:(k + 1) * joins] for k in range(4)]
     assert [sum(p for _, p in bags) for bags in passes] == \
-        [5692, 3344, 6926, 3344]
+        [5692, 3344, 5692, 3344]
     assert passes[3] == passes[1]
     root = DpStats()
     counting._run(counting._plan_for(g, nd), "match", root,
