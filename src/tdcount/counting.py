@@ -87,10 +87,11 @@ slot boundaries, since peeling one B-bit slot at a time copies the rest of
 the integer for every slot.
 
 A shifted pass may be evaluated inside-outside, cut at a node of its heavy
-path; module ``insideout`` states the one rule that picks the cut, in one
-process or split with ``run_all``'s child, and which passes it prices.
-``DpStats`` lists each join once per pass, in plan order, with the
-products its pass performed, inside or outside.
+path; module ``insideout`` states the one rule that picks the cut and
+which passes it prices. A pass has that one cut whether ``run_all``'s
+child builds its outside part or this process does. ``DpStats`` lists
+each join once per pass, in plan order, with the products its pass
+performed, inside or outside.
 
 Before counting, ``_prepare`` checks the decomposition -- its grammar
 through ``decomposition._check_grammar``, which ``structure_violations``
@@ -209,10 +210,11 @@ class DpStats:
     # (bag size, multiplications performed) per join node of each pass, in
     # plan order; a pass cut below the root lists the joins it did outside
     # with the products of their transposes, which pair only child states
-    # the inside table can reach. A traced call lists the passes
-    # it ran: a polynomial its total pass, if any, then its shifted pass;
-    # run_all the Hosoya and Merrifield-Simmons passes that ran, then the
-    # matching and independence polynomials' shifted passes
+    # the inside table can reach, whichever process built them, so a
+    # forked run_all lists what a serial one does. A traced call lists the
+    # passes it ran: a polynomial its total pass, if any, then its shifted
+    # pass; run_all the Hosoya and Merrifield-Simmons passes that ran,
+    # then the matching and independence polynomials' shifted passes
     join_bags: list = field(default_factory=list)
 
 
@@ -595,15 +597,15 @@ def _run(plan, mode, stats, shift=0, child=None, priced=False):
     polynomial evaluated at x = 2^B: forget nodes commit size by shifting.
 
     A priced pass -- ``_family`` prices the shifted pass of two -- over a
-    plan with a join is cut where ``insideout``'s rule puts it, split with
-    child where one is given; any other pass runs forward to the root. A
-    child is sent B and the depth, 0 included. ``insideout._run_cut``
-    evaluates a pass cut below the root.
+    plan with a join is cut where ``insideout``'s rule puts it, with or
+    without child; any other pass runs forward to the root. A child is
+    sent B and the depth, 0 included, and builds the outside part of that
+    cut. ``insideout._run_cut`` evaluates a pass cut below the root.
     """
     depth = 0
     if priced and any(op[0] == _JOIN for op in plan):
         from . import insideout
-        path, cost = insideout._cut_depth(plan, mode, shift, child is not None)
+        path, cost = insideout._cut_depth(plan, mode, shift)
         depth = min(range(len(cost)), key=cost.__getitem__)
     if child is not None:
         child.send(shift, depth)
@@ -622,8 +624,8 @@ def _inside(plan, mode, joins, shift, skip, tables=None):
     """Tables of the forward pass over every node not in ``skip``.
 
     skip holds nodes whose tables are built elsewhere or not at all: the
-    heavy-path nodes over a cut, and for one side of a split pass the
-    nodes of the other side. tables is the list to fill, one slot per
+    heavy-path nodes over a cut, and for one part of a cut pass the
+    nodes of the other part. tables is the list to fill, one slot per
     node, a new one by default. A node's table is set to None once its
     parent is built, so what is left is the root's (skip empty) or the
     tables the skipped nodes would read: the cut's and those of the path's
@@ -803,9 +805,10 @@ class RunReport:
     ``millis`` has an entry for each of the five counts: the elapsed
     milliseconds of its pass, or of reading it off a polynomial where it
     had none (the perfect matchings always, a total whose polynomial took
-    one pass). Where ``run_all`` split the matching-polynomial pass with
-    its child, that entry runs from sending the cut to reading the
-    coefficients, the wait for the child's outside table included.
+    one pass). Where ``run_all``'s child built the outside part of the
+    matching-polynomial pass, that entry runs from sending the cut to
+    reading the coefficients, the wait for the child's outside table
+    included.
     """
 
     width: int
@@ -897,8 +900,8 @@ class _Child:
     """A forked child of ``run_all``: the independence family
     (``_family``), then the outside part of the matching-polynomial pass
     once the parent's ``_run`` sends B and the cut, none at depth 0. The cut
-    is ``insideout``'s rule for a split pass; the child rebuilds the path
-    down to the cut from the depth.
+    is the one ``insideout``'s rule gives a call in one process; the child
+    rebuilds the path down to the cut from the depth.
 
     Two pipes join it to the parent: the parent writes B and the depth to
     one as two decimal numbers, the child its marshalled (family, outside
@@ -1013,30 +1016,29 @@ def run_all(g, nd, stats=None):
     fork. The child computes the independence family, in one pass or two,
     while this process runs the Hosoya pass. The matching-polynomial pass
     is then the one ``_run`` of an in-process call, given the child: over
-    a plan with a join it is split at a cut of its heavy path by
-    ``insideout``'s rule, this process building the cut's subtree and the
-    child the rest of the pass down to the cut, and this process takes the
-    dot product. A plan without a join is not split: this process runs the
-    pass whole. The child sends its results back through a pipe and is
-    always reaped before this returns; where this process raises, it kills
-    the child first rather than wait for its family. If the child fails,
-    this process builds the outside table and runs the family as a call
-    without a child does, so an error in the family is raised here.
+    a plan with a join it is cut on its heavy path where ``insideout``'s
+    rule cuts it in one process, this process building the cut's subtree
+    and the child the rest of the pass down to the cut, and this process
+    takes the dot product. A plan without a join is not cut: this process
+    runs the pass whole. The child sends its results back through a pipe
+    and is always reaped before this returns; where this process raises,
+    it kills the child first rather than wait for its family. If the child
+    fails, this process builds the outside table and runs the family as a
+    call without a child does, so an error in the family is raised here.
     Answers are the same either way. The join bags of a traced call list
     the passes that ran in the order Hosoya, Merrifield-Simmons, matching
-    polynomial, independence polynomial; each join of a split pass carries
-    the products of the process that ran it, a transposed one only the
-    pairs whose child state the inside table can reach, so a forked call's
-    bags are an in-process call's with the matching-polynomial pass cut at
-    the split.
+    polynomial, independence polynomial; a transposed join carries only
+    the pairs whose child state the inside table can reach, in whichever
+    process ran it, so a forked call's bags are the same as a serial
+    call's.
 
     ``millis`` holds each of the five counts' elapsed milliseconds: a
     pass's, or for a count read off a polynomial, the read-off's. Entries
     the child computed are its own elapsed times, so in a forked call they
     overlap the Hosoya and matching-polynomial passes and the entries may
-    add up to more than the call took. In a split call the
-    matching-polynomial entry includes the wait for the child's outside
-    table.
+    add up to more than the call took. Where the child builds the outside
+    part of the cut, the matching-polynomial entry includes the wait for
+    it.
     """
     plan = _plan_for(g, nd)
     width = nd.width()

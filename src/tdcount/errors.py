@@ -21,7 +21,11 @@ class ParseError(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """Instance exceeds a hard cap (oracle size, bag width, chain state count)."""
+    """Instance exceeds a hard cap, raised before any exponential work:
+    the oracles' edge and vertex caps, ``make_nice``'s ``MAX_WIDTH``, the
+    ``MAX_CELLS`` table budget that ``counting._prepare`` checks, or the
+    chain's transition-cell budget, 4^k cells for an element with k
+    interior vertices against the same ``MAX_CELLS``."""
 
 
 class DecompositionMismatch(ValueError):

@@ -23,23 +23,20 @@ in ind mode sums both halves; a join, in its second child's layout, takes
 its first child's inside table through the state map, and gives that
 child an outside table gathered back through it.
 
-This module states the one rule that picks the cut, in one process or
-split with ``run_all``'s forked child, before any table is built. The
-inside part (the cut's subtree) and the outside part (the off-path
-subtrees above the cut and the walk down to it) share nothing but the
-cut, and a cut pass costs both parts and the dot product at the cut. In
-one process the two parts add. Split with the child, which builds the
-outside part while the parent builds the inside one, they overlap, so the
-pass costs the larger part plus the dot product; that may move the cut:
-on the min-fill 8x30 grid to depth 53 of the heavy path's 194 nodes,
-against 58. ``_cut_depth`` prices every depth of
-the heavy path in one walk, in ``_bit_work`` units: a cell written costs
-``_CELL_WORK`` plus its length, a product ``_DIGIT_PRODUCT_WORK`` per digit
-product under CPython's schoolbook and Karatsuba rules, and entries are
-priced at half their bound. A matching join's pair costs the same inside
-and outside (``_pair_work``): the cheaper of a whole product and the slot
-split. The root is always a candidate, and cut there the pass is the
-forward pass.
+This module states the one rule that picks the cut, before any table is
+built. The inside part (the cut's subtree) and the outside part (the
+off-path subtrees above the cut and the walk down to it) share nothing but
+the cut, and a cut pass costs both parts and the dot product at the cut.
+A pass has one cut wherever its parts run: ``run_all``'s forked child
+builds the outside part of the cut a call in one process makes, so a
+forked call does the same work and lists the same products as a serial
+one. ``_cut_depth`` prices every depth of the heavy path in one walk, in
+``_bit_work`` units: a cell written costs ``_CELL_WORK`` plus its length, a
+product ``_DIGIT_PRODUCT_WORK`` per digit product under CPython's
+schoolbook and Karatsuba rules, and entries are priced at half their
+bound. A matching join's pair costs the same inside and outside
+(``_pair_work``): the cheaper of a whole product and the slot split. The
+root is always a candidate, and cut there the pass is the forward pass.
 
 Two kinds of pass are never priced. The model prices every cut of a
 join-free chain above the root (``_cut_depth``), so a plan without a join
@@ -178,19 +175,15 @@ def _join_pairs(op, live):
     return 2 ** (l1 ^ l2).bit_count() * 3 ** both
 
 
-def _cut_depth(plan, mode, bits, split=False):
+def _cut_depth(plan, mode, bits):
     """Heavy path and the predicted cost of the pass cut at each depth,
     by the module's rule; the cut is the argmin.
 
-    In one process cost[k] is taken relative to the root pass: the path ops
-    above the cut done outside rather than inside, plus the dot product, so
-    cost[0] is 0. Split with ``run_all``'s forked child (split true, mode
-    'match') it is absolute, and cost[0] is the whole pass. The split
-    leaves out the Hosoya pass that precedes the parent's part and the
-    independence family that precedes the child's: they run at once and
-    are taken as equal. This model prices a cell at ``_CELL_WORK`` whatever
-    it does, which puts a plain pass at a fifth of its cost relative to a
-    shifted one.
+    cost[k] is taken relative to the root pass: the path ops above the
+    cut done outside rather than inside, plus the dot product, so cost[0]
+    is 0. This model prices a cell at ``_CELL_WORK`` whatever it does,
+    which puts a plain pass at a fifth of its cost relative to a shifted
+    one.
 
     Inside, a node's work is ``_node_work``. Entries are priced at half
     their bound: B × (f + 1) / 2 bits inside a node below which f vertices
@@ -203,10 +196,10 @@ def _cut_depth(plan, mode, bits, split=False):
     as inside (``_pair_work``). The dot product multiplies the cut's
     non-zero inside entries by its outside entries.
 
-    On a join-free chain the in-process cost keeps the root: moving the
-    cut down k forgets saves additions on long inside entries, but the
-    outside forgets write twice the cells and the dot product multiplies
-    each long entry by an outside entry of about k·B/2 bits.
+    On a join-free chain the cost keeps the root: moving the cut down k
+    forgets saves additions on long inside entries, but the outside
+    forgets write twice the cells and the dot product multiplies each long
+    entry by an outside entry of about k·B/2 bits.
     """
     below = _below(plan)
     is_ind = mode == "ind"
@@ -215,14 +208,6 @@ def _cut_depth(plan, mode, bits, split=False):
     half = bits / 2
     n = below[-1]
     cost = [0]
-    if split:
-        # the pass's inside work below each node, the node included
-        sub = [0] * len(plan)
-        for i, op in enumerate(plan):
-            if op[0] != _LEAF:
-                sub[i] = _node_work(plan, i, below, live, bits) + sub[op[1]] \
-                    + (sub[op[2]] if op[0] == _JOIN else 0)
-        total = cost[0] = sub[-1]
     ins = outs = 0
     for node, child in zip(path, path[1:]):
         op = plan[node]
@@ -248,11 +233,7 @@ def _cut_depth(plan, mode, bits, split=False):
         cells = 2 ** (plan[child][-1] if is_ind
                       else live[child].bit_count())
         dot = cells * (_CELL_WORK + _product_work(x, y) + x + y)
-        if split:
-            cut = sub[child]
-            cost.append(max(cut, total - cut - ins + outs) + dot)
-        else:
-            cost.append(outs - ins + dot)
+        cost.append(outs - ins + dot)
     return path, cost
 
 

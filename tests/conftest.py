@@ -51,6 +51,13 @@ def grid_graph(rows, cols):
                     for r in range(rows - 1) for c in range(cols)])
 
 
+def relabel(g, seed):
+    """g with its vertices permuted by ``random.Random(seed)``."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

@@ -41,6 +41,7 @@ from tdcount.cli import bundled_path
 from tdcount.decomposition import FORGET, INTRODUCE, JOIN, LEAF, NiceNode
 from conftest import (
     count_prepares, grid_graph, minfill_nice, path_nice, random_graph,
+    relabel,
 )
 from test_decomposition import graphs
 
@@ -436,29 +437,10 @@ def _traced_run_all(g, nd):
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 
-def _cut_pick(plan, mode, bits, split=False):
+def _cut_pick(plan, mode, bits):
     """(heavy path, depth of the cut on it) that ``counting._run`` picks."""
-    path, cost = insideout._cut_depth(plan, mode, bits, split)
+    path, cost = insideout._cut_depth(plan, mode, bits)
     return path, min(range(len(cost)), key=cost.__getitem__)
-
-
-def _split_reference(g, nd, serial_stats, bits, totals=2):
-    """(depth, DpStats) a forked traced run_all must give, from a serial
-    call's stats: its matching-polynomial pass, after the given number of
-    total passes, is the in-process pass cut where the fork splits it, at
-    B = bits. The family prices that pass, so a plan with a join is
-    split."""
-    plan = counting._plan_for(g, nd)
-    path, depth = _cut_pick(plan, "match", bits, split=True)
-    if not nd.join_count():
-        depth = 0
-    joins = {}
-    insideout._run_cut(plan, "match", joins, bits, path[:depth + 1])
-    k = nd.join_count()
-    bags = serial_stats.join_bags
-    want = (bags[:totals * k] + [joins[i] for i in sorted(joins)]
-            + bags[(totals + 1) * k:])
-    return depth, DpStats(len(want), want)
 
 
 @needs_fork
@@ -482,10 +464,14 @@ def test_forked_run_all_matches_serial_and_oracle(monkeypatch):
     cycle = [n * math.comb(n - k, k) // (n - k) for k in range(n // 2 + 1)]
     expected = [oracle_counts(g) for g, _ in small] + [
         (path_m[n // 2], path_m, path_i), (cycle[n // 2], cycle, cycle)]
-    # the fork splits the matching-polynomial pass of every input with a
-    # join below the root, this grid's among them
-    split = [(grid_graph(5, 30), minfill_nice(grid_graph(5, 30)))]
-    inputs = small + long_ones + split
+    # the matching-polynomial passes of these grids are cut below the
+    # root, and the child builds the outside part. On the 7x30 grid
+    # relabelled by seed 1 some transposed joins make other products than
+    # their forward joins, so the forked trace equals the serial one only
+    # where both cut at the same depth
+    grids = [(g, minfill_nice(g))
+             for g in (relabel(grid_graph(7, 30), 1), grid_graph(5, 30))]
+    inputs = small + long_ones + grids
 
     # _FORK_WORK = 0 keeps every input on the plain path: a total pass,
     # then its shifted pass. One CPU of affinity runs it serially
@@ -505,16 +491,14 @@ def test_forked_run_all_matches_serial_and_oracle(monkeypatch):
             want = expected[k]
             assert answers[0] == want[0]
             assert answers[3] == want[1] and answers[4] == want[2]
-        # Hosoya, Merrifield-Simmons, match-poly, ind-poly: each pass
-        # visits every join once; the match-poly pass is the one cut where
-        # the fork split it, and uncut it multiplies the pairs its plain
-        # pass does
-        depth, want_stats = _split_reference(g, nd, serial_stats,
-                                             answers[1].bit_length())
-        assert stats == want_stats
-        assert (depth > 0) == (nd.join_count() > 0)
-        if not depth:
-            assert stats == serial_stats
+        # the forked call cuts its match-poly pass where the serial call
+        # does and lists the same products. Hosoya, Merrifield-Simmons,
+        # match-poly, ind-poly: each pass visits every join once, and the
+        # match-poly pass, uncut, multiplies the pairs its plain pass does
+        assert stats == serial_stats
+        plan = counting._plan_for(g, nd)
+        depth = _cut_pick(plan, "match", answers[1].bit_length())[1]
+        assert (depth > 0) == (k >= len(small + long_ones))
         joins = nd.join_count()
         assert stats.join_nodes == len(stats.join_bags) == 4 * joins
         passes = [stats.join_bags[k * joins:(k + 1) * joins]
@@ -529,9 +513,10 @@ def test_forked_run_all_matches_serial_and_oracle(monkeypatch):
 
     # at the default gates the 5x30 grid's independence polynomial takes
     # one pass at B = n and its matching family two: the child runs that
-    # one pass, and the parent the Hosoya pass, then its split
+    # one pass, and the parent the Hosoya pass, then the cut matching
+    # polynomial
     monkeypatch.undo()
-    g, nd = split[0]
+    g, nd = grids[-1]
     plan = counting._plan_for(g, nd)
     unit = counting._bit_work(plan, 1)
     assert g.n * unit < counting._FORK_WORK <= g.m * unit
@@ -545,10 +530,7 @@ def test_forked_run_all_matches_serial_and_oracle(monkeypatch):
     _no_child_left()
     assert answers == serial_answers == forked[-1][0]
     # Hosoya, match-poly, ind-poly
-    depth, want_stats = _split_reference(g, nd, serial_stats,
-                                         answers[1].bit_length(), totals=1)
-    assert depth > 0
-    assert stats == want_stats
+    assert stats == serial_stats
     assert stats.join_nodes == 3 * nd.join_count()
 
 
@@ -651,7 +633,8 @@ def test_fork_pays_without_an_affinity_call(monkeypatch):
 def _fork_cases():
     """(graph, nice decomposition, _FORK_WORK) of forked run_all calls: the
     ladder on the plain path, whose plan has no join, and the 6x30 grid,
-    whose matching-polynomial pass the fork splits below the root."""
+    whose matching-polynomial pass is cut below the root and its outside
+    part built by the child."""
     grid = grid_graph(6, 30)
     return [(ladder_graph(40), minfill_nice(ladder_graph(40)), 0),
             (grid, minfill_nice(grid), counting._FORK_WORK)]
@@ -669,10 +652,9 @@ def test_failed_child_leaves_the_family_to_the_parent(monkeypatch):
         _set_cpus(monkeypatch, 2)
         want = _traced_run_all(g, nd)
         assert len(forks) == 1
-        assert want[0] == serial[0]
-        depth, want_stats = _split_reference(g, nd, serial[1],
-                                             want[0][1].bit_length())
-        assert want[1] == want_stats
+        assert want == serial
+        depth = _cut_pick(counting._plan_for(g, nd), "match",
+                          want[0][1].bit_length())[1]
         assert (depth > 0) == (nd.join_count() > 0)
 
         # the child cannot send its result: the parent computes the family
@@ -909,9 +891,9 @@ def test_slot_width_gate_on_the_benchmark_inputs(monkeypatch):
     priced = []
     real_cut_depth = insideout._cut_depth
 
-    def cut_depth(plan, mode, bits, split=False):
+    def cut_depth(plan, mode, bits):
         priced.append((mode, bits))
-        return real_cut_depth(plan, mode, bits, split)
+        return real_cut_depth(plan, mode, bits)
 
     monkeypatch.setattr(insideout, "_cut_depth", cut_depth)
     small = [mol.graph for mol in
@@ -931,10 +913,9 @@ def test_slot_width_gate_on_the_benchmark_inputs(monkeypatch):
     # runs every pass in this process
     _set_cpus(monkeypatch, 1)
     grids = [grid_graph(rows, 30) for rows in (5, 6, 7)]
-    # per grid size n, the cut depths the rule picks: in process for each
-    # priced pass (matching, then independence), then the matching pass
-    # split with a child
-    want_depths = {150: [95, 95], 180: [93, 91, 89], 210: [101, 102, 101]}
+    # per grid size n, the cut depth the rule picks for each priced pass
+    # (matching, then independence)
+    want_depths = {150: [95], 180: [93, 91], 210: [101, 102]}
     for g in grids + [ladder_graph(600), _hexagon_chain(300)]:
         nd = minfill_nice(g)
         assert (nd.join_count() > 0) == (g in grids)
@@ -949,8 +930,6 @@ def test_slot_width_gate_on_the_benchmark_inputs(monkeypatch):
         assert priced == (after_total if g in grids else [])
         passes = list(priced)  # _cut_pick records its own calls there
         depths = [_cut_pick(plan, mode, bits)[1] for mode, bits in passes]
-        if passes:
-            depths.append(_cut_pick(plan, *passes[0], split=True)[1])
         assert depths == want_depths.get(g.n, [])
         if g is grids[0]:
             # the 5x30 grid's one pass at B = n is not priced, its
@@ -1009,12 +988,6 @@ class _Kept(list):
             super().__setitem__(i, table)
 
 
-def _relabel(g, seed):
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-
-
 def _atlas_graphs():
     """The 996 connected graphs of 1..7 vertices, up to isomorphism."""
     import networkx as nx
@@ -1038,7 +1011,7 @@ def _transpose_cases(rng):
     cases += [(g, minfill_nice(g)) for g in (
         grid_graph(3, 4), grid_graph(4, 5), cycle_graph(7),
         parse_smiles(CAFFEINE_SMILES).graph,
-        _relabel(ladder_graph(8), 1))]
+        relabel(ladder_graph(8), 1))]
     cases += [(g, minfill_nice(g))
               for g in (random_graph(rng, max_n=10, max_m=18)
                         for _ in range(20))]
@@ -1251,8 +1224,8 @@ def test_cut_sweep_on_wide_inputs():
     # root down, <inside, outside> at every node of the heavy path is the
     # root's value. The relabelled 7x30 grid's shifted pass uses B = 16,
     # which keeps its entries short; the value is still exact
-    g7 = _relabel(grid_graph(7, 30), 3)
-    for g in (g7, ladder_graph(30), _relabel(ladder_graph(60), 1)):
+    g7 = relabel(grid_graph(7, 30), 3)
+    for g in (g7, ladder_graph(30), relabel(ladder_graph(60), 1)):
         nd = minfill_nice(g)
         plan = counting._plan_for(g, nd)
         path = insideout._heavy_path(plan, counting._below(plan))
@@ -1337,10 +1310,11 @@ def test_bit_work_bounds_the_bits_a_shifted_pass_writes():
 def test_forced_cut_lists_every_join_once(monkeypatch):
     # the family prices the matching-polynomial pass after the Hosoya
     # pass. At the model's cell price it keeps the root on these inputs;
-    # with cells priced free it is cut below the root, in process and
-    # where a forked call splits it. Each pass still lists every join
-    # once, in plan order: the joins above the cut with the products of
-    # their transposes, the others as in the root pass
+    # with cells priced free it is cut below the root, at the same depth
+    # in process and where a forked call's child builds the outside part.
+    # Each pass still lists every join once, in plan order: the joins
+    # above the cut with the products of their transposes, the others as
+    # in the root pass
     from tdcount import parse_smiles
     from conftest import CAFFEINE_SMILES
 
@@ -1370,30 +1344,23 @@ def test_forced_cut_lists_every_join_once(monkeypatch):
         bits = want[1].bit_length()
         path, depth = _cut_pick(plan, "match", bits)
         assert depth > 0
-        # the forked call's pass is the in-process pass cut at its split
-        split, split_stats = _split_reference(g, nd, serial_stats, bits)
-        assert stats == split_stats
+        assert stats == serial_stats
         joins = [i for i, op in enumerate(plan) if op[0] == counting._JOIN]
         roots = [root_stats.join_bags[k * len(joins):(k + 1) * len(joins)]
                  for k in range(4)]
         widths = [plan[i][-1] for i in joins]
-        for cut_stats, cut in ((serial_stats, depth), (stats, split)):
-            above = [k for k, i in enumerate(joins) if i in path[:cut]]
-            assert above
-            assert cut_stats.join_nodes == len(cut_stats.join_bags) == \
-                4 * len(joins)
-            passes = [cut_stats.join_bags[k * len(joins):
-                                          (k + 1) * len(joins)]
-                      for k in range(4)]
-            # the plain passes take the root; an independent-set join
-            # multiplies 2^|bag| pairs inside or outside
-            assert passes[:2] == roots[:2]
-            assert passes[3] == passes[1]
-            assert [w for w, _ in passes[2]] == widths
-            # a transposed join writes only the child states its inside
-            # table can reach, so it makes exactly the forward join's
-            # products
-            assert passes[2] == roots[2]
+        assert any(i in path[:depth] for i in joins)
+        assert stats.join_nodes == len(stats.join_bags) == 4 * len(joins)
+        passes = [stats.join_bags[k * len(joins):(k + 1) * len(joins)]
+                  for k in range(4)]
+        # the plain passes take the root; an independent-set join
+        # multiplies 2^|bag| pairs inside or outside
+        assert passes[:2] == roots[:2]
+        assert passes[3] == passes[1]
+        assert [w for w, _ in passes[2]] == widths
+        # a transposed join writes only the child states its inside table
+        # can reach, so it makes exactly the forward join's products
+        assert passes[2] == roots[2]
 
 
 
@@ -1601,7 +1568,7 @@ def test_cell_budget_admits_every_benchmark_request():
     hexagons = build_chain(parse_chain_file(
         bundled_path("hexagon.chain").read_text()), 300)
     inputs = [grid_graph(r, 30) for r in range(3, 8)]
-    inputs += [_relabel(g, seed) for g in inputs for seed in (1, 3)]
+    inputs += [relabel(g, seed) for g in inputs for seed in (1, 3)]
     inputs += [ladder_graph(600), hexagons, path_graph(2000),
                cycle_graph(2000)]
     inputs += [mol.graph for mol in
@@ -1700,7 +1667,7 @@ def _reference_plan(g, nd):
 
 
 def test_plan_matches_a_plain_compilation():
-    # DpStats, the cut model and the fork split all read the plan's op
+    # DpStats, the cut model and the forked child all read the plan's op
     # layout: min-fill trees of the atlas graphs, of seeded random graphs
     # (with random orders and as path decompositions too) and of the
     # bundled molecules

@@ -31,7 +31,7 @@ from tdcount.cli import bundled_path
 from tdcount.decomposition import (
     FORGET, INTRODUCE, JOIN, LEAF, NiceDecomposition, NiceNode,
 )
-from conftest import CAFFEINE_SMILES, grid_graph, random_graph
+from conftest import CAFFEINE_SMILES, grid_graph, random_graph, relabel
 
 
 def graphs(max_n=8, max_m=16):
@@ -118,12 +118,6 @@ def _min_fill_order_by_scan(g):
     return order
 
 
-def _relabelled(g, seed):
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-
-
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=14, max_m=40))
 def test_min_fill_order_matches_scan(g):
@@ -142,7 +136,7 @@ def test_min_fill_order_matches_scan_on_random_graphs():
 def test_min_fill_order_matches_scan_on_long_chains():
     element = parse_chain_file(bundled_path("hexagon.chain").read_text())
     for g in (ladder_graph(600), build_chain(element, 300)):
-        for h in (g, _relabelled(g, 7)):
+        for h in (g, relabel(g, 7)):
             assert min_fill_order(h) == _min_fill_order_by_scan(h)
 
 
@@ -151,7 +145,7 @@ def test_min_fill_order_matches_scan_on_grids():
     # neighbours lose fill while their endpoints gain it
     for k in range(3, 9):
         g = grid_graph(k, 30)
-        for h in (g, _relabelled(g, k)):
+        for h in (g, relabel(g, k)):
             assert min_fill_order(h) == _min_fill_order_by_scan(h)
 
 
@@ -171,13 +165,13 @@ def test_min_fill_order_on_complete_graphs_and_isolated_vertices():
     # the isolated vertices 12-14 and the clique 15-19 are the only ones of
     # fill 0, and eliminating one leaves the others at fill 0
     assert min_fill_order(g)[:8] == list(range(12, 20))
-    for h in (g, _relabelled(g, 4)):
+    for h in (g, relabel(g, 4)):
         assert min_fill_order(h) == _min_fill_order_by_scan(h)
 
 
 def test_min_fill_ties_go_to_lowest_id():
     # every vertex of a cycle has fill 1
-    for g in (cycle_graph(8), _relabelled(cycle_graph(8), 3)):
+    for g in (cycle_graph(8), relabel(cycle_graph(8), 3)):
         order = min_fill_order(g)
         assert order[0] == 0
         assert order == _min_fill_order_by_scan(g)

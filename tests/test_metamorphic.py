@@ -30,18 +30,12 @@ from tdcount import (
     run_all,
 )
 from tdcount.oracle import ORACLE_MAX_EDGES, ORACLE_MAX_VERTICES
-from conftest import minfill_nice
+from conftest import minfill_nice, relabel
 from test_counting import _hexagon_chain, grid_graph
 
 # random elimination orders on these graphs reach width 18; past 10 a
 # run_all takes seconds, so orders are redrawn until the width is at most 10
 RANDOM_ORDER_MAX_WIDTH = 10
-
-
-def relabel(g, seed):
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def sparse_graph(rng):
