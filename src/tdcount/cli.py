@@ -12,9 +12,7 @@ import csv
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from importlib import resources
 from pathlib import Path
 from random import Random
 
@@ -61,6 +59,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def bundled_path(name):
+    # imported here: it adds 10-25 ms to a `python -S` start-up (CPython
+    # 3.11), and only commands that read bundled data need it
+    from importlib import resources
+
     return resources.files("tdcount").joinpath("data").joinpath(name)
 
 
@@ -281,6 +283,10 @@ def cmd_bench(args):
                       args.clock))
 
     if args.jobs > 1:
+        # imported here: with multiprocessing and threading it adds about
+        # 30 ms to every `tdcount` start-up (CPython 3.11)
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             per_instance = list(pool.map(_bench_instance, tasks))
     else:

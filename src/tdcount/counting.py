@@ -23,7 +23,8 @@ independent sets the child's table, then a copy of it zeroed wherever a
 neighbour of the new vertex is chosen. The two children of a join hold the
 same bag but may have introduced it in different orders; the plan holds a
 state map from the first child's layout into the second's (``_prepare``),
-and a join moves the first child's non-zero entries through it.
+a tuple of 2^|bag| ints, and a join reads it in place to move the first
+child's non-zero entries into its own layout.
 
 Joins for (perfect) matchings split the covered bag vertices between the two
 subtrees: child states a and b combine iff ``a | b`` is the whole bag, into
@@ -34,7 +35,8 @@ subsets, or where the other child has fewer non-zero states, scans them.
 Its work is the number of combining pairs of non-zero entries, at most
 3^|bag|; a child branch that ``make_nice`` grew to the join bag by
 introductions leaves those fresh vertices unmatched, so most pairs are
-never visited. Joins for independent sets multiply tables pointwise.
+never visited. Joins for independent sets multiply tables pointwise, in
+one routine, ``_ind_join``, forward here and transposed in ``insideout``.
 
 The size polynomials run the same traversal (Kronecker substitution). With a
 variable x for structure size, every table entry is a polynomial in x, and
@@ -236,8 +238,11 @@ def _prepare(g, nd):
     w - 1, and the neighbour mask marks its neighbours among bits 0..w-2; p
     is the forgotten vertex's bit in the child's layout. A join's state map
     is None where its children lay the bag out alike, else ``_state_map``
-    of the bit permutation from c1's layout into c2's, built once per
-    permutation. So ``op[-1]`` reads the bag size for every kind.
+    of the bit permutation from c1's layout into c2's. It is built once
+    per permutation and shared by every join that meets it: the 81 joins
+    of the min-fill 7x30 grid map 22,080 states through 42 distinct maps,
+    so the plan holds 11,328 ints where a map per join would hold them
+    all. So ``op[-1]`` reads the bag size for every kind.
 
     The same loop sums the cells the tables of one pass take, Σ 2^|bag|,
     and above ``MAX_CELLS`` it raises ``SizeLimitError`` before any table
@@ -326,46 +331,33 @@ def _prepare(g, nd):
 
 def _state_map(perm):
     """The state map of bit permutation perm: per state r, the state with
-    bit perm[j] set for each bit j set in r, as ``bytes`` (``_join_map``
-    reads it).
+    bit perm[j] set for each bit j set in r, as a tuple of 2^len(perm)
+    ints that the join ops index in place.
 
-    Each state is one word of native byte order, 1 byte wide up to 8 bits,
-    2 up to 16, else 4. The 81 joins of the min-fill 7x30 grid map 22,080
-    states through 35 distinct maps of 9,280; as int objects they would
-    add to the peak memory of every request, and importing ``array`` alone
-    adds 0.6 MB to a process. The map is built as one int holding every
-    word: each bit of perm doubles the words, the new half the old with
-    the bit added to every word.
+    Each bit of perm doubles the map, the new half the old with the bit
+    added to every state.
     """
-    w = len(perm)
-    size = 1 if w <= 8 else 2 if w <= 16 else 4
-    word = 8 * size
-    # the bytes of a word run the other way on a big-endian host
-    swap = 8 * (size - 1) if sys.byteorder == "big" else 0
-    table, ones = 0, 1
-    for t, j in enumerate(perm):
-        shift = word << t
-        table |= (table + (ones << (j ^ swap))) << shift
-        ones |= ones << shift
-    return table.to_bytes(size << w, "little")
+    smap = [0]
+    for j in perm:
+        bit = 1 << j
+        smap += [m | bit for m in smap]
+    return tuple(smap)
 
 
-def _join_map(op):
-    """Join op's state map (``_state_map``) as a sequence of ints, or None
-    where its children lay the bag out alike."""
-    smap = op[3]
-    if smap is not None and len(smap) > 1 << op[-1]:
-        return memoryview(smap).cast("H" if len(smap) == 2 << op[-1] else "I")
-    return smap
+def _ind_join(t, smap, o):
+    """The pointwise independent-set join: t × o state by state, with t a
+    table of the join's first child, laid out as the join (smap None) or
+    by the join's state map smap, its state r the join's state smap[r].
 
-
-def _in_join_layout(t, smap):
-    """Table t of a join's first child in the join's layout: with smap the
-    join's state map, the child's state r is the join's state smap[r]."""
-    out = [0] * len(t)
-    for m, y in zip(smap, t):
-        if y:
-            out[m] = y
+    Forward, o is the second child's table; transposed, o is the join's
+    outside table and t the sibling's inside table.
+    """
+    if smap is None:
+        return list(map(mul, t, o))
+    out = [0] * len(o)
+    for m, x in zip(smap, t):
+        if x:
+            out[m] = x * o[m]
     return out
 
 
@@ -699,14 +691,11 @@ def _inside(plan, mode, joins, shift, skip, tables=None):
             tables[i] = out
             tables[c] = None
         else:  # _JOIN
-            _, c1, c2, _, w = op
-            smap = _join_map(op)
+            _, c1, c2, smap, w = op
             t1 = tables[c1]
             t2 = tables[c2]
             if is_ind:
-                if smap is not None:
-                    t1 = _in_join_layout(t1, smap)
-                out = list(map(mul, t1, t2))
+                out = _ind_join(t1, smap, t2)
                 products = 1 << w
             else:
                 out, products = _match_join(t1, t2, w, shift, 0,

@@ -34,9 +34,12 @@ one. ``_cut_depth`` prices every depth of the heavy path in one walk, in
 ``_bit_work`` units: a cell written costs ``_CELL_WORK`` plus its length, a
 product ``_DIGIT_PRODUCT_WORK`` per digit product under CPython's
 schoolbook and Karatsuba rules, and entries are priced at half their
-bound. A matching join's pair costs the same inside and outside
-(``_pair_work``): the cheaper of a whole product and the slot split. The
-root is always a candidate, and cut there the pass is the forward pass.
+bound. ``_pair_work`` prices every product with the cell it writes: at
+B = 0 a whole product, an independent-set join's and the dot product's,
+and at the pass's B a matching join's pair, the cheaper of a whole
+product and the slot split. ``_join_work`` is the one price of a join,
+inside and outside alike. The root is always a candidate, and cut there
+the pass is the forward pass.
 
 Two kinds of pass are never priced. The model prices every cut of a
 join-free chain above the root (``_cut_depth``), so a plan without a join
@@ -59,8 +62,8 @@ from __future__ import annotations
 import math
 
 from .counting import (
-    _DIGIT, _FORGET, _INTRO, _JOIN, _LEAF, _below, _in_join_layout, _inside,
-    _join_map, _match_join,
+    _DIGIT, _FORGET, _INTRO, _JOIN, _LEAF, _below, _ind_join, _inside,
+    _match_join,
 )
 
 # the cut's cost model in ``_bit_work`` units, the bits an addition writes:
@@ -126,15 +129,17 @@ def _live(plan):
 def _join_mask(op, mask):
     """A bag mask in the layout of join op's first child, in the join's own
     layout, its second child's: the state map's entry for it."""
-    return mask if op[3] is None else _join_map(op)[mask]
+    return mask if op[3] is None else op[3][mask]
 
 
 def _pair_work(x, y, bits):
-    """Predicted work of one pair of a matching join, forward or
-    transposed, of x- and y-bit entries at B = bits: a cell written plus
-    the cheaper of a whole product and the Horner slot split
-    (``counting._match_join``), which multiplies the longer entry by one
-    digit per B-bit slot of the shorter and shifts the slots together."""
+    """Predicted work of one product of x- and y-bit entries with the cell
+    it writes: the cell, plus the cheaper of a whole product and, in a
+    matching join at B = bits, forward or transposed, the Horner slot
+    split (``counting._match_join``), which multiplies the longer entry by
+    one digit per B-bit slot of the shorter and shifts the slots together.
+    B = 0 prices a whole product, as an independent-set join and the dot
+    product at the cut make."""
     mul = _product_work(x, y)
     if bits >= 2 * _DIGIT:
         mul = min(mul, math.ceil(min(x, y) / bits)
@@ -142,14 +147,22 @@ def _pair_work(x, y, bits):
     return _CELL_WORK + mul + x + y
 
 
+def _join_work(op, x, y, live, bits):
+    """Predicted work of join op, forward or transposed, multiplying x-bit
+    entries by y-bit ones at B = bits. live is ``_live(plan)`` in match
+    mode and None in ind mode: an independent-set join makes 2^|bag|
+    whole products, a matching join ``_join_pairs`` pairs, each priced by
+    ``_pair_work``."""
+    if live is None:
+        return (1 << op[-1]) * _pair_work(x, y, 0)
+    return _join_pairs(op, live) * _pair_work(x, y, bits)
+
+
 def _node_work(plan, i, below, live, bits):
     """Predicted work of building node i's table in a pass at B = bits.
 
-    live is ``_live(plan)`` in match mode and None in ind mode. A forget
-    writes 2^|bag| cells and an introduce copies references. A join
-    multiplies 2^|bag| pairs in ind mode; a matching join multiplies
-    2^|l1 ^ l2| × 3^|l1 & l2| pairs, for l1 and l2 the bag vertices its
-    children can cover, each priced by ``_pair_work``.
+    live is as in ``_join_work``. A forget writes 2^|bag| cells, an
+    introduce copies references and a join is priced by ``_join_work``.
     """
     op = plan[i]
     code = op[0]
@@ -158,12 +171,8 @@ def _node_work(plan, i, below, live, bits):
         return (_CELL_WORK + half * (below[i] + 1)) * (1 << op[-1])
     if code != _JOIN:
         return 0
-    _, c1, c2, _, w = op
-    x = half * (below[c1] + 1)
-    y = half * (below[c2] + 1)
-    if live is None:
-        return (1 << w) * (_CELL_WORK + _product_work(x, y) + x + y)
-    return _join_pairs(op, live) * _pair_work(x, y, bits)
+    return _join_work(op, half * (below[op[1]] + 1),
+                      half * (below[op[2]] + 1), live, bits)
 
 
 def _join_pairs(op, live):
@@ -220,19 +229,14 @@ def _cut_depth(plan, mode, bits):
         elif code == _INTRO and is_ind:
             outs += out_len * (1 << (op[-1] - 1))
         elif code == _JOIN:
-            _, c1, c2, _, w = op
-            sib = c1 if child == c2 else c2
-            x = half * (below[sib] + 1)
-            if is_ind:
-                outs += (1 << w) * (_CELL_WORK + _product_work(x, out_len)
-                                    + x + out_len)
-            else:
-                outs += _join_pairs(op, live) * _pair_work(x, out_len, bits)
+            sib = op[1] if child == op[2] else op[2]
+            outs += _join_work(op, half * (below[sib] + 1), out_len, live,
+                               bits)
         x = half * (below[child] + 1)
         y = half * (n - below[child] + 1)
         cells = 2 ** (plan[child][-1] if is_ind
                       else live[child].bit_count())
-        dot = cells * (_CELL_WORK + _product_work(x, y) + x + y)
+        dot = cells * _pair_work(x, y, 0)
         cost.append(outs - ins + dot)
     return path, cost
 
@@ -302,15 +306,16 @@ def _transpose(plan, node, child, tables, o, mode, joins, shift, live=None):
 
     mode is 'match' or 'ind'. At a join the op is linear in child, with
     the other child's inside table in ``tables`` held fixed; a matching
-    join is ``counting._match_join`` transposed. o and the result are in
-    the layouts of node and child: the join's state map carries the first
-    child's states into the join's, so the first child's inside table is
-    read through it and its outside table gathered through it. Zero terms
-    are skipped as in the forward pass, and a join records its bag size
-    and the products it performs in joins, unless that is None. Given
-    live, ``_live(plan)`` in match mode, a forget or join writes only the
-    child states that hold every bag vertex outside live[child], the
-    states where the child's inside table can be non-zero.
+    join is ``counting._match_join`` transposed, an independent-set one
+    ``counting._ind_join``. o and the result are in the layouts of node
+    and child: the join's state map carries the first child's states into
+    the join's, so the first child's inside table is read through it and
+    its outside table gathered through it. Zero terms are skipped as in
+    the forward pass, and a join records its bag size and the products it
+    performs in joins, unless that is None. Given live, ``_live(plan)`` in
+    match mode, a forget or join writes only the child states that hold
+    every bag vertex outside live[child], the states where the child's
+    inside table can be non-zero.
     """
     is_ind = mode == "ind"
     op = plan[node]
@@ -363,16 +368,13 @@ def _transpose(plan, node, child, tables, o, mode, joins, shift, live=None):
     else:  # _JOIN
         # o is in the join's layout, c2's: c1's inside table is mapped
         # into it, and c1's outside table gathered out of it
-        _, c1, c2, _, w = op
-        smap = _join_map(op)
+        _, c1, c2, smap, w = op
         if child == c2:
             t, t_smap = tables[c1], smap
         else:
             t, t_smap = tables[c2], None
         if is_ind:
-            if t_smap is not None:
-                t = _in_join_layout(t, t_smap)
-            out = [x * y for x, y in zip(t, o)]
+            out = _ind_join(t, t_smap, o)
             products = 1 << w
         else:
             full = (1 << w) - 1

@@ -351,6 +351,26 @@ def test_bench_deterministic_and_jobs_equal(tmp_path, capsys):
     assert parallel == first
 
 
+def test_cli_import_loads_no_process_pool():
+    # only `bench --jobs N` with N > 1 starts a pool, so loading the CLI
+    # leaves out concurrent.futures and multiprocessing; the child imports
+    # this test's tdcount
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tdcount
+
+    src = Path(tdcount.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import tdcount.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("flag, value", [("--per-size", "-1"),
                                          ("--per-size", "0"),
                                          ("--jobs", "0")])

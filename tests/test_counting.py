@@ -1165,8 +1165,7 @@ def test_match_join_rows_agree_with_the_definition(monkeypatch):
             # p laid out by perm: its state r is the join's state smap[r]
             perm = list(range(w))
             rng.shuffle(perm)
-            smap = counting._join_map((counting._JOIN, 0, 1,
-                                       counting._state_map(perm), w))
+            smap = counting._state_map(perm)
             pj = [0] * len(p)
             for r, x in enumerate(p):
                 pj[smap[r]] = x
@@ -1690,14 +1689,13 @@ def test_plan_matches_a_plain_compilation():
     mapped = 0
     for g, nd in cases:
         plan = counting._prepare(g, nd)
-        # a state map is bytes, one a state up to 8 bag vertices
+        # a state map is a tuple of ints, one a state
         maps = [op for op in plan
                 if op[0] == counting._JOIN and op[3] is not None]
-        assert all(type(op[3]) is bytes and len(op[3]) == 1 << op[-1]
-                   for op in maps if op[-1] <= 8)
+        assert all(type(op[3]) is tuple and len(op[3]) == 1 << op[-1]
+                   and all(type(m) is int for m in op[3]) for op in maps)
         mapped += len(maps)
-        assert [(*op[:3], list(counting._join_map(op)), op[4])
-                if op in maps else op
+        assert [(*op[:3], list(op[3]), op[4]) if op in maps else op
                 for op in plan] == _reference_plan(g, nd)
         # every op ends with its node's bag size
         assert [op[-1] for op in plan] == [len(node.bag) for node in nd.nodes]
@@ -1705,38 +1703,19 @@ def test_plan_matches_a_plain_compilation():
     assert kinds == {counting._LEAF, counting._INTRO, counting._FORGET,
                      counting._JOIN}
     assert mapped
-    # wider bags take 2 bytes a state up to 16 vertices, then 4
-    for w, size in ((8, 1), (9, 2), (16, 2), (17, 4)):
+    # wider bags map each state alike
+    for w in (8, 9, 16, 17):
         smap = counting._state_map(range(w - 1, -1, -1))
-        assert len(smap) == size << w
-        smap = counting._join_map((counting._JOIN, 0, 1, smap, w))
-        assert len(smap) == 1 << w
+        assert type(smap) is tuple and len(smap) == 1 << w
         assert [smap[1 << q] for q in range(w)] == [1 << w - 1 - q
                                                     for q in range(w)]
         assert smap[5] == (1 << w - 1) + (1 << w - 3)
 
 
-def test_state_map_words_in_either_byte_order(monkeypatch):
-    # the words of a state map are native ints on either kind of host
-    rng = random.Random(3)
-    for w in (3, 8, 9, 12, 17):
-        perm = list(range(w))
-        rng.shuffle(perm)
-        want = [sum(1 << perm[j] for j in range(w) if r >> j & 1)
-                for r in range(1 << w)]
-        for order in ("little", "big"):
-            monkeypatch.setattr(sys, "byteorder", order)
-            smap = counting._state_map(perm)
-            size = len(smap) >> w
-            assert size == (1 if w <= 8 else 2 if w <= 16 else 4)
-            assert [int.from_bytes(smap[k:k + size], order)
-                    for k in range(0, len(smap), size)] == want
-
-
 def test_wide_mapped_join_counts_as_a_narrow_tree():
     # a join of 17 bag vertices whose second branch introduces 0..4 last,
-    # so its state map takes 4 bytes a state: the counts of the min-fill
-    # tree, whose joins are narrow
+    # so it maps 2^17 states: the counts of the min-fill tree, whose joins
+    # are narrow
     g = Graph(19, [(i, i + 1) for i in range(16)]
               + [(16, 17), (16, 18), (0, 9), (3, 12)])
     bag = set(range(17))
@@ -1744,7 +1723,7 @@ def test_wide_mapped_join_counts_as_a_narrow_tree():
         [bag, bag | {17}, set(range(5, 17)) | {18}], [-1, 0, 0], 0))
     [join] = [op for op in counting._plan_for(g, nd)
               if op[0] == counting._JOIN]
-    assert join[-1] == 17 and len(join[3]) == 4 << 17
+    assert join[-1] == 17 and len(join[3]) == 1 << 17
     narrow = minfill_nice(g)
     for counter in (count_matchings, count_independent_sets,
                     matching_polynomial):
